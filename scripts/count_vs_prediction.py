@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Exhaustive pi(x) for PGL_2(Q) against the adelic volume predictions.
+"""Exact pi(x) for PGL_2(Q) against the adelic volume predictions.
 
 Prints the exact counts next to the two exponent conventions and the
-sandwich bracket from the global ball volume.  Runtime grows like the
-fourth power of the entry bound, so keep --xmax modest (<= 12 or so).
+sandwich bracket from the global ball volume.  The count walks
+determinant shells, about x^2 log x candidates at B = 1, so --xmax in the
+hundreds is practical.
 
 Usage:
     python scripts/count_vs_prediction.py --xmax 8 --B 1.0 --workers 4

@@ -6,7 +6,8 @@ Submodules:
 - dirichlet: the height Dirichlet series, its Euler product, poles, residues
 - archimedean: chamber norms, radial volumes, growth fits at infinity
 - adelic: global heights, the volume convolution, regularity/persistence checks
-- counting: exhaustive pi(x) for PGL_2(Q) and comparison reports
+- counting: exact pi(x) for PGL_2(Q) by determinant shells, and comparison reports
+- shells: the determinant-shell candidate enumeration behind counting
 - cli: the `heightcount` executable
 """
 

@@ -1,23 +1,52 @@
-"""Exhaustive height counting in PGL_2(Q).
+"""Exact height counting in PGL_2(Q).
 
 Every class has a unique representative: an integer matrix with entry gcd 1
-and first nonzero entry (row-major) positive.  Enumerating all such
-matrices in a box [-N, N]^4 therefore visits each class at most once, and
-the box is exhaustive for {h <= x} when N >= entry_bound(x, B):
+and first nonzero entry (row-major) positive.  For such a matrix
+h_fin = e = |det| (the largest elementary divisor) and
+h_inf = r^(1/(2B)) with r = sigma_1/sigma_2.  Heights are evaluated in
+closed form: sigma_1^2 is the larger root of t^2 - F t + det^2 with F the
+squared Frobenius norm, so
 
-    h_fin = e, the largest elementary divisor, and |det| = e for a
-    primitive 2x2 matrix; h_inf = (sigma_1/sigma_2)^(1/(2B)).  From
-    sigma_1 sigma_2 = |det| = e and h = e * h_inf <= x we get
-    sigma_1^2 = e * (sigma_1/sigma_2) <= e * (x/e)^(2B), so every entry is
-    at most max over integers 1 <= e <= x of sqrt(e^(1-2B) x^(2B)).
-
-pi_count evaluates heights in closed form: sigma_1^2 is the larger root of
-t^2 - F t + det^2 with F the squared Frobenius norm, so
-
-    h = |det| * (sigma_1^2 / |det|)^(1/(2B)).
+    h = e * (sigma_1^2 / e)^(1/(2B)).
 
 The ball is closed (h <= x); heights within 1e-9 of the threshold are
 reported as ties so near-boundary decisions stay auditable.
+
+Determinant shells.  F = sigma_1^2 + sigma_2^2 = e (r + 1/r) and r + 1/r
+increases for r >= 1, so with t = (X/e)^(2B)
+
+    h <= X  <=>  e <= X  and  F <= e (t + 1/t) =: F_cap(e).
+
+pi_count walks the shells e = 1 .. floor(X) (`heightcount.shells`).  A
+canonical first row (a, b) (a > 0, or a = 0 < b) with n = a^2 + b^2 and
+g = gcd(a, b) meets shell e only if g | e, and Lagrange's identity n (c^2 + d^2) = e^2 + (ac + bd)^2
+says it meets the cap only if n (F_cap - n) >= e^2.  The second rows with
+ad - bc = +-e lie on the lattice line (c0, d0) + k (a, b)/g, (c0, d0)
+from the Bezout pair of (a, b), and the cap cuts each line to an integer
+interval of k, found from a quadratic and settled in exact integers.
+Distinct (row, e, sign, k) give distinct matrices, so no candidate is
+generated twice.  The work is about x^2 log x candidates at B = 1,
+against (2x + 1)^4 cells for the box below.
+
+The shells are taken at X = x_hi, just above both the closed-ball test
+x (1 + 1e-12) + 1e-12 and the tie band x + 1e-9, with a relative margin of
+1e-12 that covers the rounding of the float height.  Every matrix that
+the float height puts inside the ball or in the tie band is therefore a
+candidate.  Each candidate is classified by the same predicates as the box
+search (`_classify`: nonzero det, canonical sign, primitivity, float
+height, ball slack, tie band), so the candidate set is a superset of the
+box's hits and ties, and count and tie_count equal the box's whenever the
+box is exhaustive.
+
+Box search (test oracle).  Every class with h <= x has its canonical
+entries in [-N, N]^4 when N >= entry_bound(x, B):
+
+    sigma_1 sigma_2 = e and h = e * h_inf <= x give
+    sigma_1^2 = e * (sigma_1/sigma_2) <= e * (x/e)^(2B), so every entry is
+    at most max over integers 1 <= e <= x of sqrt(e^(1-2B) x^(2B)).
+
+`_count_chunk` searches that box.  It is kept only as the test oracle of
+the shell enumeration, which verify's box-saturation check also calls.
 """
 
 from __future__ import annotations
@@ -28,11 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, check_budget, default_budgets
+from .errors import DomainError, check_budget, default_budgets
 
 _TIE_TOL = 1e-9
 _BALL_SLACK = 1e-12
-_N_CHUNKS = 64
 
 
 @dataclass(frozen=True)
@@ -115,7 +143,11 @@ def enumerate_elements(bound: int, max_cells: int | None = None):
 
 @dataclass(frozen=True)
 class PiCountDetail:
-    """Exact count with its search parameters and boundary diagnostics."""
+    """Exact count with its search parameters and boundary diagnostics.
+
+    entry_bound_used is the certified box half-width entry_bound(x, B);
+    candidates is the number of candidate matrices the det-shell
+    enumeration examined (before the predicates of `_classify`)."""
 
     x: float
     B: float
@@ -125,15 +157,13 @@ class PiCountDetail:
     candidates: int
 
 
-def _axis_values(bound: int) -> np.ndarray:
-    return np.arange(-bound, bound + 1, dtype=np.int64)
+def _classify(a, b, c, d, x: float, B: float) -> tuple[int, int]:
+    """(inside, ties) among the integer matrices (a, b, c, d), elementwise.
 
-
-def _count_chunk(a_values: np.ndarray, bound: int, x: float, B: float) -> tuple[int, int]:
-    """Count canonical classes with h <= x whose entry a lies in a_values."""
-    v = _axis_values(bound)
-    a, b, c, d = np.meshgrid(a_values, v, v, v, indexing="ij")
-    a, b, c, d = (t.reshape(-1) for t in (a, b, c, d))
+    A matrix is inside if it is nonsingular, canonically signed and
+    primitive and its float height is <= x up to _BALL_SLACK; it is a tie
+    if that height is within _TIE_TOL of x.  Both the det-shell count and
+    the box oracle decide with this one definition."""
     det = a * d - b * c
     keep = det != 0
     # canonical sign: first nonzero of (a, b, c, d) positive
@@ -151,17 +181,37 @@ def _count_chunk(a_values: np.ndarray, bound: int, x: float, B: float) -> tuple[
     return int(np.count_nonzero(inside)), int(np.count_nonzero(ties))
 
 
+def _axis_values(bound: int) -> np.ndarray:
+    return np.arange(-bound, bound + 1, dtype=np.int64)
+
+
+def _count_chunk(a_values: np.ndarray, bound: int, x: float, B: float) -> tuple[int, int]:
+    """Box search, kept as the test oracle of the det-shell count:
+    (inside, ties) over the cells of [-bound, bound]^4 whose entry a lies
+    in a_values."""
+    v = _axis_values(bound)
+    a, b, c, d = np.meshgrid(a_values, v, v, v, indexing="ij")
+    return _classify(*(t.reshape(-1) for t in (a, b, c, d)), x, B)
+
+
+def _x_hi(x: float) -> float:
+    """Shell radius above both the ball test and the tie band, with a
+    relative margin of _BALL_SLACK for the rounding of the float height."""
+    return (x + _TIE_TOL) * (1.0 + _BALL_SLACK) + _BALL_SLACK
+
+
 def pi_count_detail(
     x: float,
     B: float,
     workers: int = 1,
     max_cells: int | None = None,
 ) -> PiCountDetail:
-    """Exact closed-ball count #{h <= x} by exhaustive box search.
+    """Exact closed-ball count #{h <= x} by determinant shells.
 
-    The a-axis is split into a fixed set of chunks independent of the
-    worker count and partial counts are reduced in index order, so the
-    result does not depend on workers.
+    max_cells (default HEIGHTCOUNT_MAX_CELLS) bounds the a-priori estimate
+    of the candidates examined.  The first rows are split into a fixed set
+    of blocks independent of the worker count, and the integer partial
+    counts are summed, so the result does not depend on workers.
     """
     if not (x >= 0):
         raise DomainError(f"need x >= 0, got {x}")
@@ -169,21 +219,30 @@ def pi_count_detail(
         raise DomainError(f"need B > 0, got {B}")
     if x < 1:
         return PiCountDetail(x, B, 0, 0, 0, 0)
+    from . import shells
+
     bound = entry_bound(x, B)
+    x_hi = _x_hi(x)
+    fcap = shells.shell_caps(x_hi, B)
     limit = max_cells if max_cells is not None else default_budgets().max_cells
-    check_budget("enumeration cells", (2 * bound + 1) ** 4, limit)
-    v = _axis_values(bound)
-    n_chunks = min(_N_CHUNKS, v.size)
-    edges = [round(i * v.size / n_chunks) for i in range(n_chunks + 1)]
-    chunks = [v[lo:hi] for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    check_budget("det-shell candidates", shells.candidate_bound(fcap), limit)
+    table = shells.Shells(x_hi, B, fcap)
+
+    def count(block):
+        inside = ties = seen = 0
+        for a, b, c, d in table.candidates(block):
+            i, t = _classify(a, b, c, d, x, B)
+            inside, ties, seen = inside + i, ties + t, seen + a.size
+        return inside, ties, seen
+
+    blocks = table.blocks()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: _count_chunk(ch, bound, x, B), chunks))
+            parts = list(pool.map(count, blocks))
     else:
-        parts = [_count_chunk(ch, bound, x, B) for ch in chunks]
-    count = sum(p[0] for p in parts)
-    ties = sum(p[1] for p in parts)
-    return PiCountDetail(x, B, count, ties, bound, (2 * bound + 1) ** 4)
+        parts = [count(block) for block in blocks]
+    inside, ties, seen = map(sum, zip(*parts))
+    return PiCountDetail(x, B, inside, ties, bound, seen)
 
 
 def pi_count(x: float, B: float, workers: int = 1, max_cells: int | None = None) -> int:

@@ -1,0 +1,214 @@
+"""Determinant-shell enumeration of integer 2x2 matrices.
+
+For shells e = 1 .. len(fcap), `Shells` yields every integer matrix
+(a, b, c, d) with ad - bc = +-e, canonical first row (a > 0, or a = 0 < b)
+and a^2 + b^2 + c^2 + d^2 <= fcap[e - 1], each exactly once and in blocks
+of bounded size.  `heightcount.counting` derives the caps from the height
+ball and classifies the candidates.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import BudgetError
+
+# first rows, (row, e) pairs and candidate matrices handled per block;
+# bounds memory
+_BLOCK = 1 << 16
+# shell caps below this keep every quadratic of the enumeration inside int64
+_FCAP_LIMIT = 1 << 31
+
+
+def shell_caps(x_hi: float, B: float) -> np.ndarray:
+    """F_cap(e) = floor(e (t + 1/t)), t = (x_hi/e)^(2B), at index e - 1 for
+    e = 1 .. floor(x_hi).
+
+    t + 1/t is evaluated as 2 + 4 sinh^2(B log(x_hi/e)) with the 2e added
+    in integers, so F = 2e (h = e) stays under the cap when x_hi/e is 1 up
+    to rounding."""
+    e = np.arange(1, int(math.floor(x_hi)) + 1, dtype=np.int64)
+    s = np.sinh(B * np.log(x_hi / e))
+    return 2 * e + np.floor(4.0 * e * s * s).astype(np.int64)
+
+
+def candidate_bound(fcap: np.ndarray) -> int:
+    """A-priori upper bound on the det-shell candidates under the caps fcap.
+
+    On shell e with sign s, a first row g v (v canonical, g | e) with
+    |g v|^2 < F_cap(e) gives a line of spacing |v| whose chord in the disk
+    c^2 + d^2 <= F_cap(e) is at most 2 sqrt(F_cap(e)) long, so at most
+    1 + 2 sqrt(F_cap(e)) / |v| candidates.  Over v with |v|^2 <= R,
+
+        #v <= (pi (sqrt(R) + r)^2 - 1) / 2,  sum 1/|v| <= (1 + r) pi (sqrt(R) + r),
+
+    with r = sqrt(2)/2: the unit square around each v lies in the disk of
+    radius sqrt(R) + r, and 1/|v| <= (1 + r)/|u| for u in it when |v| >= 1.
+    """
+    r = math.sqrt(0.5)
+    total = 0.0
+    for g in range(1, min(fcap.size, math.isqrt(int(fcap.max()))) + 1):
+        cap = fcap[g - 1 :: g].astype(float)  # shells e = g, 2g, ...
+        disk = np.sqrt(cap) / g + r
+        lines = np.where(cap >= g * g, (math.pi * disk * disk - 1) / 2, 0.0)
+        points = np.where(cap >= g * g, 2 * np.sqrt(cap) * (1 + r) * math.pi * disk, 0.0)
+        total += 2 * float(np.sum(lines + points))
+    return int(math.ceil(total))
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner index and value of every entry of the concatenated ranges
+    starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, starts[owner] + (np.arange(owner.size) - first[owner])
+
+
+def _spans(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive slices of range(counts.size), each holding about _BLOCK
+    of the total count (more only when one entry alone exceeds it)."""
+    if counts.size == 0:
+        return []
+    cum = np.cumsum(counts)
+    cuts = np.searchsorted(cum, np.arange(_BLOCK, int(cum[-1]), _BLOCK), side="right")
+    edges = np.unique(np.concatenate(([0], cuts, [counts.size])))
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def _bezout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise g = gcd(a, b) and (p, q) with a p + b q = g, for a >= 0,
+    by the extended Euclidean algorithm on (a, |b|)."""
+    r0, r1 = a.copy(), np.abs(b)
+    s0, s1 = np.ones_like(a), np.zeros_like(a)
+    t0, t1 = np.zeros_like(a), np.ones_like(a)
+    while np.any(r1):
+        live = r1 != 0
+        q = np.where(live, r0 // np.where(live, r1, 1), 0)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+        t0, t1 = np.where(live, t1, t0), np.where(live, t0 - q * t1, t1)
+    return r0, s0, np.where(b < 0, -t0, t0)
+
+
+def _b_ranges(n_max: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per first entry a >= 0, the start and length of the run of b with
+    (a, b) canonical (a > 0, or a = 0 < b) and a^2 + b^2 <= n_max."""
+    w = np.array([math.isqrt(n_max - v * v) for v in a.tolist()], dtype=np.int64)
+    return np.where(a == 0, 1, -w), np.where(a == 0, w, 2 * w + 1)
+
+
+def _shell_ranges(n: np.ndarray, x_hi: float, B: float, e_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row norm n, a range lo <= e <= hi holding every shell with
+    e/t <= n <= e t, t = (x_hi/e)^(2B).
+
+    In logs the condition is |log n - log e| <= 2B (log x_hi - log e), an
+    interval in log e.  log x_hi is widened by 1e-9 so that rounding never
+    drops a shell; the exact integer test in `Shells._lines` decides
+    each (row, e) pair."""
+    lx = math.log(x_hi) + 1e-9
+    ln = np.log(n.astype(float))
+    up = (ln + 2 * B * lx) / (1 + 2 * B)  # from e/t <= n
+    down = np.zeros_like(ln)
+    k, rhs = 1 - 2 * B, ln - 2 * B * lx  # n <= e t  <=>  rhs <= k log e
+    if k > 0:
+        down = rhs / k
+    elif k < 0:
+        up = np.minimum(up, rhs / k)
+    else:
+        up = np.where(rhs <= 0, up, -1.0)
+    top = math.log(e_max) + 1
+    lo = np.ceil(np.exp(np.clip(down, 0, top))).astype(np.int64)
+    hi = np.floor(np.exp(np.clip(up, -1, top))).astype(np.int64)
+    return np.maximum(lo, 1), np.minimum(hi, e_max)
+
+
+def _quadratic_interval(A, P, D, W) -> tuple[np.ndarray, np.ndarray]:
+    """Integer k with A k^2 + 2 P k + W <= 0, as lo <= k <= hi (empty when
+    hi < lo); D = P^2 - A W >= 0.  The float roots are settled in exact
+    integer arithmetic."""
+
+    def f(k):
+        return (A * k + 2 * P) * k + W
+
+    root = np.sqrt(D.astype(float))
+    lo = np.ceil((-P - root) / A).astype(np.int64)
+    hi = np.floor((-P + root) / A).astype(np.int64)
+    while np.any(step := f(lo - 1) <= 0):
+        lo -= step
+    while np.any(step := (f(lo) > 0) & (lo <= hi)):
+        lo += step
+    while np.any(step := f(hi + 1) <= 0):
+        hi += step
+    while np.any(step := (f(hi) > 0) & (hi >= lo)):
+        hi -= step
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class Shells:
+    """The candidates under the shell caps fcap (F_cap(e) at index e - 1)
+    of one x_hi and B, enumerated in blocks of first rows."""
+
+    x_hi: float
+    B: float
+    fcap: np.ndarray
+
+    def __post_init__(self) -> None:
+        if int(self.fcap.max()) >= _FCAP_LIMIT:
+            raise BudgetError(f"shell cap {int(self.fcap.max())} exceeds the int64-safe limit {_FCAP_LIMIT}")
+
+    @property
+    def _n_max(self) -> int:
+        # a row meeting shell e has n (F_cap - n) >= e^2 > 0, so n < F_cap
+        return int(self.fcap.max()) - 1
+
+    def blocks(self) -> list[tuple[int, int]]:
+        """Ranges lo <= a < hi of first entries, each holding about _BLOCK
+        first rows."""
+        a = np.arange(math.isqrt(self._n_max) + 1, dtype=np.int64)
+        return _spans(_b_ranges(self._n_max, a)[1])
+
+    def candidates(self, block: tuple[int, int]):
+        """Yield arrays (a, b, c, d) of the candidates whose first entry a
+        lies in block; every matrix with ad - bc = +-e, canonical first row
+        and F <= F_cap(e) occurs exactly once."""
+        a = np.arange(*block, dtype=np.int64)
+        owner, b = _ragged(*_b_ranges(self._n_max, a))
+        a = a[owner]
+        n = a * a + b * b
+        g, p, q = _bezout(a, b)
+        e_lo, e_hi = _shell_ranges(n, self.x_hi, self.B, self.fcap.size)
+        j_lo = -(-e_lo // g)  # shells e = g j
+        j_count = np.maximum(e_hi // g - j_lo + 1, 0)
+        for s, t in _spans(j_count):
+            yield from self._lines(a[s:t], b[s:t], n[s:t], g[s:t], p[s:t], q[s:t], j_lo[s:t], j_count[s:t])
+
+    def _lines(self, a, b, n, g, p, q, j_lo, j_count):
+        """Candidates of the (row, e) pairs e = g j, j_lo <= j < j_lo + j_count."""
+        i, j = _ragged(j_lo, j_count)
+        e = g[i] * j
+        room = self.fcap[e - 1] - n[i]  # cap on c^2 + d^2
+        hit = room * n[i] >= e * e
+        i, e, room = i[hit], e[hit], room[hit]
+        a, b, g, p, q = a[i], b[i], g[i], p[i], q[i]
+        ap, bp = a // g, b // g
+        A = ap * ap + bp * bp
+        for m in (e // g, -(e // g)):
+            # (c, d) = (c0, d0) + k (ap, bp) solves ap d - bp c = m, i.e.
+            # ad - bc = +-e; start at the point nearest the foot of the
+            # perpendicular from the origin
+            c0, d0 = -m * q, m * p
+            k0 = (A - 2 * (c0 * ap + d0 * bp)) // (2 * A)
+            c0, d0 = c0 + k0 * ap, d0 + k0 * bp
+            P = c0 * ap + d0 * bp
+            # c^2 + d^2 - room = A k^2 + 2 P k + W; its discriminant
+            # P^2 - A W = A room - m^2 is >= 0 by the test above
+            lo, hi = _quadratic_interval(A, P, A * room - m * m, c0 * c0 + d0 * d0 - room)
+            count = np.maximum(hi - lo + 1, 0)
+            for s, t in _spans(count):
+                o, k = _ragged(lo[s:t], count[s:t])
+                o += s
+                yield a[o], b[o], c0[o] + k * ap[o], d0[o] + k * bp[o]

@@ -1,16 +1,20 @@
 """Tests for exact height counting in PGL_2(Q).
 
-The small-x counts were frozen from the exhaustive search itself after
-cross-validation against an independent generator-based enumeration, so
-regressions in either the box bound or the dedup logic show up here.
+The small-x counts were frozen from the exhaustive box search after
+cross-validation against an independent generator-based enumeration.  The
+box (`counting._count_chunk`) stays as the oracle of the det-shell count,
+so regressions in the box bound, the shell enumeration or the dedup logic
+show up here.
 """
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heightcount import counting, shells
 from heightcount import (
     BudgetError,
     CountReport,
@@ -174,6 +178,86 @@ def _count_with_bound(x, B, bound):
         for g in enumerate_elements(bound)
         if g.height(B) <= x * (1 + 1e-12) + 1e-12
     )
+
+
+def _box_oracle(x, B):
+    """(count, tie_count) by the exhaustive box, one a-value per chunk."""
+    bound = entry_bound(x, B)
+    parts = [counting._count_chunk(np.array([a]), bound, x, B) for a in range(-bound, bound + 1)]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+
+
+# the box costs (2N + 1)^4 cells; larger (x, B) pairs (B = 2 beyond x = 3.75,
+# B = 1.7 beyond x = 5) are left to the pinned values below
+_ORACLE_CELLS = 10**6
+
+
+@given(st.integers(4, 40), st.sampled_from([0.3, 0.5, 0.8, 1.0, 1.7, 2.0]))
+def test_pi_count_matches_box_oracle(quarters, B):
+    x = quarters / 4
+    assume((2 * entry_bound(x, B) + 1) ** 4 <= _ORACLE_CELLS)
+    det = pi_count_detail(x, B)
+    assert (det.count, det.tie_count) == _box_oracle(x, B)
+
+
+def test_pi_count_matches_box_oracle_integer_x():
+    for B in (0.3, 0.5, 0.8, 1.0):
+        for x in range(1, 11):
+            det = pi_count_detail(float(x), B)
+            assert (det.count, det.tie_count) == _box_oracle(float(x), B), (x, B)
+
+
+def test_pi_count_pinned_box_values():
+    # recorded by the box search in perfbench/references.json
+    det = pi_count_detail(32.0, 1.0)
+    assert (det.count, det.tie_count) == (27256, 24)
+    det = pi_count_detail(400.0, 0.5)
+    assert (det.count, det.tie_count) == (482288, 432)
+
+
+def _shell_candidates(x, B):
+    x_hi = counting._x_hi(x)
+    table = shells.Shells(x_hi, B, shells.shell_caps(x_hi, B))
+    for block in table.blocks():
+        yield from table.candidates(block)
+
+
+@pytest.mark.parametrize("x, B", [(1.0, 1.0), (4.0, 1.0), (6.5, 0.5), (3.0, 2.0), (7.0, 0.3)])
+def test_shell_candidates_are_distinct(x, B):
+    blocks = [np.stack(block, axis=1) for block in _shell_candidates(x, B)]
+    mats = np.concatenate(blocks)
+    assert len(np.unique(mats, axis=0)) == len(mats)
+    assert len(mats) == pi_count_detail(x, B).candidates
+
+
+@pytest.mark.parametrize("x, B", [(12.0, 1.0), (6.5, 0.5), (3.0, 2.0)])
+def test_block_boundaries_do_not_change_counts(monkeypatch, x, B):
+    # at these x every stage fits in one block; tiny blocks split them all
+    whole = pi_count_detail(x, B)
+    monkeypatch.setattr(shells, "_BLOCK", 5)
+    x_hi = counting._x_hi(x)
+    assert len(shells.Shells(x_hi, B, shells.shell_caps(x_hi, B)).blocks()) > 1
+    assert pi_count_detail(x, B) == whole
+    assert pi_count_detail(x, B, workers=3) == whole
+
+
+def test_candidate_bound_covers_candidates():
+    for B in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
+        for x in (1.0, 1.5, 2.0, 3.25, 5.0, 8.0, 13.0, 20.0):
+            estimate = shells.candidate_bound(shells.shell_caps(counting._x_hi(x), B))
+            assert estimate >= pi_count_detail(x, B).candidates, (x, B)
+
+
+def test_pi_count_budget():
+    with pytest.raises(BudgetError):
+        pi_count_detail(8.0, 1.0, max_cells=100)
+    # a raised budget still stops before the shell quadratics leave int64
+    with pytest.raises(BudgetError, match="int64"):
+        pi_count_detail(250.0, 2.0, max_cells=10**15)
+    # the budget bounds the det-shell work, not the (2N + 1)^4 box
+    det = pi_count_detail(20.0, 1.5)
+    assert (2 * det.entry_bound_used + 1) ** 4 > 10**9
+    assert det.count > pi_count(19.0, 1.5) > 0
 
 
 def test_pi_count_other_B():
