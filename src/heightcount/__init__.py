@@ -71,7 +71,6 @@ from .counting import (
 from .dirichlet import (
     AbscissaTable,
     CoeffTable,
-    EulerFactorParams,
     LSeriesValue,
     ResidueReport,
     L_closed_pgl2,

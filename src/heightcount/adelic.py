@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,11 +90,27 @@ def _volume_grid(d: int, B: float, R_max: float):
 
 
 @lru_cache(maxsize=8)
-def _coeff_arrays(d: int, x_max: int, max_sieve: int | None):
-    table = coeff_sieve(d, x_max, max_sieve=max_sieve)
+def _coeff_arrays(d: int, x_max: int):
+    table = coeff_sieve(d, x_max, max_sieve=x_max)
     weights = np.array(table.values[1:], dtype=float)
     logs = np.log(np.arange(1, x_max + 1, dtype=float))
     return weights, logs
+
+
+def _setup(d: int, B: float, T_max: float, max_sieve: int | None, R_max: float | None = None):
+    """Coefficient arrays for m <= e^T_max and, given R_max, the volume grid.
+
+    The sieve length x_max = floor(e^T_max (1 + 1e-12)) is checked against
+    the sieve budget before any work; both arrays come from memoized tables,
+    so every entry point sharing (d, x_max) or (d, B, R_max) shares them.
+    Returns (weights, logs, interp), with interp None when R_max is None.
+    """
+    x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
+    limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
+    check_budget("sieve", x_max, limit)
+    weights, logs = _coeff_arrays(d, x_max)
+    interp = None if R_max is None else _volume_grid(d, B, R_max)
+    return weights, logs, interp
 
 
 def _chunk_edges(n: int) -> list[tuple[int, int]]:
@@ -103,12 +118,15 @@ def _chunk_edges(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _convolve(T: float, weights, logs, interp, workers: int) -> float:
-    """Deterministic ordered reduction of sum_m D(m) b_inf(T - log m).
+def _convolve(T: float, weights, logs, interp) -> float:
+    """Ordered reduction of sum_m D(m) b_inf(T - log m).
 
-    The m-range is cut into a fixed number of chunks independent of the
-    worker count, each chunk is summed by numpy, and the chunk totals are
-    combined in index order, so results are bit-identical for any workers.
+    The m-range is cut into a fixed number of chunks that depends only on
+    the number of terms, each chunk is summed by numpy, and math.fsum
+    combines the chunk totals with a single rounding.  Rounding error is
+    thus confined to the in-chunk sums, and the reduction is the one
+    persistence_check uses, so every b(T) the package reports is
+    reproducible bit for bit.
     """
     count = int(np.searchsorted(logs, T + 1e-12, side="right"))
     if count == 0:
@@ -116,26 +134,10 @@ def _convolve(T: float, weights, logs, interp, workers: int) -> float:
     radii = T - logs[:count]
     values = np.interp(radii, interp.r_grid, interp.values)
     terms = weights[:count] * values
-    pieces = [float(terms[a:b].sum()) for a, b in _chunk_edges(count)]
-    if workers > 1:
-        # chunk sums are independent; recompute them in a pool to the same
-        # partition, then reduce in order (exercise of the parallel path)
-        def piece(bounds):
-            a, b = bounds
-            return float(terms[a:b].sum())
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(piece, _chunk_edges(count)))
-    return math.fsum(pieces)
+    return math.fsum(float(terms[a:b].sum()) for a, b in _chunk_edges(count))
 
 
-def adelic_ball_volume(
-    d: int,
-    B: float,
-    T: float,
-    max_sieve: int | None = None,
-    workers: int = 1,
-) -> float:
+def adelic_ball_volume(d: int, B: float, T: float, max_sieve: int | None = None) -> float:
     """Global ball volume b(T) = sum_{m <= e^T} D(m) * b_inf(T - log m).
 
     b_inf comes from the shared volume grid (step 1e-3, linear
@@ -144,12 +146,8 @@ def adelic_ball_volume(
     """
     if not (T > 0):
         raise DomainError(f"need T > 0, got {T}")
-    x_max = int(math.floor(math.exp(T) * (1 + 1e-12)))
-    limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
-    check_budget("sieve", x_max, limit)
-    weights, logs = _coeff_arrays(d, x_max, max_sieve)
-    interp = _volume_grid(d, B, max(T, 1e-3))
-    return _convolve(T, weights, logs, interp, workers)
+    weights, logs, interp = _setup(d, B, T, max_sieve, max(T, 1e-3))
+    return _convolve(T, weights, logs, interp)
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,9 @@ class BallVolumeSeries:
 
     def components(self, T: float, max_sieve: int | None = None):
         """Per-m summands (m, D(m), b_inf(T - log m)) of the convolution."""
-        x_max = int(math.floor(math.exp(T) * (1 + 1e-12)))
-        weights, logs = _coeff_arrays(self.d, x_max, max_sieve)
-        interp = _volume_grid(self.d, self.B, max(T, 1e-3))
+        weights, logs, interp = _setup(self.d, self.B, T, max_sieve, max(T, 1e-3))
         out = []
-        for m in range(1, x_max + 1):
+        for m in range(1, weights.size + 1):
             radius = T - logs[m - 1]
             if radius < 0:
                 break
@@ -175,41 +171,26 @@ class BallVolumeSeries:
         return out
 
 
-def adelic_ball_series(
-    d: int,
-    B: float,
-    T_grid,
-    max_sieve: int | None = None,
-    workers: int = 1,
-) -> BallVolumeSeries:
+def adelic_ball_series(d: int, B: float, T_grid, max_sieve: int | None = None) -> BallVolumeSeries:
     """Evaluate b(T) across an increasing grid with one shared sieve/table."""
     grid = [float(t) for t in T_grid]
     if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("T_grid must be nonempty and strictly increasing")
     if not (grid[0] > 0):
         raise DomainError(f"need T > 0, got {grid[0]}")
-    T_max = grid[-1]
-    x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
-    limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
-    check_budget("sieve", x_max, limit)
-    weights, logs = _coeff_arrays(d, x_max, max_sieve)
-    interp = _volume_grid(d, B, T_max)
-    values = tuple(_convolve(t, weights, logs, interp, workers) for t in grid)
+    weights, logs, interp = _setup(d, B, grid[-1], max_sieve, grid[-1])
+    values = tuple(_convolve(t, weights, logs, interp) for t in grid)
     return BallVolumeSeries(d, B, tuple(grid), values)
 
 
 def adelic_volume_callable(d: int, B: float, T_max: float, max_sieve: int | None = None):
     """b(T) as a reusable callable on (0, T_max]; shares one sieve and table."""
-    x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
-    limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
-    check_budget("sieve", x_max, limit)
-    weights, logs = _coeff_arrays(d, x_max, max_sieve)
-    interp = _volume_grid(d, B, T_max)
+    weights, logs, interp = _setup(d, B, T_max, max_sieve, T_max)
 
     def b(T: float) -> float:
         if not (0 < T <= T_max * (1 + 1e-12)):
             raise DomainError(f"T={T} outside (0, {T_max}]")
-        return _convolve(T, weights, logs, interp, 1)
+        return _convolve(T, weights, logs, interp)
 
     return b
 
@@ -468,11 +449,8 @@ def pgl2_measure_pair(
     """
     if not (T_max > 0):
         raise DomainError(f"need T_max > 0, got {T_max}")
-    x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
-    limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
-    check_budget("sieve", x_max, limit)
-    weights, logs = _coeff_arrays(2, x_max, max_sieve)
-    m = np.arange(1, x_max + 1, dtype=float)
+    weights, logs, _ = _setup(2, B, T_max, max_sieve)
+    m = np.arange(1, weights.size + 1, dtype=float)
     masses = tuple(zip(logs.tolist(), (weights / m**B).tolist()))
     grid = np.linspace(0.0, T_max, int(T_max * 1000) + 1)
     return MeasurePair(

@@ -17,12 +17,17 @@ vertices; each vertex of shell k-1 sees exactly
 neighbors in shell k, giving the closed form D(p) c(p)^(k-1).  For d = 2
 the graph is the (p+1)-regular tree (D = p + 1, c = p), geodesics are
 unique, and the closed form is the exact shell vertex count.  For d >= 3
-and k >= 2 geodesics are not unique, so D(p) c(p)^(k-1) counts the
-(shell k-1 -> shell k) edge incidences and strictly exceeds the vertex
-count: at (d=3, p=2, k=2) breadth-first search finds 98 vertices carrying
-140 back-edges.  `enumerate_classes` is the ground truth; `sphere_size`
-is the closed form.  The Dirichlet series machinery is defined over the
-closed form throughout.
+it is neither the vertex count nor, in general, the back-edge count.
+Breadth-first search at p = 2, shells k = 1, 2, 3, finds
+
+    d = 3:  vertices 14, 98, 560;  back-edges 14, 140, 896;  closed form 14, 140, 1400
+    d = 4:  vertices 65, 1850;     back-edges 65, 3530;      closed form 45, 1350
+
+so the closed form counts (shell k-1 -> shell k) edge incidences only at
+d = 3 with k <= 2, and at d >= 4 it undercounts even the first shell:
+D(p) misses the middle Grassmannians.  `enumerate_classes` is the ground
+truth; `sphere_size` is the closed form.  The Dirichlet series machinery
+is defined over the closed form throughout.
 """
 
 from __future__ import annotations
@@ -72,9 +77,10 @@ def shell_ratio(d: int, p: int) -> int:
 def sphere_size(params: BuildingParams, k: int) -> int:
     """Closed-form shell weight D(p) c(p)^(k-1); D(p^0) = 1.
 
-    Exact vertex count of the distance-k shell for d = 2; for d >= 3 and
-    k >= 2 it counts shell-(k-1) edge incidences instead (see module
-    docstring), which is what the multiplicative coefficient D(m) uses.
+    This is the multiplicative coefficient D(m) uses.  It is the exact
+    vertex count of the distance-k shell for d = 2 and for d = 3, k = 1;
+    at d = 3, k = 2 it equals the shell-(k-1) edge incidences instead, and
+    elsewhere it matches neither count (see the module docstring).
     """
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
@@ -87,7 +93,9 @@ def sphere_size(params: BuildingParams, k: int) -> int:
 def ball_size(params: BuildingParams, k: int) -> int:
     """Partial sum 1 + sum_{j<=k} sphere_size(j), in closed form.
 
-    Exact ball vertex count for d = 2 (and k <= 1 in general).
+    Exact ball vertex count for d = 2, and for d = 3 at k <= 1.  At d >= 4
+    it is below the true count from k = 1 on, because D(p) misses the
+    middle Grassmannians (46 against 66 at d = 4, p = 2, k = 1).
     """
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
@@ -265,8 +273,11 @@ def enumerate_classes(
     """Breadth-first enumeration of all classes within distance k_max.
 
     Returns (class, distance) pairs sorted by distance then representative,
-    so output order is deterministic.  The predicted ball size is checked
-    against the budget before any work happens.
+    so output order is deterministic.  The closed-form ball size is checked
+    against the budget before any work happens.  That estimate equals the
+    true count at d = 2 and exceeds it at d = 3 (measured for k <= 3), but
+    at d >= 4 it is below it (1396 predicted against 1916 classes at d = 4,
+    p = 2, k = 2), so there the budget can admit more work than it names.
     """
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")

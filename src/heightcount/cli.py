@@ -167,9 +167,7 @@ def _cmd_ball_adelic(args, out):
     if not (args.step > 0 and args.Tmax >= args.step):
         raise DomainError(f"need 0 < step <= Tmax, got step={args.step}, Tmax={args.Tmax}")
     grid = np.arange(args.step, args.Tmax + args.step / 2, args.step)
-    series = adelic.adelic_ball_series(
-        args.d, args.B, grid, max_sieve=args.max_sieve, workers=args.workers
-    )
+    series = adelic.adelic_ball_series(args.d, args.B, grid, max_sieve=args.max_sieve)
     rows = list(zip((float(t) for t in series.T_grid), series.values))
     _emit_csv("ball-adelic", ["T", "b"], rows, out)
 
@@ -281,7 +279,7 @@ def _cmd_persistence(args, out):
 
 
 def _cmd_verify(args, out):
-    results = run_checks(quick=not args.full, workers=args.workers)
+    results = run_checks(quick=not args.full)
     out.write(format_report(results))
     if not all(r.passed for r in results):
         raise SystemExit(1)
@@ -339,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         B=float_req,
         Tmax=float_req,
         step={"type": float, "default": 0.25},
-        workers={"type": int, "default": 1},
         **{"max-sieve": {"type": int, "default": None, "dest": "max_sieve"}},
     )
     add("height", _cmd_height, matrix={"type": str, "required": True}, B=float_req)
@@ -386,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     tier = verify_p.add_mutually_exclusive_group()
     tier.add_argument("--quick", action="store_true", default=True)
     tier.add_argument("--full", action="store_true", default=False)
-    verify_p.add_argument("--workers", type=int, default=1)
     verify_p.set_defaults(func=_cmd_verify)
     for name, p in sub.choices.items():
         if name not in ("verify",):

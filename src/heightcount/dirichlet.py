@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .building import BuildingParams, shell_count, shell_ratio, sphere_size
 from .errors import BudgetError, DomainError, default_budgets
-from .primes import factorize, is_prime, primes_up_to, smallest_factor_sieve
+from .primes import factorize, primes_up_to, smallest_factor_sieve
 
 _MARGIN = 1e-6
 
@@ -34,25 +34,6 @@ _BERNOULLI = (
     7 / 6,
     -3617 / 510,
 )
-
-
-@dataclass(frozen=True)
-class EulerFactorParams:
-    """Shell constants entering the Euler factor at p."""
-
-    d: int
-    p: int
-
-    def __post_init__(self) -> None:
-        BuildingParams(self.d, self.p)  # validation only
-
-    @property
-    def c_p(self) -> int:
-        return shell_ratio(self.d, self.p)
-
-    @property
-    def D_p(self) -> int:
-        return shell_count(self.d, self.p)
 
 
 @dataclass(frozen=True)
@@ -141,15 +122,15 @@ def zeta_em(s: complex) -> complex:
     return total
 
 
-def _euler_factor(params: EulerFactorParams, s: complex) -> complex:
-    p = params.p
+def _euler_factor(p: int, D_p: int, c_p: int, s: complex) -> complex:
+    """(1 - [c(p) - D(p)] p^(-s)) / (1 - c(p) p^(-s)) at a prime p."""
     ps = cmath.exp(-s * math.log(p))
-    denom = 1 - params.c_p * ps
+    denom = 1 - c_p * ps
     if abs(denom) < 1e-12:
         raise DomainError(
             f"s={s} is within 1e-12 of the pole line of the factor at p={p}"
         )
-    return (1 - (params.c_p - params.D_p) * ps) / denom
+    return (1 - (c_p - D_p) * ps) / denom
 
 
 def _tail_log_bound(d: int, sigma: float, cutoff: int) -> float:
@@ -194,7 +175,7 @@ def L_euler(d: int, s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
         value *= zeta_em(s - j) ** (d - 1)
     primes = primes_up_to(prime_cutoff)
     for p in primes:
-        factor = _euler_factor(EulerFactorParams(d, p), s)
+        factor = _euler_factor(p, shell_count(d, p), shell_ratio(d, p), s)
         ps = cmath.exp(-s * math.log(p))
         for j in range(d):
             factor *= (1 - ps * p**j) ** (d - 1)

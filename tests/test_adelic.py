@@ -151,11 +151,13 @@ def test_series_components_sum_to_total():
     assert [w for _, w, _ in comps[:4]] == [1, 3, 4, 6]
 
 
-def test_worker_counts_agree_exactly():
-    T = 5.0
-    lone = adelic_ball_volume(2, 1.0, T, workers=1)
-    four = adelic_ball_volume(2, 1.0, T, workers=4)
-    assert lone == four  # bitwise, by construction
+def test_entry_points_agree_bitwise():
+    # the three entry points share one setup path and one reduction
+    for d in (2, 3):
+        for T in (5e-4, 0.7, 3.0, 6.5):
+            direct = adelic_ball_volume(d, 1.0, T)
+            assert adelic_volume_callable(d, 1.0, T)(T) == direct
+            assert adelic_ball_series(d, 1.0, [T / 2, T]).values[-1] == direct
 
 
 def test_volume_callable_matches_direct_evaluation():
