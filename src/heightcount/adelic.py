@@ -86,7 +86,7 @@ def global_height(mat, B: float) -> HeightProfile:
 
 @lru_cache(maxsize=8)
 def _volume_grid(d: int, B: float, R_max: float):
-    return ball_volume_table(d, B, R_max, step=1e-3)
+    return ball_volume_table(d, B, R_max)
 
 
 @lru_cache(maxsize=8)

@@ -18,8 +18,13 @@ The radial ball volume is
                prod_{i<j} sinh(X_i - X_j) dX,
 
 computed by splitting the dominant sector into a radial coordinate
-y = rho(X) in [0, B R] and a cross-section simplex, with tensor
-Gauss-Legendre quadrature on each factor.  For d = 2 this collapses to
+y = rho(X) in [0, B R] and a cross-section simplex.  One kernel,
+`_section_integral`, integrates the density over the cross-section at
+given radii by tensor Gauss-Legendre, a bounded chunk of radii at a time.
+Two integrators run over it: `ball_volume_numeric` (adaptive composite
+Gauss-Legendre in y, to rtol 1e-10 at one radius) and `ball_volume_table`
+(cumulative Simpson on a 1e-3 radius grid, one table serving many
+radii).  For d = 2 this collapses to
 integral of sinh(2 y) dy = (cosh(2 B R) - 1) / 2.
 """
 
@@ -34,6 +39,15 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 
 _TRACE_TOL = 1e-12
+# ball_volume_numeric: stop when two successive refinements agree to _RTOL,
+# starting from _MESH radial panels and doubling at most _MAX_REFINEMENTS times
+_RTOL = 1e-10
+_MESH = 8
+_MAX_REFINEMENTS = 8
+# ball_volume_table: radius spacing of the cumulative table
+_TABLE_STEP = 1e-3
+# floats per chunk of the radius x cross-section x d grid (32 MB)
+_CHUNK_FLOATS = 1 << 22
 
 
 def as_chamber_vector(x) -> np.ndarray:
@@ -178,18 +192,17 @@ def _simplex_nodes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return v, w * jac
 
 
-def _sector_jacobian(system: RootSystemA) -> tuple[float, np.ndarray]:
-    """Volume factor of the cone parametrisation and the direction matrix W.
+def _sector_jacobian(system: RootSystemA) -> float:
+    """Volume factor of the cone parametrisation t -> sum t_k w_k.
 
-    The map t -> sum t_k w_k sends Lebesgue measure on t-space to
-    sqrt(det(W W^T)) times standard Lebesgue measure on the trace-zero
-    hyperplane; the normalised measure adds lam^(rank/2).
+    The map sends Lebesgue measure on t-space to sqrt(det(W W^T)) times
+    standard Lebesgue measure on the trace-zero hyperplane; the normalised
+    measure adds lam^(rank/2).
     """
     w_rows = system.coweight_directions()
     gram = w_rows @ w_rows.T
     det = float(np.linalg.det(gram))
-    jac = system.rho_norm_sq ** (system.rank / 2.0) * math.sqrt(det)
-    return jac, w_rows
+    return system.rho_norm_sq ** (system.rank / 2.0) * math.sqrt(det)
 
 
 def _pair_density(x_grid: np.ndarray, d: int) -> np.ndarray:
@@ -200,20 +213,40 @@ def _pair_density(x_grid: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def ball_volume_numeric(
-    d: int,
-    B: float,
-    R: float,
-    rtol: float = 1e-10,
-    mesh: int = 8,
-    max_refinements: int = 8,
-) -> float:
+def _section_integral(d: int, y: np.ndarray, q: int) -> np.ndarray:
+    """Integral of the Cartan density over the cross-section at each radius y.
+
+    The cross-section {rho(X) = y} of the dominant sector is y times the
+    simplex spanned by the rows w_k; its points are y * (sigma @ W) for
+    sigma in the standard simplex, integrated by the q-point-per-axis rule
+    of `_simplex_nodes` in the first rank - 1 coordinates.  The y x simplex
+    x d grid is built _CHUNK_FLOATS floats at a time, so memory does not
+    grow with the number of radii.
+    """
+    system = RootSystemA(d)
+    rank = system.rank
+    v, wv = _simplex_nodes(rank - 1, q)
+    sigma = np.empty((v.shape[0], rank))
+    sigma[:, : rank - 1] = v
+    sigma[:, rank - 1] = 1.0 - v.sum(axis=1)
+    directions = sigma @ system.coweight_directions()
+    rows = max(1, _CHUNK_FLOATS // directions.size)
+    out = np.empty(y.size)
+    for lo in range(0, y.size, rows):
+        x_grid = y[lo : lo + rows, None, None] * directions[None, :, :]
+        out[lo : lo + rows] = _pair_density(x_grid, d) @ wv
+    return out
+
+
+def ball_volume_numeric(d: int, B: float, R: float) -> float:
     """Normalised-measure volume of the radial ball {norm_b <= R}, d <= 4.
 
-    Splits the sector integral into composite Gauss-Legendre panels in the
-    radial variable y = rho(X) over [0, B R] and a fixed simplex rule on the
-    cross-section, then doubles both resolutions until two successive values
-    agree to rtol.  Raises QuadratureError if agreement stalls.
+    Integrates the cross-section integral times y^(rank-1) over the radial
+    variable y = rho(X) in [0, B R] with composite 16-point Gauss-Legendre
+    panels, then doubles the panels and raises the cross-section rule
+    (8 -> 48 points per axis) until two successive values agree to
+    _RTOL.  Raises QuadratureError if agreement stalls after
+    _MAX_REFINEMENTS doublings.
     """
     if d < 2 or d > 4:
         raise DomainError(f"ball_volume_numeric supports 2 <= d <= 4, got {d}")
@@ -222,71 +255,56 @@ def ball_volume_numeric(
     if R == 0.0:
         return 0.0
     system = RootSystemA(d)
-    jac, w_rows = _sector_jacobian(system)
+    jac = _sector_jacobian(system)
     rank = system.rank
     y_max = B * R
+    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(16)
 
     def evaluate(n_panels: int, q_inner: int) -> float:
-        nodes_1d, weights_1d = np.polynomial.legendre.leggauss(16)
         edges = np.linspace(0.0, y_max, n_panels + 1)
         half = np.diff(edges) / 2.0
         mid = (edges[:-1] + edges[1:]) / 2.0
         y = (mid[:, None] + half[:, None] * nodes_1d[None, :]).reshape(-1)
         wy = (half[:, None] * weights_1d[None, :]).reshape(-1)
-        v, wv = _simplex_nodes(rank - 1, q_inner)
-        sigma = np.empty((v.shape[0], rank))
-        sigma[:, : rank - 1] = v
-        sigma[:, rank - 1] = 1.0 - v.sum(axis=1)
-        x_grid = y[:, None, None] * (sigma @ w_rows)[None, :, :]
-        dens = _pair_density(x_grid, d)
-        inner = dens @ wv
+        inner = _section_integral(d, y, q_inner)
         return jac * float(np.dot(wy * y ** (rank - 1), inner))
 
-    q = 8
+    mesh, q = _MESH, 8
     previous = evaluate(mesh, q)
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         mesh *= 2
         q = min(q + 8, 48)
         current = evaluate(mesh, q)
         scale = max(abs(current), abs(previous), 1e-300)
-        if abs(current - previous) <= rtol * scale:
+        if abs(current - previous) <= _RTOL * scale:
             return current
         previous = current
     raise QuadratureError(
-        f"ball volume quadrature did not reach rtol={rtol} for d={d}, B={B}, R={R}"
+        f"ball volume quadrature did not reach rtol={_RTOL} for d={d}, B={B}, R={R}"
     )
 
 
-def ball_volume_table(
-    d: int,
-    B: float,
-    R_max: float,
-    step: float = 1e-3,
-):
+def ball_volume_table(d: int, B: float, R_max: float):
     """Cumulative radial volumes on a fine grid, returned as an interpolant.
 
-    Integrates the radial profile g(y) = y^(rank-1) * (simplex average of the
-    density) with composite Simpson at spacing B*step/2, so each table entry
-    b(R_j) shares all panels with its predecessors.  The returned callable
+    Integrates the radial profile g(y) = y^(rank-1) * (cross-section
+    integral, 24 points per axis) with composite Simpson at spacing
+    B * _TABLE_STEP / 2, so each table entry b(R_j), R_j = j * _TABLE_STEP,
+    shares all panels with its predecessors.  The returned callable
     interpolates linearly and raises DomainError beyond R_max.
     """
     if d < 2 or d > 4:
         raise DomainError(f"ball_volume_table supports 2 <= d <= 4, got {d}")
-    if not (B > 0) or not (R_max > 0) or not (0 < step <= 0.1):
-        raise DomainError(f"bad table parameters B={B}, R_max={R_max}, step={step}")
+    if not (B > 0) or not (R_max > 0):
+        raise DomainError(f"bad table parameters B={B}, R_max={R_max}")
     system = RootSystemA(d)
-    jac, w_rows = _sector_jacobian(system)
+    jac = _sector_jacobian(system)
     rank = system.rank
-    n_steps = int(math.ceil(R_max / step - 1e-9))
-    r_grid = step * np.arange(n_steps + 1)
-    h = B * step / 2.0
+    n_steps = int(math.ceil(R_max / _TABLE_STEP - 1e-9))
+    r_grid = _TABLE_STEP * np.arange(n_steps + 1)
+    h = B * _TABLE_STEP / 2.0
     y = h * np.arange(2 * n_steps + 1)
-    v, wv = _simplex_nodes(rank - 1, 24)
-    sigma = np.empty((v.shape[0], rank))
-    sigma[:, : rank - 1] = v
-    sigma[:, rank - 1] = 1.0 - v.sum(axis=1)
-    x_grid = y[:, None, None] * (sigma @ w_rows)[None, :, :]
-    g = (_pair_density(x_grid, d) @ wv) * y ** (rank - 1)
+    g = _section_integral(d, y, 24) * y ** (rank - 1)
     if rank == 1:
         g[0] = 0.0  # y^0 * sinh(2y) vanishes at 0; avoid 0**0 ambiguity
     panels = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1::2] + g[2::2])

@@ -27,7 +27,9 @@ so the closed form counts (shell k-1 -> shell k) edge incidences only at
 d = 3 with k <= 2, and at d >= 4 it undercounts even the first shell:
 D(p) misses the middle Grassmannians.  `enumerate_classes` is the ground
 truth; `sphere_size` is the closed form.  The Dirichlet series machinery
-is defined over the closed form throughout.
+is defined over the closed form throughout.  The class budget of
+`enumerate_classes` is therefore checked against `_class_bound`, which
+counts neighbours and bounds the ball from above at every d.
 """
 
 from __future__ import annotations
@@ -104,6 +106,27 @@ def ball_size(params: BuildingParams, k: int) -> int:
     d, p = params.d, params.p
     c = shell_ratio(d, p)
     return 1 + shell_count(d, p) * (c**k - 1) // (c - 1)
+
+
+def _class_bound(params: BuildingParams, k: int) -> int:
+    """A-priori upper bound on the number of classes within distance k.
+
+    Every vertex has N1 = sum_{j=1}^{d-1} [d choose j]_p neighbours, one
+    per proper nonzero subspace of L/pL, so the first shell has exactly N1
+    vertices.  Every vertex of shell k-1 >= 1 has a neighbour in shell k-2,
+    so it adds at most N1 - 1 vertices to shell k, and
+    |S_k| <= N1 (N1 - 1)^(k-1).  Exact at d = 2, where the graph is the
+    (p+1)-regular tree.
+    """
+    d, p = params.d, params.p
+    n1 = 0
+    for j in range(1, d):
+        num = den = 1
+        for i in range(j):
+            num *= p ** (d - i) - 1
+            den *= p ** (i + 1) - 1
+        n1 += num // den
+    return 1 + sum(n1 * (n1 - 1) ** (j - 1) for j in range(1, k + 1))
 
 
 def sl2_sphere_size(p: int, k: int) -> int:
@@ -273,19 +296,19 @@ def enumerate_classes(
     """Breadth-first enumeration of all classes within distance k_max.
 
     Returns (class, distance) pairs sorted by distance then representative,
-    so output order is deterministic.  The closed-form ball size is checked
-    against the budget before any work happens.  That estimate equals the
-    true count at d = 2 and exceeds it at d = 3 (measured for k <= 3), but
-    at d >= 4 it is below it (1396 predicted against 1916 classes at d = 4,
-    p = 2, k = 2), so there the budget can admit more work than it names.
+    so output order is deterministic.  The neighbour-count bound
+    `_class_bound` is checked against the budget before any work happens.
+    It equals the true count at d = 2 and is above it elsewhere (4226
+    against 1916 classes at d = 4, p = 2, k = 2), unlike the closed-form
+    `ball_size`, which falls below the true count at d >= 4.
     """
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
     limit = max_classes if max_classes is not None else default_budgets().max_classes
-    predicted = ball_size(params, k_max)
+    predicted = _class_bound(params, k_max)
     if predicted > limit:
         raise BudgetError(
-            f"predicted ball size {predicted} exceeds class budget {limit}"
+            f"ball size bound {predicted} exceeds class budget {limit}"
         )
     base = base_class(params)
     dist: dict[LatticeClass, int] = {base: 0}

@@ -238,8 +238,8 @@ def pi_count_detail(
     blocks = table.blocks()
     # The package's one thread pool.  numpy releases the GIL inside the
     # block kernels, so it pays once there are many blocks: on a 2-vCPU
-    # Xeon, workers=2 takes pi_count_detail(30, B=2) from ~2.0 s to ~0.9 s
-    # and (600, B=1) from ~3.5 s to ~2.2 s; single-block sizes (x <= 300
+    # Xeon, workers=2 takes pi_count_detail(30, B=2) from ~1.6 s to ~1.3 s
+    # and (600, B=1) from ~3.1 s to ~2.4 s; single-block sizes (x <= 70
     # at B = 1) are unchanged.
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -271,25 +271,13 @@ class CountReport:
     slack: float
 
 
-def _mainterm_integral(B: float, growth: float, T_cut: float = 60.0) -> float:
-    """integral_0^inf e^(-2t) b_inf(t) dt for the d = 2 closed form with
-    radial growth rate `growth` (either B or 2B); infinite when growth >= 2."""
-    from .archimedean import ball_volume_table
-
-    gap = 2.0 - growth
-    if gap <= 0.05:
+def _mainterm_integral(growth: float) -> float:
+    """integral_0^inf e^(-2t) b_inf(t) dt for the d = 2 ball volume
+    b_inf(t) = (cosh(growth t) - 1)/2, with radial growth rate `growth`
+    (either B or 2B): g^2 / (4 (4 - g^2)) for g < 2, infinite for g >= 2."""
+    if growth >= 2.0:
         return math.inf
-    t_max = min(T_cut / gap, 2000.0)
-    table = ball_volume_table(2, growth / 2.0, t_max, step=1e-3)
-    t = table.r_grid
-    integrand = np.exp(-2.0 * t) * table.values
-    h = float(t[1] - t[0])
-    n = (len(t) - 1) // 2 * 2
-    total = float(
-        (h / 3.0)
-        * np.sum(integrand[0:n:2] + 4.0 * integrand[1 : n + 1 : 2] + integrand[2 : n + 2 : 2])
-    )
-    return total
+    return growth * growth / (4.0 * (4.0 - growth * growth))
 
 
 def compare_report(
@@ -304,11 +292,13 @@ def compare_report(
     """Exact pi(x) against (30/pi^2) * I * x^2 / covolume and the adelic
     ball sandwich b(log x -+ eps)/covolume.
 
-    I = integral e^(-2t) b_inf(t) dt is computed by quadrature under both
+    I = integral e^(-2t) b_inf(t) dt is taken in closed form under both
     radial growth conventions (e^(B t), labeled low, and e^(2 B t), labeled
-    high; the high one is infinite when 2B >= 2).  The sandwich columns are
-    asymptotic envelopes, so the report states the measured slack
-    max(lower/pi, pi/upper) instead of asserting pointwise bounds.
+    high).  It is infinite exactly when the growth rate reaches 2, so the
+    high one is infinite exactly when 2B >= 2 and the low one is finite
+    throughout 0 < B < 2.  The sandwich columns are asymptotic envelopes,
+    so the report states the measured slack max(lower/pi, pi/upper)
+    instead of asserting pointwise bounds.
     """
     from .adelic import adelic_volume_callable
 
@@ -320,8 +310,8 @@ def compare_report(
     if not (covolume > 0):
         raise DomainError(f"need covolume > 0, got {covolume}")
     coeff = 30.0 / math.pi**2
-    i_low = _mainterm_integral(B, B)
-    i_high = _mainterm_integral(B, 2.0 * B)
+    i_low = _mainterm_integral(B)
+    i_high = _mainterm_integral(2.0 * B)
     b_adelic = adelic_volume_callable(2, B, math.log(grid[-1]) + sandwich_eps + 1e-9, max_sieve)
     pis, ties, low, high, lo_s, hi_s = [], [], [], [], [], []
     bound_used = 0

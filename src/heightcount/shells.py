@@ -17,8 +17,12 @@ import numpy as np
 from .errors import BudgetError
 
 # first rows, (row, e) pairs and candidate matrices handled per block;
-# bounds memory
-_BLOCK = 1 << 16
+# bounds memory.  At 2^13 a block's int64 arrays are 64 KiB, below glibc's
+# default 128 KiB mmap threshold, so they are reused from the heap.  At 2^16
+# (512 KiB arrays) every block mapped and faulted in fresh pages unless an
+# earlier large free had raised the threshold: the census benchmark took
+# ~0.71 s against ~0.52 s at 2^13 (2-vCPU Xeon), and 52 against 35 MB
+_BLOCK = 1 << 13
 # shell caps below this keep every quadratic of the enumeration inside int64
 _FCAP_LIMIT = 1 << 31
 

@@ -6,6 +6,7 @@ here with a small fixed-seed sampler.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightcount import archimedean
 from heightcount import (
     DomainError,
     FitResult,
@@ -123,7 +125,7 @@ def test_frozen_higher_rank_values():
         (4, 1.0, 2.0, 1.769880610539e-02),
     ]
     for d, B, R, want in frozen:
-        got = ball_volume_numeric(d, B, R, rtol=1e-9)
+        got = ball_volume_numeric(d, B, R)
         assert abs(got - want) <= 1e-7 * want
 
 
@@ -176,18 +178,64 @@ def test_small_radius_exponents():
         assert math.log2(v2 / v1) == pytest.approx(expo, abs=0.05)
 
 
-def test_quadrature_error_when_no_refinement_allowed():
+def test_quadrature_error_when_no_refinement_allowed(monkeypatch):
+    monkeypatch.setattr(archimedean, "_RTOL", 0.0)
+    monkeypatch.setattr(archimedean, "_MAX_REFINEMENTS", 1)
     with pytest.raises(QuadratureError):
-        ball_volume_numeric(3, 1.0, 2.0, rtol=0.0, max_refinements=1)
+        ball_volume_numeric(3, 1.0, 2.0)
 
 
 def test_table_matches_pointwise_quadrature():
     table = ball_volume_table(2, 1.0, 4.0)
     for R in (0.3, 1.7, 2.5, 3.9):
         assert table(R) == pytest.approx(_d2_closed(1.0, R), rel=1e-7)
-    table3 = ball_volume_table(3, 1.0, 2.0, step=2e-3)
+    table3 = ball_volume_table(3, 1.0, 2.0)
     for R in (0.5, 1.0, 2.0):
         assert table3(R) == pytest.approx(ball_volume_numeric(3, 1.0, R), rel=1e-6)
+
+
+# float.hex values of the chunked integrators, equal to those of the
+# unchunked y x simplex x d grid they replaced (same rule, same arithmetic)
+_NUMERIC_BITS = [
+    (2, 1.0, 0.5, "0x1.160eaa3b3eaa1p-2"),
+    (2, 2.0, 4.0, "0x1.0f2eb90a8005dp+21"),
+    (3, 1.0, 0.02, "0x1.0edebc3774b4ep-33"),
+    (3, 1.0, 1.5, "0x1.c671637ed63bep-2"),
+    (3, 0.5, 8.0, "0x1.0d7e18354a9e0p+9"),
+    (4, 1.0, 0.02, "0x1.a77b2b9c1d7b5p-67"),
+    (4, 1.0, 1.5, "0x1.1de07d2fb06d8p-10"),
+    (4, 0.5, 8.0, "0x1.042e51adb6b9bp+5"),
+]
+
+
+@pytest.mark.parametrize("d, B, R, bits", _NUMERIC_BITS)
+def test_numeric_volume_bits(d, B, R, bits):
+    assert ball_volume_numeric(d, B, R).hex() == bits
+
+
+def test_table_volume_bits():
+    t2 = ball_volume_table(2, 1.0, 8.0)
+    assert float(t2.values[-1]).hex() == "0x1.0f2eb90a8007cp+21"
+    t3 = ball_volume_table(3, 0.7, 5.0)
+    assert float(t3.values[970]).hex() == "0x1.8d4a6370f042ap-8"
+    assert float(t3.values[-1]).hex() == "0x1.3e97946ea9804p+7"
+    # 10001 radii at d = 4 span several chunks of the kernel
+    t4 = ball_volume_table(4, 0.7, 5.0)
+    assert float(t4.values[1940]).hex() == "0x1.be1171b59cdd5p-12"
+    assert float(t4.values[-1]).hex() == "0x1.a963815aab95fp+2"
+    assert t4(1.2345).hex() == "0x1.ae86d2a620cefp-18"
+
+
+def test_table_memory_is_bounded():
+    # the whole 16001 x 576 x 4 grid would be ~295 MB, ~500 MB traced with
+    # the density temporaries; chunks of _CHUNK_FLOATS keep it far below
+    tracemalloc.start()
+    try:
+        ball_volume_table(4, 1.0, 8.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_table_domain_checks():

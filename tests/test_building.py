@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightcount import (
+    BudgetError,
     BuildingParams,
     DomainError,
     LatticeClass,
@@ -30,6 +31,7 @@ from heightcount import (
     snf_exponents,
     sphere_size,
 )
+from heightcount.building import _class_bound
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,27 @@ def test_bfs_matches_tree_counts_d2(p):
     shells = _shells(params, 4)
     for k, shell in enumerate(shells):
         assert len(shell) == sphere_size(params, k)
+
+
+@pytest.mark.parametrize(
+    "d, p, k_max",
+    [(2, 2, 6), (2, 3, 6), (2, 5, 6), (3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 1)],
+)
+def test_class_bound_is_an_upper_bound(d, p, k_max):
+    params = BuildingParams(d, p)
+    dist = [k for _, k in enumerate_classes(params, k_max)]
+    for k in range(k_max + 1):
+        found = sum(1 for j in dist if j <= k)
+        assert _class_bound(params, k) >= found
+        if d == 2:
+            assert _class_bound(params, k) == found
+
+
+def test_class_budget_covers_d4():
+    # 1916 classes lie within distance 2 at (d, p) = (4, 2); the closed-form
+    # ball size 1396 would have admitted them under a budget of 1500
+    with pytest.raises(BudgetError):
+        enumerate_classes(BuildingParams(4, 2), 2, max_classes=1500)
 
 
 def test_bfs_shell_counts_d3():

@@ -6,7 +6,11 @@ back, so these double as schema-stability tests.
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -173,6 +177,15 @@ def test_csv_flag_writes_file(tmp_path, capsys):
 # verify and exit codes
 
 
+def test_count_main_term_is_finite_near_b2(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        header, rows = run_csv(capsys, "count", "--xmax", "3", "--B", "1.9")
+    assert not caught
+    col = header.index("predicted_convA")
+    assert all(math.isfinite(float(row[col])) for row in rows)
+
+
 def test_verify_quick_is_deterministic(capsys):
     code1, out1 = run(capsys, "verify", "--quick")
     code2, out2 = run(capsys, "verify", "--quick")
@@ -234,11 +247,18 @@ def test_all_outputs_carry_schema_tag(capsys):
 # documentation
 
 
-def _readme_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("## Command line", 1)[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_block(heading):
+    text = (ROOT / "README.md").read_text()
+    section = text.split(heading, 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    return block.replace("\\\n", " ").splitlines()
+
+
+def _readme_commands():
+    lines = _readme_block("## Command line")
     return [shlex.split(line)[1:] for line in lines if line.startswith("heightcount ")]
 
 
@@ -249,3 +269,15 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code, _ = run(capsys, *argv)
         assert code == 0, argv
+
+
+def test_readme_script_lines_run():
+    lines = [shlex.split(line) for line in _readme_block("## Scripts") if line.startswith("python ")]
+    assert len(lines) == 3
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for argv in lines:
+        proc = subprocess.run(
+            [sys.executable, *argv[1:]], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)

@@ -322,6 +322,24 @@ def test_compare_report_finite_high_prediction():
     assert rep.predicted_high_exponent[0] > 0
 
 
+@pytest.mark.parametrize("B", [0.5, 1.0, 1.9])
+def test_compare_report_main_term_closed_form(B):
+    # integral of e^(-2t) (cosh(B t) - 1)/2 dt = B^2 / (4 (4 - B^2))
+    grid = [1.0, 3.0]
+    rep = compare_report(grid, B)
+    for x, got in zip(grid, rep.predicted_low_exponent):
+        want = 30 / math.pi**2 * B * B / (4 * (4 - B * B)) * x**2
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_compare_report_high_prediction_finite_below_two():
+    # growth 2B = 1.96 < 2: finite (an old cutoff reported inf for 2B > 1.95)
+    rep = compare_report([2.0], 0.98)
+    g = 1.96
+    want = 30 / math.pi**2 * g * g / (4 * (4 - g * g)) * 4.0
+    assert rep.predicted_high_exponent[0] == pytest.approx(want, rel=1e-12)
+
+
 def test_compare_report_sandwich_brackets():
     rep = compare_report([2.0, 4.0, 6.0], 1.0)
     for lo, hi in zip(rep.lower_sandwich, rep.upper_sandwich):
