@@ -49,22 +49,17 @@ from .building import (
     class_records,
     elementary_divisors,
     enumerate_classes,
-    hnf_universe,
-    is_adjacent,
     neighbors,
     shell_count,
     shell_ratio,
-    sl2_sphere_size,
     snf_exponents,
     sphere_size,
 )
 from .counting import (
     CountReport,
-    GroupElementQ,
     PiCountDetail,
     compare_report,
     entry_bound,
-    enumerate_elements,
     pi_count,
     pi_count_detail,
 )

@@ -37,15 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import BudgetError, DomainError, default_budgets
+from .errors import DomainError, check_budget, default_budgets
 from .intmat import (
     Mat,
     as_mat,
-    content,
     det_int,
     elementary_divisors,
     hnf_rows,
-    row_span_contains,
     scale,
     valuation,
 )
@@ -127,23 +125,6 @@ def _class_bound(params: BuildingParams, k: int) -> int:
             den *= p ** (i + 1) - 1
         n1 += num // den
     return 1 + sum(n1 * (n1 - 1) ** (j - 1) for j in range(1, k + 1))
-
-
-def sl2_sphere_size(p: int, k: int) -> int:
-    """Distance-k orbit count for the determinant-one subgroup at d = 2.
-
-    The subgroup only reaches even distances; odd shells are empty and the
-    even shell 2j (j >= 1) splits the tree shell as (p+1) p^(2j-1).
-    """
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got p={p}")
-    if k < 0:
-        raise DomainError(f"need k >= 0, got {k}")
-    if k == 0:
-        return 1
-    if k % 2 == 1:
-        return 0
-    return (p + 1) * p ** (k - 1)
 
 
 def snf_exponents(mat, p: int) -> tuple[int, ...]:
@@ -261,35 +242,6 @@ def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
     return out
 
 
-def is_adjacent(a: LatticeClass, b: LatticeClass) -> bool:
-    """Adjacency by the divisibility definition: reps with pL < M < L.
-
-    Independent of `neighbors`; used to cross-check it.  Tries both
-    orderings and all p-power rescalings that can place b's lattice
-    between p*a and a.
-    """
-    if a.p != b.p:
-        raise DomainError("classes live over different primes")
-    if a == b:
-        return False
-    p = a.p
-    for outer, inner in ((a, b), (b, a)):
-        eo = outer.det_exponent()
-        ei = inner.det_exponent()
-        # [index in p-exponent] of p^t * inner inside outer is d*t + ei - eo;
-        # strict betweenness needs that index in (0, d).
-        for t in range(0, (eo - ei) // len(outer.hnf) + 2):
-            idx = len(outer.hnf) * t + ei - eo
-            if not 0 < idx < len(outer.hnf):
-                continue
-            cand = scale(inner.hnf, p**t)
-            if row_span_contains(outer.hnf, cand) and row_span_contains(
-                cand, scale(outer.hnf, p)
-            ):
-                return True
-    return False
-
-
 def enumerate_classes(
     params: BuildingParams, k_max: int, max_classes: int | None = None
 ) -> list[tuple[LatticeClass, int]]:
@@ -305,11 +257,7 @@ def enumerate_classes(
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
     limit = max_classes if max_classes is not None else default_budgets().max_classes
-    predicted = _class_bound(params, k_max)
-    if predicted > limit:
-        raise BudgetError(
-            f"ball size bound {predicted} exceeds class budget {limit}"
-        )
+    check_budget("lattice class", _class_bound(params, k_max), limit)
     base = base_class(params)
     dist: dict[LatticeClass, int] = {base: 0}
     frontier = [base]
@@ -322,41 +270,6 @@ def enumerate_classes(
                     new.append(w)
         frontier = new
     return sorted(dist.items(), key=lambda item: (item[1], item[0].hnf))
-
-
-def hnf_universe(d: int, p: int, e: int) -> list[Mat]:
-    """All primitive HNF class representatives with determinant p^e.
-
-    Direct stratified generation (diagonal p-power patterns times reduced
-    off-diagonal residues); serves as an independent oracle for the
-    breadth-first enumeration.
-    """
-    if e < 0:
-        raise DomainError(f"need e >= 0, got {e}")
-    out: list[Mat] = []
-    for diag_exps in _compositions(e, d):
-        diag = [p**a for a in diag_exps]
-        ranges = [range(diag[j]) for j in range(d)]
-        offdiag_positions = [(i, j) for j in range(d) for i in range(j)]
-        for values in product(*(ranges[j] for i, j in offdiag_positions)):
-            rows = [[0] * d for _ in range(d)]
-            for i in range(d):
-                rows[i][i] = diag[i]
-            for (i, j), v in zip(offdiag_positions, values):
-                rows[i][j] = v
-            mat = tuple(tuple(r) for r in rows)
-            if content(mat) % p != 0:
-                out.append(mat)
-    return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def class_records(params: BuildingParams, k_max: int, max_classes: int | None = None):

@@ -21,9 +21,7 @@ import numpy as np
 
 from . import adelic, archimedean, building, counting, dirichlet
 from .errors import BudgetError, DomainError, HeightCountError
-from .verify import format_report, run_checks
-
-_FMT = "%.12g"
+from .verify import _FMT, format_report, run_checks
 
 
 def _f12(value: float) -> float:

@@ -64,7 +64,7 @@ _BALL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class GroupElementQ:
+class _GroupElementQ:
     """Canonical representative of a PGL_2(Q) class: primitive integer
     entries (a, b, c, d) with the first nonzero entry positive."""
 
@@ -81,7 +81,7 @@ class GroupElementQ:
             raise DomainError(f"sign not canonical in {self.entries}")
 
     @classmethod
-    def from_matrix(cls, mat) -> "GroupElementQ":
+    def from_matrix(cls, mat) -> "_GroupElementQ":
         flat = [int(v) for row in mat for v in row]
         if len(flat) != 4:
             raise DomainError("need a 2x2 matrix")
@@ -119,9 +119,10 @@ def entry_bound(x: float, B: float) -> int:
     return int(math.floor(math.sqrt(best) + 1e-9))
 
 
-def enumerate_elements(bound: int, max_cells: int | None = None):
+def _enumerate_elements(bound: int, max_cells: int | None = None):
     """Yield every canonical representative with entries in [-bound, bound],
-    in lexicographic order of (a, b, c, d)."""
+    in lexicographic order of (a, b, c, d).  Pure-Python box oracle for
+    verify's snf-vs-bfs-distance check and the tests."""
     if bound < 1:
         raise DomainError(f"need bound >= 1, got {bound}")
     limit = max_cells if max_cells is not None else default_budgets().max_cells
@@ -138,7 +139,7 @@ def enumerate_elements(bound: int, max_cells: int | None = None):
                         continue
                     if math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d))) != 1:
                         continue
-                    yield GroupElementQ((a, b, c, d))
+                    yield _GroupElementQ((a, b, c, d))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .building import BuildingParams, shell_count, shell_ratio, sphere_size
-from .errors import BudgetError, DomainError, default_budgets
+from .errors import DomainError, check_budget, default_budgets
 from .primes import factorize, primes_up_to, smallest_factor_sieve
 
 _MARGIN = 1e-6
@@ -76,8 +76,7 @@ def coeff_sieve(d: int, x_max: int, max_sieve: int | None = None) -> CoeffTable:
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
     limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
-    if x_max > limit:
-        raise BudgetError(f"sieve length {x_max} exceeds budget {limit}")
+    check_budget("sieve", x_max, limit)
     spf = smallest_factor_sieve(x_max)
     consts: dict[int, tuple[int, int]] = {}
     values = [0] * (x_max + 1)
@@ -275,7 +274,7 @@ class ResidueReport:
     note: str
 
 
-def _richardson(f, pole: float, h0: float = 1e-2) -> float:
+def _richardson(f, h0: float = 1e-2) -> float:
     """Limit of f at 0+ from nodes h0, h0/10, h0/100 (kills h and h^2)."""
     f0, f1, f2 = f(h0), f(h0 / 10), f(h0 / 100)
     r1 = (10 * f1 - f0) / 9
@@ -295,12 +294,12 @@ def residue_estimate(variant: str) -> ResidueReport:
     if variant == "pgl2":
         pole = 2.0
         direct = (zeta_em(2) / zeta_em(4)).real
-        extrapolated = _richardson(lambda h: h * L_closed_pgl2(pole + h).real, pole)
+        extrapolated = _richardson(lambda h: h * L_closed_pgl2(pole + h).real)
         note = "residue = zeta(2)/zeta(4) = 15/pi^2"
     elif variant == "sl2":
         pole = 1.5
         direct = (zeta_em(2) / (2 * zeta_em(4))).real
-        extrapolated = _richardson(lambda h: h * L_closed_sl2(pole + h).real, pole)
+        extrapolated = _richardson(lambda h: h * L_closed_sl2(pole + h).real)
         note = (
             "residue = zeta(2)/(2 zeta(4)) = 15/(2 pi^2) ~ 0.7599089; the "
             "shorthand value 1/2 (bare pole factor of zeta(2s-2)) omits "

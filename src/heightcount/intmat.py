@@ -103,42 +103,8 @@ def elementary_divisors(mat: Mat) -> tuple[int, ...]:
     return tuple(minor_gcds[k] // minor_gcds[k - 1] for k in range(1, n + 1))
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
 def scale(mat: Mat, s: int) -> Mat:
     return tuple(tuple(s * x for x in row) for row in mat)
-
-
-def adjugate(mat: Mat) -> Mat:
-    n = len(mat)
-    if n == 1:
-        return ((1,),)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sub = tuple(
-                tuple(mat[r][c] for c in range(n) if c != i)
-                for r in range(n)
-                if r != j
-            )
-            row.append((-1) ** (i + j) * det_int(sub))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def row_span_contains(outer: Mat, inner: Mat) -> bool:
-    """True when the row lattice of `inner` sits inside that of `outer`."""
-    det = det_int(outer)
-    if det == 0:
-        raise DomainError("containment test needs a nonsingular outer matrix")
-    prod = mat_mul(inner, adjugate(outer))
-    return all(x % det == 0 for row in prod for x in row)
 
 
 def content(mat: Mat) -> int:

@@ -1,9 +1,16 @@
 """Self-check suite behind the `verify` CLI subcommand.
 
-Each check returns (name, passed, detail).  Output is deterministic: fixed
-check order, no timestamps, all numbers through one %.12g formatter, and
-every reduction in a fixed order, so two runs produce byte-identical
-reports.
+The checks form one ordered registry.  Each is declared exactly once, by
+the `_check` decorator on its function, with its report name and its
+tier; `run_checks` runs the registry in declaration order and
+`run_check` runs a single check by name.  The acceptance tests
+(tests/test_acceptance.py) run these same checks, so every release
+criterion is stated here and nowhere else.
+
+Each check function returns (passed, detail).  Output is deterministic:
+fixed check order, no timestamps, all numbers through one %.12g
+formatter, and every reduction in a fixed order, so two runs produce
+byte-identical reports.
 
 The quick tier is the sub-minute CI gate.  The full tier additionally runs
 the breadth-first enumerations, the large sieves, and the empirical
@@ -18,12 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import adelic, archimedean, building, counting, dirichlet
 from .primes import factorize
 
+# the package's one 12-significant-digit number format (the CLI uses it too)
 _FMT = "%.12g"
 
 
@@ -38,6 +47,33 @@ class CheckResult:
     detail: str
 
 
+@dataclass(frozen=True)
+class Check:
+    """A registered check: its tier ("quick" or "full") and its function,
+    which returns (passed, detail)."""
+
+    tier: str
+    run: Callable[[], tuple[bool, str]]
+
+
+# check name -> Check, in declaration order, which is report order
+REGISTRY: dict[str, Check] = {}
+
+
+def _check(name: str, tier: str):
+    """Register the decorated function as the check `name` of `tier`."""
+
+    def declare(fn: Callable[[], tuple[bool, str]]):
+        if name in REGISTRY:
+            raise ValueError(f"check {name!r} declared twice")
+        if tier not in ("quick", "full"):
+            raise ValueError(f"unknown tier {tier!r}")
+        REGISTRY[name] = Check(tier, fn)
+        return fn
+
+    return declare
+
+
 def _close(got: float, want: float, rtol: float = 0.0, atol: float = 0.0) -> bool:
     return abs(got - want) <= rtol * abs(want) + atol
 
@@ -46,7 +82,8 @@ def _close(got: float, want: float, rtol: float = 0.0, atol: float = 0.0) -> boo
 # quick-tier checks
 
 
-def _check_sphere_closed_form_d2() -> CheckResult:
+@_check("building/sphere-closed-form-d2", "quick")
+def _check_sphere_closed_form_d2():
     rows = []
     ok = True
     for p in (2, 3):
@@ -58,37 +95,35 @@ def _check_sphere_closed_form_d2() -> CheckResult:
         formula = [building.sphere_size(params, k) for k in range(4)]
         ok &= counts == formula
         rows.append(f"p={p} bfs={counts} formula={formula}")
-    return CheckResult("building/sphere-closed-form-d2", ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
-def _check_d3_first_shell() -> CheckResult:
+@_check("building/d3-first-shell", "quick")
+def _check_d3_first_shell():
     params = building.BuildingParams(3, 2)
     classes = building.enumerate_classes(params, 1)
     got = sum(1 for _, dist in classes if dist == 1)
     want = building.sphere_size(params, 1)
-    return CheckResult(
-        "building/d3-first-shell",
-        got == want == 14,
-        f"bfs={got} formula={want}",
-    )
+    return got == want == 14, f"bfs={got} formula={want}"
 
 
-def _check_coeff_tables() -> CheckResult:
+@_check("dirichlet/coefficient-tables", "quick")
+def _check_coeff_tables():
     t2 = dirichlet.coeff_sieve(2, 10).values[1:]
     want2 = (1, 3, 4, 6, 6, 12, 8, 12, 12, 18)
     d3 = (dirichlet.coeff_D(3, 2), dirichlet.coeff_D(3, 4), dirichlet.coeff_D(3, 6))
     want3 = (14, 140, 364)
-    ok = t2 == want2 and d3 == want3
-    return CheckResult("dirichlet/coefficient-tables", ok, f"D2(1..10)={t2} D3(2,4,6)={d3}")
+    return t2 == want2 and d3 == want3, f"D2(1..10)={t2} D3(2,4,6)={d3}"
 
 
-def _check_zeta() -> CheckResult:
+@_check("dirichlet/zeta-special-values", "quick")
+def _check_zeta():
     pairs = [
         (dirichlet.zeta_em(2.0).real, math.pi**2 / 6),
         (dirichlet.zeta_em(4.0).real, math.pi**4 / 90),
     ]
     worst = max(abs(g - w) / w for g, w in pairs)
-    return CheckResult("dirichlet/zeta-special-values", worst <= 1e-13, f"worst rel={_f(worst)}")
+    return worst <= 1e-13, f"worst rel={_f(worst)}"
 
 
 _POLE_TABLE = {
@@ -100,24 +135,27 @@ _POLE_TABLE = {
 }
 
 
-def _check_pole_table() -> CheckResult:
+@_check("dirichlet/pole-table", "quick")
+def _check_pole_table():
     worst = 0.0
     for d, (s2, s3) in _POLE_TABLE.items():
         table = dirichlet.pole_abscissas(d, p_max=3)
         got = dict(table.entries)
         worst = max(worst, abs(got[2] - s2), abs(got[3] - s3))
-    return CheckResult("dirichlet/pole-table", worst <= 1e-9, f"worst abs={_f(worst)}")
+    return worst <= 1e-9, f"worst abs={_f(worst)}"
 
 
-def _check_b0_identity() -> CheckResult:
+@_check("dirichlet/b0-identity", "quick")
+def _check_b0_identity():
     worst = 0.0
     for d in range(3, 7):
         lhs = math.log(d * 2 ** (d - 1) - 2) / math.log(2)
         worst = max(worst, abs(lhs - dirichlet.pole_abscissas(d).B0))
-    return CheckResult("dirichlet/b0-identity", worst <= 1e-12, f"worst abs={_f(worst)}")
+    return worst <= 1e-12, f"worst abs={_f(worst)}"
 
 
-def _check_euler_vs_closed() -> CheckResult:
+@_check("dirichlet/euler-vs-closed", "quick")
+def _check_euler_vs_closed():
     rows = []
     ok = True
     for s in (2.5, 3.0, 4.0):
@@ -132,10 +170,11 @@ def _check_euler_vs_closed() -> CheckResult:
         rel = abs(r.value - c) / abs(c)
         ok &= rel <= 1e-10 and abs(r.value - c) <= r.truncation_bound
         rows.append(f"sl2 s={_f(s)} rel={_f(rel)}")
-    return CheckResult("dirichlet/euler-vs-closed", ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
-def _check_residues() -> CheckResult:
+@_check("dirichlet/residues", "quick")
+def _check_residues():
     pgl2 = dirichlet.residue_estimate("pgl2")
     sl2 = dirichlet.residue_estimate("sl2")
     want_pgl2 = 15.0 / math.pi**2
@@ -145,31 +184,32 @@ def _check_residues() -> CheckResult:
         and _close(pgl2.extrapolated, pgl2.direct, atol=1e-6)
         and _close(sl2.direct, want_sl2, atol=1e-10)
     )
-    return CheckResult(
-        "dirichlet/residues",
-        ok,
+    return ok, (
         f"pgl2 direct={_f(pgl2.direct)} want={_f(want_pgl2)}; "
-        f"sl2 direct={_f(sl2.direct)} want={_f(want_sl2)}",
+        f"sl2 direct={_f(sl2.direct)} want={_f(want_sl2)}"
     )
 
 
-def _check_ball_volume_d2() -> CheckResult:
+@_check("archimedean/d2-closed-form", "quick")
+def _check_ball_volume_d2():
     worst = 0.0
     for R in (0.5, 1.0, 3.0):
         got = archimedean.ball_volume_numeric(2, 1.0, R)
         want = (math.cosh(2 * R) - 1) / 2
         worst = max(worst, abs(got - want) / want)
-    return CheckResult("archimedean/d2-closed-form", worst <= 1e-9, f"worst rel={_f(worst)}")
+    return worst <= 1e-9, f"worst rel={_f(worst)}"
 
 
-def _check_simplex_area() -> CheckResult:
+@_check("archimedean/simplex-area", "quick")
+def _check_simplex_area():
     a2 = archimedean.simplex_area(2)
     a3 = archimedean.simplex_area(3)
     ok = a2 == 1.0 and _close(a3, 2 / math.sqrt(3), atol=1e-12)
-    return CheckResult("archimedean/simplex-area", ok, f"a2={_f(a2)} a3={_f(a3)}")
+    return ok, f"a2={_f(a2)} a3={_f(a3)}"
 
 
-def _check_height_examples() -> CheckResult:
+@_check("adelic/height-examples", "quick")
+def _check_height_examples():
     prof = adelic.global_height([[1, 0], [0, 2]], 1.0)
     swap = adelic.global_height([[0, 1], [1, 0]], 1.0)
     ok = (
@@ -177,12 +217,11 @@ def _check_height_examples() -> CheckResult:
         and _close(prof.h, 2 * math.sqrt(2), atol=1e-12)
         and swap.h == 1.0
     )
-    return CheckResult(
-        "adelic/height-examples", ok, f"diag(1,2) h={_f(prof.h)}; antidiag h={_f(swap.h)}"
-    )
+    return ok, f"diag(1,2) h={_f(prof.h)}; antidiag h={_f(swap.h)}"
 
 
-def _check_tree_and_covering() -> CheckResult:
+@_check("adelic/tree-and-covering", "quick")
+def _check_tree_and_covering():
     trees = (adelic.tree_ball(2, 0.5), adelic.tree_ball(2, 1.0), adelic.tree_ball(2, 3.0))
     cover = (
         adelic.covering_number_box(1, 1.0, 0.1),
@@ -191,10 +230,11 @@ def _check_tree_and_covering() -> CheckResult:
     )
     ok = trees == (1, 4, 22) and cover[0][0] == 10 and cover[1][0] == 16 and cover[2][0] == 16
     ok = ok and _close(cover[2][1], 1.44, atol=1e-12)
-    return CheckResult("adelic/tree-and-covering", ok, f"trees={trees} cover3 ratio={_f(cover[2][1])}")
+    return ok, f"trees={trees} cover3 ratio={_f(cover[2][1])}"
 
 
-def _check_persistence_two_mass() -> CheckResult:
+@_check("adelic/persistence-two-mass", "quick")
+def _check_persistence_two_mass():
     grid = tuple(np.linspace(0.0, 10.0, 10001).tolist())
     pair = adelic.MeasurePair(
         masses=((0.0, 1.0), (math.log(2.0), 1.0)),
@@ -205,10 +245,11 @@ def _check_persistence_two_mass() -> CheckResult:
     )
     _, ratio = adelic.persistence_check(pair, 8.0)
     ok = _close(pair.C, 1.25, atol=1e-12) and _close(ratio, 1.0, atol=1e-5)
-    return CheckResult("adelic/persistence-two-mass", ok, f"C={_f(pair.C)} ratio={_f(ratio)}")
+    return ok, f"C={_f(pair.C)} ratio={_f(ratio)}"
 
 
-def _check_regularity_models() -> CheckResult:
+@_check("adelic/regularity-models", "quick")
+def _check_regularity_models():
     eps = (0.02, 0.01, 0.005)
     t_list = np.linspace(6.0, 12.0, 1501)
     smooth = adelic.regularity_report(lambda x: x * math.exp(2 * x), eps, t_list)
@@ -218,36 +259,31 @@ def _check_regularity_models() -> CheckResult:
         and step.verdict == "non-regular"
         and _close(step.lower_ratios[-1], math.exp(-1), atol=0.05)
     )
-    return CheckResult(
-        "adelic/regularity-models",
-        ok,
-        f"smooth={smooth.verdict} step={step.verdict} step liminf={_f(step.lower_ratios[-1])}",
-    )
+    return ok, f"smooth={smooth.verdict} step={step.verdict} step liminf={_f(step.lower_ratios[-1])}"
 
 
-def _check_entry_bound() -> CheckResult:
+@_check("counting/entry-bound", "quick")
+def _check_entry_bound():
     got = (counting.entry_bound(4, 1.0), counting.entry_bound(1, 1.0), counting.entry_bound(4, 0.5))
-    return CheckResult("counting/entry-bound", got == (4, 1, 2), f"got={got}")
+    return got == (4, 1, 2), f"got={got}"
 
 
-def _check_pi_examples() -> CheckResult:
+@_check("counting/pi-examples", "quick")
+def _check_pi_examples():
     zero = counting.pi_count(0.5, 1.0)
     four = counting.pi_count(1.0, 1.0)
     serial = counting.pi_count(6.0, 1.0, workers=1)
     pooled = counting.pi_count(6.0, 1.0, workers=2)
     ok = zero == 0 and four == 4 and serial == pooled == 440
-    return CheckResult(
-        "counting/pi-examples",
-        ok,
-        f"pi(0.5)={zero} pi(1)={four} pi(6) serial={serial} pooled={pooled}",
-    )
+    return ok, f"pi(0.5)={zero} pi(1)={four} pi(6) serial={serial} pooled={pooled}"
 
 
 # ---------------------------------------------------------------------------
 # full-tier checks
 
 
-def _check_bfs_deep_d2() -> CheckResult:
+@_check("building/bfs-deep-d2", "full")
+def _check_bfs_deep_d2():
     rows = []
     ok = True
     for p in (2, 3, 5):
@@ -259,7 +295,7 @@ def _check_bfs_deep_d2() -> CheckResult:
         formula = [building.sphere_size(params, k) for k in range(7)]
         ok &= counts == formula
         rows.append(f"p={p} match={counts == formula}")
-    return CheckResult("building/bfs-deep-d2", ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
 def _d3_census(p: int) -> tuple[list[int], int]:
@@ -278,76 +314,66 @@ def _d3_census(p: int) -> tuple[list[int], int]:
     return counts, incidences
 
 
-def _check_d3_vertex_count() -> CheckResult:
-    rows = []
-    ok = True
-    for p, want in ((2, 98), (3, 390)):
-        counts, _ = _d3_census(p)
-        formula = building.sphere_size(building.BuildingParams(3, p), 2)
-        agree = counts[2] == formula
-        ok &= agree
-        rows.append(f"p={p} bfs={counts[2]} closed-form={formula}")
-    return CheckResult(
-        "building/d3-closed-form-vertex-count",
-        ok,
-        "; ".join(rows) + " (closed form counts edge incidences in rank 2; see module docs)",
-    )
-
-
-def _check_d3_incidence_identity() -> CheckResult:
+@_check("building/d3-closed-form-vertex-count", "full")
+def _check_d3_vertex_count():
     rows = []
     ok = True
     for p in (2, 3):
-        counts, incidences = _d3_census(p)
+        counts, _ = _d3_census(p)
+        formula = building.sphere_size(building.BuildingParams(3, p), 2)
+        ok &= counts[2] == formula
+        rows.append(f"p={p} bfs={counts[2]} closed-form={formula}")
+    return ok, "; ".join(rows) + " (closed form counts edge incidences in rank 2; see module docs)"
+
+
+@_check("building/d3-incidence-identity", "full")
+def _check_d3_incidence_identity():
+    rows = []
+    ok = True
+    for p in (2, 3):
+        _, incidences = _d3_census(p)
         formula = building.sphere_size(building.BuildingParams(3, p), 2)
         ok &= incidences == formula
         rows.append(f"p={p} back-edges={incidences} formula={formula}")
-    return CheckResult("building/d3-incidence-identity", ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
-def _check_partial_sum_asymptotic() -> CheckResult:
+@_check("dirichlet/partial-sum-asymptotic", "full")
+def _check_partial_sum_asymptotic():
     x = 1e6
     total = dirichlet.partial_sum(2, 0.0, x, max_sieve=10**6)
     ratio = total / x**2
     want = 15.0 / (2.0 * math.pi**2)
     rel = abs(ratio - want) / want
-    return CheckResult(
-        "dirichlet/partial-sum-asymptotic",
-        rel <= 0.05,
-        f"sum/x^2={_f(ratio)} limit={_f(want)} rel={_f(rel)}",
-    )
+    return rel <= 0.05, f"sum/x^2={_f(ratio)} limit={_f(want)} rel={_f(rel)}"
 
 
-def _check_frozen_volumes() -> CheckResult:
+@_check("archimedean/frozen-volumes", "full")
+def _check_frozen_volumes():
     v3 = archimedean.ball_volume_numeric(3, 1.0, 2.0)
     v4 = archimedean.ball_volume_numeric(4, 1.0, 1.5)
     ok = _close(v3, 2.552117668702, rtol=1e-8) and _close(v4, 1.090533867611e-3, rtol=1e-6)
-    return CheckResult("archimedean/frozen-volumes", ok, f"d3={_f(v3)} d4={_f(v4)}")
+    return ok, f"d3={_f(v3)} d4={_f(v4)}"
 
 
-def _check_adelic_regularity() -> CheckResult:
+@_check("adelic/regularity-of-global-volume", "full")
+def _check_adelic_regularity():
     b = adelic.adelic_volume_callable(2, 1.0, 13.1, max_sieve=600000)
-    rep = adelic.regularity_report(
-        b, (0.02, 0.01, 0.005), np.linspace(8.0, 13.0, 26)
-    )
-    return CheckResult(
-        "adelic/regularity-of-global-volume",
-        rep.verdict == "regular",
-        f"verdict={rep.verdict} gap={_f(rep.gap)}",
-    )
+    rep = adelic.regularity_report(b, (0.02, 0.01, 0.005), np.linspace(8.0, 13.0, 26))
+    return rep.verdict == "regular", f"verdict={rep.verdict} gap={_f(rep.gap)}"
 
 
-def _check_pgl2_persistence() -> CheckResult:
+@_check("adelic/pgl2-persistence", "full")
+def _check_pgl2_persistence():
     pair = adelic.pgl2_measure_pair(T_max=12.0, max_sieve=200000)
     c_ref = dirichlet.partial_sum(2, 3.0, math.exp(12.0), max_sieve=200000)
     _, ratio = adelic.persistence_check(pair, 12.0)
     ok = _close(pair.C, c_ref, atol=1e-12) and _close(ratio, 1.0, atol=0.03)
-    return CheckResult(
-        "adelic/pgl2-persistence", ok, f"C={_f(pair.C)} ratio={_f(ratio)}"
-    )
+    return ok, f"C={_f(pair.C)} ratio={_f(ratio)}"
 
 
-def _check_pi_saturation() -> CheckResult:
+@_check("counting/box-saturation", "full")
+def _check_pi_saturation():
     x = 4.0
     base = counting.pi_count_detail(x, 1.0)
     bigger = counting._count_chunk(
@@ -356,17 +382,15 @@ def _check_pi_saturation() -> CheckResult:
         x,
         1.0,
     )[0]
-    return CheckResult(
-        "counting/box-saturation",
-        base.count == bigger == 160,
-        f"N={base.entry_bound_used} count={base.count} N+2 count={bigger}",
-    )
+    ok = base.count == bigger == 160
+    return ok, f"N={base.entry_bound_used} count={base.count} N+2 count={bigger}"
 
 
-def _check_snf_vs_bfs() -> CheckResult:
+@_check("counting/snf-vs-bfs-distance", "full")
+def _check_snf_vs_bfs():
     checked = 0
     ok = True
-    for g in counting.enumerate_elements(2):
+    for g in counting._enumerate_elements(2):
         det = abs(g.det)
         factors = {p for p, _ in factorize(det)}
         if not factors <= {2, 3, 5}:
@@ -379,41 +403,21 @@ def _check_snf_vs_bfs() -> CheckResult:
         checked += 1
         if checked >= 60:
             break
-    return CheckResult("counting/snf-vs-bfs-distance", ok, f"checked={checked} classes")
+    return ok, f"checked={checked} classes"
+
+
+# ---------------------------------------------------------------------------
+
+
+def run_check(name: str) -> CheckResult:
+    """Run the registered check `name` (KeyError if there is none)."""
+    passed, detail = REGISTRY[name].run()
+    return CheckResult(name, passed, detail)
 
 
 def run_checks(quick: bool = True) -> list[CheckResult]:
-    checks = [
-        _check_sphere_closed_form_d2(),
-        _check_d3_first_shell(),
-        _check_coeff_tables(),
-        _check_zeta(),
-        _check_pole_table(),
-        _check_b0_identity(),
-        _check_euler_vs_closed(),
-        _check_residues(),
-        _check_ball_volume_d2(),
-        _check_simplex_area(),
-        _check_height_examples(),
-        _check_tree_and_covering(),
-        _check_persistence_two_mass(),
-        _check_regularity_models(),
-        _check_entry_bound(),
-        _check_pi_examples(),
-    ]
-    if not quick:
-        checks += [
-            _check_bfs_deep_d2(),
-            _check_d3_vertex_count(),
-            _check_d3_incidence_identity(),
-            _check_partial_sum_asymptotic(),
-            _check_frozen_volumes(),
-            _check_adelic_regularity(),
-            _check_pgl2_persistence(),
-            _check_pi_saturation(),
-            _check_snf_vs_bfs(),
-        ]
-    return checks
+    """The quick tier, or every check, in registry order."""
+    return [run_check(name) for name, check in REGISTRY.items() if check.tier == "quick" or not quick]
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -1,0 +1,136 @@
+"""Test oracles: independent reference implementations the tests compare
+the package against.
+
+Nothing in `heightcount` calls these; they live beside the tests so the
+shipped package carries only what it uses.
+
+- `sl2_sphere_size`: distance-k orbit counts of the determinant-one
+  subgroup on the tree, against the PGL_2 sphere sizes.
+- `is_adjacent`: adjacency by the divisibility definition pL < M < L,
+  against `building.neighbors`.
+- `hnf_universe`: all primitive HNF class representatives of one
+  determinant, against the breadth-first shells.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from heightcount import DomainError, LatticeClass
+from heightcount.intmat import Mat, content, det_int, scale
+from heightcount.primes import is_prime
+
+
+def sl2_sphere_size(p: int, k: int) -> int:
+    """Distance-k orbit count for the determinant-one subgroup at d = 2.
+
+    The subgroup only reaches even distances; odd shells are empty and the
+    even shell 2j (j >= 1) splits the tree shell as (p+1) p^(2j-1).
+    """
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got p={p}")
+    if k < 0:
+        raise DomainError(f"need k >= 0, got {k}")
+    if k == 0:
+        return 1
+    if k % 2 == 1:
+        return 0
+    return (p + 1) * p ** (k - 1)
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    cols = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def adjugate(mat: Mat) -> Mat:
+    n = len(mat)
+    if n == 1:
+        return ((1,),)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            sub = tuple(
+                tuple(mat[r][c] for c in range(n) if c != i)
+                for r in range(n)
+                if r != j
+            )
+            row.append((-1) ** (i + j) * det_int(sub))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def row_span_contains(outer: Mat, inner: Mat) -> bool:
+    """True when the row lattice of `inner` sits inside that of `outer`."""
+    det = det_int(outer)
+    if det == 0:
+        raise DomainError("containment test needs a nonsingular outer matrix")
+    prod = mat_mul(inner, adjugate(outer))
+    return all(x % det == 0 for row in prod for x in row)
+
+
+def is_adjacent(a: LatticeClass, b: LatticeClass) -> bool:
+    """Adjacency by the divisibility definition: reps with pL < M < L.
+
+    Independent of `neighbors`; used to cross-check it.  Tries both
+    orderings and all p-power rescalings that can place b's lattice
+    between p*a and a.
+    """
+    if a.p != b.p:
+        raise DomainError("classes live over different primes")
+    if a == b:
+        return False
+    p = a.p
+    for outer, inner in ((a, b), (b, a)):
+        eo = outer.det_exponent()
+        ei = inner.det_exponent()
+        # [index in p-exponent] of p^t * inner inside outer is d*t + ei - eo;
+        # strict betweenness needs that index in (0, d).
+        for t in range(0, (eo - ei) // len(outer.hnf) + 2):
+            idx = len(outer.hnf) * t + ei - eo
+            if not 0 < idx < len(outer.hnf):
+                continue
+            cand = scale(inner.hnf, p**t)
+            if row_span_contains(outer.hnf, cand) and row_span_contains(
+                cand, scale(outer.hnf, p)
+            ):
+                return True
+    return False
+
+
+def hnf_universe(d: int, p: int, e: int) -> list[Mat]:
+    """All primitive HNF class representatives with determinant p^e.
+
+    Direct stratified generation (diagonal p-power patterns times reduced
+    off-diagonal residues); serves as an independent oracle for the
+    breadth-first enumeration.
+    """
+    if e < 0:
+        raise DomainError(f"need e >= 0, got {e}")
+    out: list[Mat] = []
+    for diag_exps in _compositions(e, d):
+        diag = [p**a for a in diag_exps]
+        ranges = [range(diag[j]) for j in range(d)]
+        offdiag_positions = [(i, j) for j in range(d) for i in range(j)]
+        for values in product(*(ranges[j] for i, j in offdiag_positions)):
+            rows = [[0] * d for _ in range(d)]
+            for i in range(d):
+                rows[i][i] = diag[i]
+            for (i, j), v in zip(offdiag_positions, values):
+                rows[i][j] = v
+            mat = tuple(tuple(r) for r in rows)
+            if content(mat) % p != 0:
+                out.append(mat)
+    return out
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest

@@ -22,16 +22,14 @@ from heightcount import (
     building_distance,
     class_records,
     enumerate_classes,
-    hnf_universe,
-    is_adjacent,
     neighbors,
     shell_count,
     shell_ratio,
-    sl2_sphere_size,
     snf_exponents,
     sphere_size,
 )
 from heightcount.building import _class_bound
+from oracles import hnf_universe, is_adjacent, sl2_sphere_size
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +70,9 @@ def test_sphere_size_geometric_shells():
 
 
 def test_ball_size_partial_sums():
-    for d, p in [(2, 3), (3, 2)]:
+    for d, p in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]:
         params = BuildingParams(d, p)
-        for k in range(5):
+        for k in range(7):
             assert ball_size(params, k) == sum(
                 sphere_size(params, j) for j in range(k + 1)
             )

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from heightcount.cli import main
+from heightcount.verify import REGISTRY, format_report
 
 
 def run(capsys, *argv):
@@ -186,12 +187,22 @@ def test_count_main_term_is_finite_near_b2(capsys):
     assert all(math.isfinite(float(row[col])) for row in rows)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def test_verify_quick_is_deterministic(capsys):
-    code1, out1 = run(capsys, "verify", "--quick")
-    code2, out2 = run(capsys, "verify", "--quick")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert "passed 16/16 checks" in out1
+    code, out = run(capsys, "verify", "--quick")
+    assert code == 0
+    assert out == (DATA / "verify_quick.txt").read_text()
+
+
+@pytest.mark.parametrize("tier", ["quick", "full"])
+def test_verify_report_is_pinned(registry, tier):
+    # the pinned files are the stdout of `heightcount verify --quick` and
+    # `--full`; the report must not change by a byte
+    names = [name for name, check in REGISTRY.items() if tier == "full" or check.tier == "quick"]
+    report = format_report([registry(name)[0] for name in names])
+    assert report == (DATA / f"verify_{tier}.txt").read_text()
 
 
 def test_adelic_and_verify_take_no_workers_flag(capsys):
@@ -221,12 +232,15 @@ def test_usage_error_exits_one(capsys):
 
 
 def test_budget_error_exits_two(capsys):
-    code = main(
-        ["classes", "--d", "2", "--p", "5", "--kmax", "12", "--max-classes", "100"]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "budget" in err.lower()
+    for argv in (
+        ["classes", "--d", "2", "--p", "5", "--kmax", "12", "--max-classes", "100"],
+        ["dcoeff", "--d", "2", "--xmax", "100", "--max-sieve", "10"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "budget" in err.lower()
+        assert "HEIGHTCOUNT_MAX_" in err
 
 
 def test_all_outputs_carry_schema_tag(capsys):

@@ -19,15 +19,14 @@ from heightcount import (
     BudgetError,
     CountReport,
     DomainError,
-    GroupElementQ,
     building_distance,
     compare_report,
     entry_bound,
-    enumerate_elements,
     global_height,
     pi_count,
     pi_count_detail,
 )
+from heightcount.counting import _enumerate_elements, _GroupElementQ
 
 
 # ---------------------------------------------------------------------------
@@ -35,27 +34,27 @@ from heightcount import (
 
 
 def test_from_matrix_normalizes_content_and_sign():
-    g = GroupElementQ.from_matrix([[2, 0], [0, 4]])
+    g = _GroupElementQ.from_matrix([[2, 0], [0, 4]])
     assert g.entries == (1, 0, 0, 2)
-    g = GroupElementQ.from_matrix([[-1, 0], [0, -2]])
+    g = _GroupElementQ.from_matrix([[-1, 0], [0, -2]])
     assert g.entries == (1, 0, 0, 2)
-    g = GroupElementQ.from_matrix([[0, -3], [3, 0]])
+    g = _GroupElementQ.from_matrix([[0, -3], [3, 0]])
     assert g.entries == (0, 1, -1, 0)
 
 
 def test_from_matrix_rejects_singular():
     with pytest.raises(DomainError):
-        GroupElementQ.from_matrix([[1, 2], [2, 4]])
+        _GroupElementQ.from_matrix([[1, 2], [2, 4]])
 
 
 def test_height_examples():
-    assert GroupElementQ.from_matrix([[1, 0], [0, 1]]).height(1.0) == pytest.approx(1.0)
-    assert GroupElementQ.from_matrix([[1, 0], [0, 2]]).height(1.0) == pytest.approx(
+    assert _GroupElementQ.from_matrix([[1, 0], [0, 1]]).height(1.0) == pytest.approx(1.0)
+    assert _GroupElementQ.from_matrix([[1, 0], [0, 2]]).height(1.0) == pytest.approx(
         2 * math.sqrt(2)
     )
     # heights agree with the adelic profile
     for mat in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[0, 1], [-3, 2]]):
-        g = GroupElementQ.from_matrix(mat)
+        g = _GroupElementQ.from_matrix(mat)
         assert g.height(1.0) == pytest.approx(global_height(mat, 1.0).h, rel=1e-12)
 
 
@@ -63,7 +62,7 @@ def test_height_examples():
 def test_height_at_least_one(a, b, c, d):
     if a * d - b * c == 0:
         return
-    g = GroupElementQ.from_matrix([[a, b], [c, d]])
+    g = _GroupElementQ.from_matrix([[a, b], [c, d]])
     assert g.height(1.0) >= 1.0 - 1e-12
 
 
@@ -92,7 +91,7 @@ def test_entry_bound_is_sound(a, b, c, d, x):
     # every class of height <= x has its canonical entries inside the box
     if a * d - b * c == 0:
         return
-    g = GroupElementQ.from_matrix([[a, b], [c, d]])
+    g = _GroupElementQ.from_matrix([[a, b], [c, d]])
     if g.height(1.0) <= x:
         assert max(abs(e) for e in g.entries) <= entry_bound(x, 1.0)
 
@@ -100,7 +99,7 @@ def test_entry_bound_is_sound(a, b, c, d, x):
 def test_exactly_four_classes_of_height_one():
     ones = [
         g
-        for g in enumerate_elements(1)
+        for g in _enumerate_elements(1)
         if abs(g.height(1.0) - 1.0) <= 1e-9
     ]
     assert len(ones) == 4
@@ -109,7 +108,7 @@ def test_exactly_four_classes_of_height_one():
 
 
 def test_enumerate_elements_is_duplicate_free():
-    seen = list(enumerate_elements(3))
+    seen = list(_enumerate_elements(3))
     assert len(seen) == len({g.entries for g in seen})
     for g in seen:
         assert math.gcd(*g.entries) == 1
@@ -119,7 +118,7 @@ def test_enumerate_elements_is_duplicate_free():
 
 def test_enumerate_budget():
     with pytest.raises(BudgetError):
-        list(enumerate_elements(500, max_cells=10_000))
+        list(_enumerate_elements(500, max_cells=10_000))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def test_pi_count_agrees_with_generator_enumeration():
         bound = entry_bound(x, 1.0)
         slow = sum(
             1
-            for g in enumerate_elements(bound)
+            for g in _enumerate_elements(bound)
             if g.height(1.0) <= x * (1 + 1e-12) + 1e-12
         )
         assert pi_count(x, 1.0) == slow
@@ -166,7 +165,7 @@ def test_pi_count_workers_agree():
 def test_pi_count_box_saturation():
     # recount with the search box padded by 2 in every direction; any
     # missed class would show up as a larger count
-    for x in (2.0, 4.0):
+    for x in (2.0, 4.0, 6.0):
         base = pi_count_detail(x, 1.0)
         padded = _count_with_bound(x, 1.0, base.entry_bound_used + 2)
         assert base.count == padded
@@ -175,7 +174,7 @@ def test_pi_count_box_saturation():
 def _count_with_bound(x, B, bound):
     return sum(
         1
-        for g in enumerate_elements(bound)
+        for g in _enumerate_elements(bound)
         if g.height(B) <= x * (1 + 1e-12) + 1e-12
     )
 
@@ -275,7 +274,7 @@ def test_pi_count_other_B():
 
 def test_finite_height_matches_building_distances():
     # for dets supported on {2, 3, 5}, log_p h_fin is the tree distance
-    for g in enumerate_elements(4):
+    for g in _enumerate_elements(4):
         det = abs(g.det)
         if det == 0:
             continue

@@ -172,19 +172,11 @@ def test_euler_domain_errors():
 
 
 def test_pole_table_first_column():
-    frozen = {
-        2: (1.0, 1.0),
-        3: (3.3219280949, 2.7712437492),
-        4: (4.9068905956, 4.1257498573),
-        5: (6.2854022189, 5.3653166773),
-        6: (7.5698556083, 6.5507064185),
-    }
-    for n, (s2, s3) in frozen.items():
+    # the frozen s_2, s_3 values are stated once, by verify's
+    # dirichlet/pole-table check (acceptance criterion 1)
+    for n in range(2, 7):
         table = pole_abscissas(n)
-        by_p = dict(table.entries)
-        assert abs(by_p[2] - s2) < 1e-9
-        assert abs(by_p[3] - s3) < 1e-9
-        assert table.B0 == by_p[2]
+        assert table.B0 == dict(table.entries)[2]
 
 
 def test_abscissas_decrease_toward_rank_limit():
