@@ -32,7 +32,7 @@ from .archimedean import (
     growth_exponent_fit,
     simplex_area,
 )
-from .dirichlet import L_euler, coeff_sieve, pole_abscissas
+from .dirichlet import L_euler, coeff_array, pole_abscissas
 from .errors import DomainError, check_budget, default_budgets
 from .intmat import as_mat, content, det_int, elementary_divisors, valuation
 from .primes import factorize
@@ -91,8 +91,7 @@ def _volume_grid(d: int, B: float, R_max: float):
 
 @lru_cache(maxsize=8)
 def _coeff_arrays(d: int, x_max: int):
-    table = coeff_sieve(d, x_max, max_sieve=x_max)
-    weights = np.array(table.values[1:], dtype=float)
+    weights = coeff_array(d, x_max, max_sieve=x_max)[1:].astype(float)
     logs = np.log(np.arange(1, x_max + 1, dtype=float))
     return weights, logs
 

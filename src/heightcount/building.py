@@ -64,14 +64,30 @@ class BuildingParams:
             raise DomainError(f"p must be prime, got p={self.p}")
 
 
-def shell_count(d: int, p: int) -> int:
-    """Number of classes at distance 1 from the base, D(p)."""
-    return (d - 1) * (p**d - 1) // (p - 1)
+def shell_count(d: int, p):
+    """Number of classes at distance 1 from the base, D(p).
+
+    D(p) = (d-1)(p^d - 1)/(p - 1), evaluated by Horner as
+    (d-1)(1 + p + ... + p^(d-1)) so that it also applies elementwise to a
+    numpy array of primes: no partial value exceeds the result, so an
+    int64 array wraps only where D(p) itself does.
+    """
+    h = p + 1
+    for _ in range(d - 2):
+        h = h * p + 1
+    return (d - 1) * h
 
 
-def shell_ratio(d: int, p: int) -> int:
-    """Growth factor c(p) between consecutive shells."""
-    return (d - 1) * p ** (d - 1) + (p ** (d - 1) - 1) // (p - 1) - 1
+def shell_ratio(d: int, p):
+    """Growth factor c(p) between consecutive shells.
+
+    c(p) = (d-1) p^(d-1) + (p^(d-1) - 1)/(p - 1) - 1
+         = (d-1) p^(d-1) + p^(d-2) + ... + p, by Horner as in shell_count.
+    """
+    h = d - 1
+    for _ in range(d - 2):
+        h = h * p + 1
+    return h * p
 
 
 def sphere_size(params: BuildingParams, k: int) -> int:

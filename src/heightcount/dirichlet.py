@@ -9,6 +9,14 @@ so L extends meromorphically to Re(s) > d with simple poles on the lines
 Re(s) = s_p = log c(p)/log p, and for d = 2 collapses to the closed form
 zeta(s) zeta(s-1)/zeta(2s).  The determinant-one (even-shell) variant at
 d = 2 has closed form zeta(2s-2) zeta(2s-1)/zeta(4s-2).
+
+The coefficients D(0..x) come from one numpy kernel, `coeff_array`,
+which feeds `coeff_sieve`, `partial_sum` and the adelic weights: strided
+int64 products over the prime powers p^k <= x with p <= sqrt(x), then one
+gather for the single prime factor above sqrt(x) that an index can have.
+A float64 shadow of the same products flags the values that may not fit
+in int64; only those are recomputed on Python ints, so the result is
+always exact.  `coeff_D` (factorization) is its test oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +25,19 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .building import BuildingParams, shell_count, shell_ratio, sphere_size
 from .errors import DomainError, check_budget, default_budgets
-from .primes import factorize, primes_up_to, smallest_factor_sieve
+from .primes import factorize, primes_up_to
 
 _MARGIN = 1e-6
+
+# The float64 shadow of D(m) rounds once per Horner step and once per
+# product (2d roundings per factor, at most log2(m) + 1 factors), a
+# relative error far below 2^-40 at any size the sieve budget admits, so a
+# shadow below 2^62 puts the exact value below 2^63.
+_INT64_SAFE = 2.0**62
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -69,30 +85,98 @@ def coeff_D(d: int, m: int) -> int:
     return out
 
 
-def coeff_sieve(d: int, x_max: int, max_sieve: int | None = None) -> CoeffTable:
-    """All of D(1..x_max) in one smallest-prime-factor sweep."""
+def _prime_powers(p: int, x: int):
+    """p, p^2, ... up to x."""
+    pk = p
+    while pk <= x:
+        yield pk
+        pk *= p
+
+
+def _coeff_int64(d: int, x: int, primes: list[int]):
+    """D(0..x) in int64 (D(0) = 1 here), its float64 shadow, and the large
+    prime factor q of each index m >= 1 (q = 1 when there is none).
+
+    Each p <= sqrt(x) multiplies its multiples by D(p) and the multiples
+    of each higher power p^k <= x by c(p), so index m collects
+    D(p) c(p)^(k-1) for p^k || m.  What is left of m after its small
+    primes is 1 or one prime q > sqrt(x), multiplied in by a single
+    gather.  The int64 products are exact mod 2^64, hence exact wherever
+    the shadow stays below _INT64_SAFE.
+    """
+    small = np.array(primes, dtype=np.int64)
+    factors = zip(
+        primes,
+        shell_count(d, small),
+        shell_ratio(d, small),
+        shell_count(d, small.astype(float)),
+        shell_ratio(d, small.astype(float)),
+    )
+    vals = np.ones(x + 1, dtype=np.int64)
+    shadow = np.ones(x + 1)
+    smooth = np.ones(x + 1, dtype=np.int64)
+    for p, Dp, cp, Dp_f, cp_f in factors:
+        for pk in _prime_powers(p, x):
+            vals[pk::pk] *= Dp if pk == p else cp
+            shadow[pk::pk] *= Dp_f if pk == p else cp_f
+            smooth[pk::pk] *= p
+    q = np.arange(x + 1, dtype=np.int64) // smooth
+    large = np.flatnonzero(q > 1)
+    vals[large] *= shell_count(d, q[large])
+    shadow[large] *= shell_count(d, q[large].astype(float))
+    return vals, shadow, q
+
+
+def _coeff_exact(d: int, x: int, primes: list[int], vals, over, q) -> np.ndarray:
+    """vals as Python ints, with the entries at `over` recomputed exactly.
+
+    A flagged index without a large prime factor is rebuilt from the same
+    prime-power strides as _coeff_int64, each stride multiplying only the
+    flagged entries it meets; any other flagged index m = s q then takes
+    D(s) D(q), its smooth part s being exact by then.
+    """
+    out = vals.astype(object)
+    smooth = over[q[over] == 1]
+    slot = np.full(x + 1, -1, dtype=np.int64)
+    slot[smooth] = np.arange(smooth.size)
+    exact = np.ones(smooth.size, dtype=object)
+    for p in primes:
+        Dp, cp = shell_count(d, p), shell_ratio(d, p)
+        for pk in _prime_powers(p, x):
+            hit = slot[pk::pk]
+            exact[hit[hit >= 0]] *= Dp if pk == p else cp
+    out[smooth] = exact
+    rough = over[q[over] > 1]
+    primes_q, at = np.unique(q[rough], return_inverse=True)
+    out[rough] = out[rough // q[rough]] * shell_count(d, primes_q.astype(object))[at]
+    return out
+
+
+def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
+    """D(0..x_max) exactly, with D(0) = 0.
+
+    int64 when every value is below 2^62, and otherwise an object array
+    of Python ints: the entries whose shadow reaches 2^62 are recomputed
+    exactly, the rest are the int64 values.
+    """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
     limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
     check_budget("sieve", x_max, limit)
-    spf = smallest_factor_sieve(x_max)
-    consts: dict[int, tuple[int, int]] = {}
-    values = [0] * (x_max + 1)
-    values[1] = 1
-    for m in range(2, x_max + 1):
-        p = spf[m]
-        if p not in consts:
-            consts[p] = (shell_count(d, p), shell_ratio(d, p))
-        dp, cp = consts[p]
-        rest = m
-        k = 0
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        values[m] = values[rest] * dp * cp ** (k - 1)
-    return CoeffTable(d, x_max, tuple(values))
+    primes = primes_up_to(math.isqrt(x_max))
+    vals, shadow, q = _coeff_int64(d, x_max, primes)
+    over = np.flatnonzero(shadow >= _INT64_SAFE)
+    if over.size:
+        vals = _coeff_exact(d, x_max, primes, vals, over, q)
+    vals[0] = 0
+    return vals
+
+
+def coeff_sieve(d: int, x_max: int, max_sieve: int | None = None) -> CoeffTable:
+    """All of D(1..x_max) from the `coeff_array` kernel, as Python ints."""
+    return CoeffTable(d, x_max, tuple(coeff_array(d, x_max, max_sieve).tolist()))
 
 
 def zeta_em(s: complex) -> complex:
@@ -256,12 +340,12 @@ def partial_sum(d: int, B: float, x: float, max_sieve: int | None = None) -> flo
         raise DomainError(f"need x >= 1, got {x}")
     if B < 0:
         raise DomainError(f"need B >= 0, got {B}")
-    table = coeff_sieve(d, int(x), max_sieve)
+    vals = coeff_array(d, int(x), max_sieve)
     if B == 0:
-        return float(sum(table.values))
-    return math.fsum(
-        table.values[m] * m ** (-B) for m in range(1, table.x_max + 1)
-    )
+        # high and low 32 bits apart: with x < 2^31 neither int64 sum wraps
+        return float((int((vals >> 32).sum()) << 32) + int((vals & 0xFFFFFFFF).sum()))
+    weights = vals[1:].astype(float).tolist()
+    return math.fsum(w * m ** (-B) for m, w in enumerate(weights, start=1))
 
 
 @dataclass(frozen=True)

@@ -48,19 +48,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def smallest_factor_sieve(n: int) -> list[int]:
-    """spf[m] = smallest prime factor of m, for 0 <= m <= n (spf[0]=spf[1]=0)."""
-    spf = [0] * (n + 1)
-    for i in range(2, n + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            if i * i <= n:
-                for j in range(i * i, n + 1, i):
-                    if spf[j] == 0:
-                        spf[j] = i
-    return spf
-
-
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as sorted (p, exponent) pairs.
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -298,7 +299,12 @@ def _check_bfs_deep_d2():
     return ok, "; ".join(rows)
 
 
-def _d3_census(p: int) -> tuple[list[int], int]:
+@cache
+def _d3_census(p: int) -> tuple[tuple[int, int, int], int]:
+    """Shell sizes out to distance 2 and the shell-2 -> shell-1 edge count.
+
+    Two checks read it for each p, so the BFS runs once per p.
+    """
     params = building.BuildingParams(3, p)
     classes = building.enumerate_classes(params, 2)
     counts = [0, 0, 0]
@@ -311,7 +317,7 @@ def _d3_census(p: int) -> tuple[list[int], int]:
     incidences = 0
     for cls in by_dist[2]:
         incidences += sum(1 for nb in building.neighbors(cls, 3) if nb in shell1)
-    return counts, incidences
+    return tuple(counts), incidences
 
 
 @_check("building/d3-closed-form-vertex-count", "full")

@@ -5,7 +5,9 @@ quotient; partial sums and residues are checked against the pole data.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,10 @@ from heightcount import (
     residue_estimate,
     zeta_em,
 )
+from heightcount.adelic import _coeff_arrays
+from heightcount.building import shell_count
+from heightcount.dirichlet import coeff_array
+from heightcount.primes import primes_up_to
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -58,10 +64,21 @@ def test_coeff_values_d3():
 
 
 def test_coeff_sieve_matches_pointwise():
-    for d in (2, 3):
-        table = coeff_sieve(d, 500)
-        for m in range(1, 501):
-            assert table[m] == coeff_D(d, m)
+    # the kernel runs in int64 while every value fits and recomputes the
+    # rest on Python ints; both must reproduce coeff_D at every index
+    cases = [
+        (2, 3000, np.int64),
+        (3, 3000, np.int64),
+        (4, 5000, np.int64),
+        (4, 12000, object),
+        (5, 3000, object),
+        (6, 2000, object),
+    ]
+    for d, x_max, dtype in cases:
+        assert coeff_array(d, x_max).dtype == dtype
+        values = coeff_sieve(d, x_max).values
+        assert values[0] == 0
+        assert list(values[1:]) == [coeff_D(d, m) for m in range(1, x_max + 1)]
 
 
 def test_coeff_sieve_range_errors():
@@ -70,6 +87,62 @@ def test_coeff_sieve_range_errors():
         table[0]
     with pytest.raises(DomainError):
         table[11]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coeff_sieve_large_table_exact(d):
+    # every entry at or past 2^52 (where float64 stops being exact), plus
+    # a seeded sample of the rest, against factorization
+    x_max = 10**6
+    values = coeff_sieve(d, x_max).values
+    big = [m for m in range(1, x_max + 1) if values[m] >= 2**52]
+    assert len(big) == {2: 0, 3: 3908}[d]
+    sample = random.Random(f"coeff-sieve/{d}").sample(range(1, x_max + 1), 3000)
+    for m in big + sample:
+        assert values[m] == coeff_D(d, m)
+
+
+def test_coeff_sieve_values_past_int64():
+    # d = 3, m = 2^19: D(2) c(2)^18 = 14 * 10^18 > 2^63
+    table = coeff_sieve(3, 2**19)
+    assert table[2**19] == 14 * 10**18 > 2**63
+    assert table[2**19 - 1] == coeff_D(3, 2**19 - 1)
+    # d = 5: D(p) alone passes 2^63 from p ~ 3.9e4 on
+    table = coeff_sieve(5, 50000)
+    top = primes_up_to(50000)[-20:]
+    mid = primes_up_to(25000)[-20:]
+    assert all(shell_count(5, q) > 2**63 for q in top)
+    for m in top + mid + [2 * q for q in mid]:
+        assert table[m] == coeff_D(5, m)
+
+
+def test_coeff_sieve_large_prime_times_oversized_part():
+    # m = s q with q > sqrt(x) prime and D(s) itself past 2^63, so both
+    # factors of D(m) = D(s) D(q) must be exact
+    x_max = 3 * 10**5
+    table = coeff_sieve(6, x_max)
+    for s in (384, 480, 512):
+        assert coeff_D(6, s) > 2**63
+        for q in primes_up_to(x_max // s):
+            if q * q > x_max:
+                assert table[s * q] == coeff_D(6, s * q)
+
+
+def test_shell_count_horner_does_not_wrap():
+    # (q^4 - 1)/(q - 1) in int64 wraps from q = 55109 on; the Horner form
+    # stays exact wherever D(q) itself fits
+    primes = [q for q in primes_up_to(70000) if q >= 55000]
+    got = shell_count(4, np.array(primes, dtype=np.int64))
+    assert got.tolist() == [3 * (q**4 - 1) // (q - 1) for q in primes]
+    table = coeff_sieve(4, 70000)
+    assert all(table[q] == coeff_D(4, q) for q in primes)
+
+
+@pytest.mark.parametrize("d, x_max", [(2, 10**5), (3, 2**19), (5, 3000)])
+def test_adelic_weights_are_rounded_exact_coefficients(d, x_max):
+    weights, _ = _coeff_arrays(d, x_max)
+    exact = np.array([float(v) for v in coeff_sieve(d, x_max).values[1:]])
+    assert np.array_equal(weights.view(np.int64), exact.view(np.int64))
 
 
 @given(st.integers(1, 400), st.integers(1, 400), st.sampled_from([2, 3]))
@@ -220,6 +293,22 @@ def test_partial_sum_asymptotic_slope():
     r2 = partial_sum(2, 0.0, 4e4) / 1.6e9
     assert abs(r1 - r2) / r2 < 0.02
     assert abs(r2 - 15 / (2 * math.pi**2)) / (15 / (2 * math.pi**2)) < 0.02
+
+
+@pytest.mark.parametrize("d, x", [(2, 10**5), (3, 5 * 10**5), (3, 2**19 + 7), (6, 3000)])
+def test_partial_sum_b0_is_exact_integer_sum(d, x):
+    # (3, 5e5) stays on int64 yet its total passes 2^63, so a plain int64
+    # sum would wrap; (3, 2^19 + 7) and (6, 3000) sum Python ints
+    exact = sum(coeff_sieve(d, x).values)
+    assert (exact > 2**63) == (d > 2)
+    assert partial_sum(d, 0.0, float(x)) == float(exact)
+
+
+def test_partial_sum_weighted_matches_term_by_term():
+    x = 3000
+    for d, B in ((2, 3.0), (3, 4.5), (5, 6.0)):
+        want = math.fsum(coeff_D(d, m) * m ** (-B) for m in range(1, x + 1))
+        assert partial_sum(d, B, float(x)).hex() == want.hex()
 
 
 def test_partial_sum_validation():
