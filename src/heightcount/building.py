@@ -30,12 +30,26 @@ truth; `sphere_size` is the closed form.  The Dirichlet series machinery
 is defined over the closed form throughout.  The class budget of
 `enumerate_classes` is therefore checked against `_class_bound`, which
 counts neighbours and bounds the ball from above at every d.
+
+Neighbours come from one batched numpy kernel, `hermite.neighbour_forms`.
+For each of the N1 proper nonzero subspaces W of F_p^d a fixed basis S_W
+of pZ^d + span(B_W) is built once per (d, p), so the neighbour of
+rowspan(h) through W is rowspan(S_W h) and one matrix product covers a
+whole block of classes.  Every such lattice contains q Z^d for q = p^n
+(n = k in shell k of the search), so its primitive Hermite form is
+computed modulo q.  The search expands its frontier in blocks of `_BLOCK`
+products and deduplicates integer keys of the forms, building
+`LatticeClass` objects only for the classes found.  Arrays are int64
+while d q^2 and the keys fit in 62 bits and object arrays of Python ints
+otherwise, with the same code.  The per-neighbour integer Hermite form it
+replaced is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+
+import numpy as np
 
 from .errors import DomainError, check_budget, default_budgets
 from .intmat import (
@@ -44,10 +58,12 @@ from .intmat import (
     det_int,
     elementary_divisors,
     hnf_rows,
-    scale,
     valuation,
 )
 from .primes import is_prime
+
+# Products (classes x subspaces) per kernel call in `enumerate_classes`.
+_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -218,44 +234,24 @@ def base_class(params: BuildingParams) -> LatticeClass:
     return LatticeClass(params.p, ident)
 
 
-def _subspace_bases(d: int, j: int, p: int):
-    """Reduced echelon bases of all j-dimensional subspaces of F_p^d."""
-    for pivots in combinations(range(d), j):
-        free = [
-            (i, c)
-            for i in range(j)
-            for c in range(pivots[i] + 1, d)
-            if c not in pivots
-        ]
-        for values in product(range(p), repeat=len(free)):
-            rows = [[0] * d for _ in range(j)]
-            for i in range(j):
-                rows[i][pivots[i]] = 1
-            for (i, c), v in zip(free, values):
-                rows[i][c] = v
-            yield rows
+def _classes(forms: np.ndarray, p: int) -> list[LatticeClass]:
+    return [LatticeClass(p, tuple(map(tuple, rows))) for rows in forms.tolist()]
 
 
 def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
-    """All classes adjacent to cls.
+    """All classes adjacent to cls, one per proper nonzero subspace of L/pL.
 
-    Intermediate lattices pL < M < L correspond to proper nonzero
-    subspaces of L/pL over F_p; each echelon basis row is lifted to an
-    integer combination of the rows of the HNF representative.
+    Intermediate lattices pL < M < L correspond to proper nonzero subspaces
+    W of L/pL over F_p; M is spanned by pL and lifts of a basis of W.  This
+    is `hermite.neighbour_forms` on a block of one class, with q = p^(e + 1)
+    for p^e the determinant, since p^e Z^d lies in L.
     """
-    p = cls.p
-    h = cls.hnf
-    ph = scale(h, p)
-    out = []
-    for j in range(1, d):
-        for basis in _subspace_bases(d, j, p):
-            lifts = tuple(
-                tuple(sum(c * h[k][col] for k, c in enumerate(row)) for col in range(d))
-                for row in basis
-            )
-            stacked = hnf_rows(ph + lifts)
-            out.append(LatticeClass(p, _primitive_rescale(stacked, p)))
-    return out
+    from . import hermite  # here, so `import heightcount` skips compiling it
+
+    if len(cls.hnf) != d:
+        raise DomainError(f"class has rank {len(cls.hnf)}, not d={d}")
+    hnf = np.array([cls.hnf], dtype=object)
+    return _classes(hermite.neighbour_forms(hnf, cls.p, cls.det_exponent() + 1), cls.p)
 
 
 def enumerate_classes(
@@ -269,23 +265,45 @@ def enumerate_classes(
     It equals the true count at d = 2 and is above it elsewhere (4226
     against 1916 classes at d = 4, p = 2, k = 2), unlike the closed-form
     `ball_size`, which falls below the true count at d >= 4.
+
+    Shell k is found from shell k - 1 by `hermite.neighbour_forms` with
+    q = p^k: the classes of shell k - 1 are primitive with largest
+    elementary divisor p^(k - 1), so p^k Z^d lies in each of their
+    neighbours.  The frontier is expanded in blocks of about `_BLOCK`
+    products, so the batch arrays do not grow with the frontier.  Each
+    form is packed into one integer key (`hermite.form_keys`; every entry
+    is at most p^k_max), and keys are deduplicated by sorting; a neighbour
+    of shell k - 1 lies in shell k - 2, k - 1 or k, so only those two
+    shells are checked.  Classes are built only for the keys found, shell
+    by shell in key order, which is the (distance, hnf) order.  Arrays are
+    int64 while d q^2 and the keys stay below 2^62, and object arrays of
+    Python ints beyond that.
     """
+    from . import hermite  # here, so `import heightcount` skips compiling it
+
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
     limit = max_classes if max_classes is not None else default_budgets().max_classes
     check_budget("lattice class", _class_bound(params, k_max), limit)
+    d, p = params.d, params.p
+    bits = (p**k_max).bit_length()
     base = base_class(params)
-    dist: dict[LatticeClass, int] = {base: 0}
-    frontier = [base]
+    shells = [hermite.form_keys(np.array([base.hnf]), bits)]
+    out = [(base, 0)]
+    per = max(1, _BLOCK // len(hermite.subspace_products(d, p)))
     for k in range(1, k_max + 1):
-        new: list[LatticeClass] = []
-        for v in frontier:
-            for w in neighbors(v, params.d):
-                if w not in dist:
-                    dist[w] = k
-                    new.append(w)
-        frontier = new
-    return sorted(dist.items(), key=lambda item: (item[1], item[0].hnf))
+        frontier = shells[-1]
+        found = []
+        for i in range(0, len(frontier), per):
+            forms = hermite.neighbour_forms(hermite.key_forms(frontier[i : i + per], d, bits), p, k)
+            found.append(np.unique(hermite.form_keys(forms, bits)))
+        found = np.unique(np.concatenate(found))
+        keys = found[~np.isin(found, np.concatenate(shells[-2:]))]
+        shells.append(keys)
+        # a block at a time, so one block's nested lists exist at once
+        for i in range(0, len(keys), _BLOCK):
+            out.extend((cls, k) for cls in _classes(hermite.key_forms(keys[i : i + _BLOCK], d, bits), p))
+    return out
 
 
 def class_records(params: BuildingParams, k_max: int, max_classes: int | None = None):

@@ -1,0 +1,155 @@
+"""Batched Hermite normal forms of lattice-class neighbours.
+
+The lattice-class search of `heightcount.building` calls this module on
+whole blocks of classes at once.  A class is rowspan(h) for its primitive
+Hermite normal form h (HNF), a d x d integer matrix.  Its neighbours
+pL < M < L correspond to the N1 proper nonzero subspaces W of F_p^d.  For
+each W a fixed basis S_W of pZ^d + span(B_W) is built once per (d, p)
+(`subspace_products`), so the neighbour through W is rowspan(S_W h), and
+one matrix product gives every (class, subspace) pair of a block.
+
+Every such lattice contains q Z^d for some q = p^n that the caller knows,
+so its Hermite form can be computed modulo q (Domich, Kannan and Trotter,
+*Hermite normal form computation using modulo determinant arithmetic*,
+1987).  Over the local ring Z/q this is a fixed-shape elimination
+(`neighbour_forms`).  `form_keys` packs each form into one integer whose
+order is the order of the hnf tuples, so that a block is deduplicated by
+sorting, and `key_forms` unpacks the keys.
+
+Arrays are int64 while every intermediate fits in 62 bits: d q^2 for the
+elimination, and the packed entries for the keys.  Beyond that they are
+object arrays of Python ints and the same code runs on them, as in
+`dirichlet.coeff_array`.
+
+`building` imports this module inside the functions that use it, so that
+`import heightcount` does not compile it.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations, product
+
+import numpy as np
+
+# int64 bound for the intermediates and the keys; see `_dtype`
+_INT64_BITS = 62
+
+
+def subspace_bases(d: int, j: int, p: int):
+    """Reduced echelon bases of all j-dimensional subspaces of F_p^d."""
+    for pivots in combinations(range(d), j):
+        free = [
+            (i, c)
+            for i in range(j)
+            for c in range(pivots[i] + 1, d)
+            if c not in pivots
+        ]
+        for values in product(range(p), repeat=len(free)):
+            rows = [[0] * d for _ in range(j)]
+            for i in range(j):
+                rows[i][pivots[i]] = 1
+            for (i, c), v in zip(free, values):
+                rows[i][c] = v
+            yield rows
+
+
+def _dtype(bits: int):
+    """int64 when every intermediate stays below 2^bits <= 2^62, else object."""
+    return np.int64 if bits <= _INT64_BITS else object
+
+
+@lru_cache(maxsize=16)
+def subspace_products(d: int, p: int) -> np.ndarray:
+    """Bases S_W of pZ^d + span(B_W), one per proper nonzero subspace W.
+
+    Shape (N1, d, d), in `subspace_bases` order by dimension: the rows of
+    the reduced echelon basis B_W, then p e_c for every non-pivot column c.
+    The neighbour of rowspan(h) through W is rowspan(S_W h).
+    """
+    out = []
+    for j in range(1, d):
+        for basis in subspace_bases(d, j, p):
+            pivots = {row.index(1) for row in basis}
+            pad = [[p * (i == c) for i in range(d)] for c in range(d) if c not in pivots]
+            out.append(basis + pad)
+    arr = np.array(out, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _power_mod(u: np.ndarray, e: int, q: int) -> np.ndarray:
+    out = np.ones_like(u)
+    while e:
+        if e & 1:
+            out = out * u % q
+        u = u * u % q
+        e >>= 1
+    return out
+
+
+def neighbour_forms(hnfs: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Primitive HNFs of all neighbours of a block of classes.
+
+    hnfs has shape (B, d, d), and p^(n-1) Z^d must lie in each of its
+    lattices, so that q Z^d lies in every neighbour, q = p^n.  Returns
+    shape (B N1, d, d): the neighbours of hnfs[0] in subspace order, then
+    those of hnfs[1], and so on.
+
+    Each product S_W h is put in Hermite form modulo q (Domich, Kannan and
+    Trotter 1987).  Z/q is a local ring, so each column pivots on a row of
+    least p-valuation v; its unit part becomes 1 through u^(phi(q) - 1),
+    the other rows are cleared, and the pivot slot keeps the annihilator
+    row p^(n - v) * pivot.  A column that is 0 mod q takes q e_c plus the
+    row as its pivot and keeps the row.  The entries above each pivot are
+    then reduced, and p^(least valuation) is divided out.
+    """
+    d = hnfs.shape[1]
+    q = p**n
+    dt = _dtype((d * q * q).bit_length())
+    s = subspace_products(d, p).astype(dt, copy=False)
+    x = (s[None] @ hnfs.astype(dt)[:, None]).reshape(-1, d, d) % q
+    rows = np.arange(len(x))
+    h = np.zeros_like(x)
+    for c in range(d):
+        sub = x[:, :, c:]
+        col = sub[:, :, 0]
+        g = np.gcd(col, q)
+        i = g.argmin(axis=1)
+        pv = g[rows, i]
+        piv = sub[rows, i]
+        u = piv[:, 0] // pv
+        u[u == 0] = 1
+        r = piv * _power_mod(u, q // p * (p - 1) - 1, q)[:, None] % q
+        r[:, 0] = pv
+        h[:, c, c:] = r
+        x[:, :, c:] = (sub - (col // pv[:, None])[:, :, None] * r[:, None, :]) % q
+        x[rows, i, c:] = (q // pv)[:, None] * r % q
+    for j in range(1, d):
+        t = h[:, :j, j] // h[:, j, j][:, None]
+        h[:, :j, j:] -= t[:, :, None] * h[:, None, j, j:]
+        h[:, :j, j + 1 :] %= q
+    return h // np.gcd.reduce(h.reshape(len(h), -1), axis=1)[:, None, None]
+
+
+def form_keys(forms: np.ndarray, bits: int) -> np.ndarray:
+    """One integer per form: its upper triangle, row-major, in base 2^bits.
+
+    Every entry must be below 2^bits.  Keys order like the hnf tuples.
+    """
+    iu = np.triu_indices(forms.shape[1])
+    dt = _dtype(len(iu[0]) * bits)
+    key = np.zeros(len(forms), dtype=dt)
+    for entry in forms[:, iu[0], iu[1]].astype(dt).T:
+        key = key << bits | entry
+    return key
+
+
+def key_forms(keys: np.ndarray, d: int, bits: int) -> np.ndarray:
+    """Inverse of `form_keys`."""
+    iu = np.triu_indices(d)
+    out = np.zeros((len(keys), d, d), dtype=keys.dtype)
+    for i, j in zip(iu[0][::-1], iu[1][::-1]):
+        out[:, i, j] = keys & ((1 << bits) - 1)
+        keys = keys >> bits
+    return out

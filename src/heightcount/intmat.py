@@ -103,10 +103,6 @@ def elementary_divisors(mat: Mat) -> tuple[int, ...]:
     return tuple(minor_gcds[k] // minor_gcds[k - 1] for k in range(1, n + 1))
 
 
-def scale(mat: Mat, s: int) -> Mat:
-    return tuple(tuple(s * x for x in row) for row in mat)
-
-
 def content(mat: Mat) -> int:
     """gcd of all entries."""
     g = 0

@@ -10,14 +10,19 @@ shipped package carries only what it uses.
   against `building.neighbors`.
 - `hnf_universe`: all primitive HNF class representatives of one
   determinant, against the breadth-first shells.
+- `neighbors_by_hnf`, `enumerate_by_hnf`: neighbours by one integer
+  Hermite form per subspace, and breadth-first search over them, against
+  the batched modular kernel behind `neighbors` and `enumerate_classes`.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from heightcount import DomainError, LatticeClass
-from heightcount.intmat import Mat, content, det_int, scale
+from heightcount import BuildingParams, DomainError, LatticeClass, base_class
+from heightcount.building import _primitive_rescale
+from heightcount.hermite import subspace_bases
+from heightcount.intmat import Mat, content, det_int, hnf_rows
 from heightcount.primes import is_prime
 
 
@@ -36,6 +41,10 @@ def sl2_sphere_size(p: int, k: int) -> int:
     if k % 2 == 1:
         return 0
     return (p + 1) * p ** (k - 1)
+
+
+def scale(mat: Mat, s: int) -> Mat:
+    return tuple(tuple(s * x for x in row) for row in mat)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -134,3 +143,44 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def neighbors_by_hnf(cls: LatticeClass, d: int) -> list[LatticeClass]:
+    """All classes adjacent to cls.
+
+    Intermediate lattices pL < M < L correspond to proper nonzero
+    subspaces of L/pL over F_p; each echelon basis row is lifted to an
+    integer combination of the rows of the HNF representative.
+    """
+    p = cls.p
+    h = cls.hnf
+    ph = scale(h, p)
+    out = []
+    for j in range(1, d):
+        for basis in subspace_bases(d, j, p):
+            lifts = tuple(
+                tuple(sum(c * h[k][col] for k, c in enumerate(row)) for col in range(d))
+                for row in basis
+            )
+            stacked = hnf_rows(ph + lifts)
+            out.append(LatticeClass(p, _primitive_rescale(stacked, p)))
+    return out
+
+
+def enumerate_by_hnf(
+    params: BuildingParams, k_max: int
+) -> list[tuple[LatticeClass, int]]:
+    """Breadth-first search over `neighbors_by_hnf`, in the order of
+    `enumerate_classes`: by distance, then representative."""
+    base = base_class(params)
+    dist: dict[LatticeClass, int] = {base: 0}
+    frontier = [base]
+    for k in range(1, k_max + 1):
+        new: list[LatticeClass] = []
+        for v in frontier:
+            for w in neighbors_by_hnf(v, params.d):
+                if w not in dist:
+                    dist[w] = k
+                    new.append(w)
+        frontier = new
+    return sorted(dist.items(), key=lambda item: (item[1], item[0].hnf))

@@ -6,8 +6,10 @@ exercised with random unimodular row operations.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,8 +30,15 @@ from heightcount import (
     snf_exponents,
     sphere_size,
 )
+from heightcount import building, hermite
 from heightcount.building import _class_bound
-from oracles import hnf_universe, is_adjacent, sl2_sphere_size
+from oracles import (
+    enumerate_by_hnf,
+    hnf_universe,
+    is_adjacent,
+    neighbors_by_hnf,
+    sl2_sphere_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +136,69 @@ def test_class_bound_is_an_upper_bound(d, p, k_max):
         assert _class_bound(params, k) >= found
         if d == 2:
             assert _class_bound(params, k) == found
+
+
+@pytest.mark.parametrize(
+    "d, p, k_max",
+    [(2, 2, 6), (2, 3, 6), (2, 5, 6), (3, 2, 3), (3, 3, 2), (4, 2, 2), (4, 3, 1), (5, 2, 1)],
+)
+def test_enumeration_matches_oracle_bfs(d, p, k_max):
+    # the batched modular kernel against one integer HNF per neighbour,
+    # order included, at every depth up to k_max
+    params = BuildingParams(d, p)
+    oracle = enumerate_by_hnf(params, k_max)
+    for k in range(k_max + 1):
+        assert enumerate_classes(params, k) == [item for item in oracle if item[1] <= k]
+
+
+def test_enumeration_matches_oracle_at_large_prime():
+    # 65,523 classes: the 65,522 neighbours of the base in one block
+    params = BuildingParams(2, 65521)
+    assert enumerate_classes(params, 1) == enumerate_by_hnf(params, 1)
+
+
+def test_object_arrays_match_oracle(monkeypatch):
+    # with no int64 headroom the kernel and the keys run on Python ints
+    monkeypatch.setattr(hermite, "_INT64_BITS", 0)
+    for d, p, k_max in [(2, 3, 4), (3, 2, 2), (4, 2, 1)]:
+        params = BuildingParams(d, p)
+        assert enumerate_classes(params, k_max) == enumerate_by_hnf(params, k_max)
+    cls = LatticeClass.from_matrix([[1, 0, 3], [0, 2, 1], [0, 0, 8]], 2)
+    assert neighbors(cls, 3) == neighbors_by_hnf(cls, 3)
+
+
+def test_blocks_do_not_change_classes(monkeypatch):
+    expected = {c: enumerate_classes(BuildingParams(*c[:2]), c[2]) for c in [(3, 2, 3), (2, 3, 5)]}
+    monkeypatch.setattr(building, "_BLOCK", 1)
+    for c, classes in expected.items():
+        assert enumerate_classes(BuildingParams(*c[:2]), c[2]) == classes
+
+
+@pytest.mark.parametrize(
+    "d, p, shells",
+    [
+        (4, 3, [1, 210, 23610]),
+        (4, 2, [1, 65, 1850, 39440]),
+    ],
+)
+def test_bfs_shell_counts_pinned(d, p, shells):
+    counts = [0] * len(shells)
+    for _, k in enumerate_classes(BuildingParams(d, p), len(shells) - 1):
+        counts[k] += 1
+    assert counts == shells
+
+
+def test_bfs_memory_is_bounded():
+    # 55,615 classes; a dict-based search over per-neighbour HNFs peaks at
+    # 40.3 MB, this search at 41.1 MB, and without frontier blocks at 127 MB
+    tracemalloc.start()
+    try:
+        classes = enumerate_classes(BuildingParams(5, 2), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert [sum(1 for _, k in classes if k == j) for j in range(3)] == [1, 372, 55242]
 
 
 def test_class_budget_covers_d4():
@@ -238,6 +310,20 @@ def test_adjacency_is_symmetric_on_samples():
             assert cls in neighbors(nb, 3)
 
 
+def test_neighbors_match_oracle_in_subspace_order():
+    classes = [cls for cls, _ in enumerate_classes(BuildingParams(3, 3), 2)][::37]
+    # determinant 2^110: q = 2^111 puts the kernel on object arrays
+    classes.append(LatticeClass.from_matrix([[1, 0, 3], [0, 2**40, 7], [0, 0, 2**70]], 2))
+    for cls in classes:
+        assert neighbors(cls, 3) == neighbors_by_hnf(cls, 3)
+    with pytest.raises(DomainError):
+        neighbors(classes[0], 2)
+    # q = 3^(e + 1) on both sides of the int64 limit d q^2 < 2^62
+    for e in range(17, 21):
+        cls = LatticeClass.from_matrix([[1, 3**e - 1], [0, 3**e]], 3)
+        assert neighbors(cls, 2) == neighbors_by_hnf(cls, 2)
+
+
 def test_base_class_not_self_adjacent():
     params = BuildingParams(2, 3)
     assert not is_adjacent(base_class(params), base_class(params))
@@ -312,6 +398,23 @@ def test_normal_form_is_idempotent(rows, p):
 def test_distance_is_spread_of_exponents(rows, p):
     exps = snf_exponents(rows, p)
     assert building_distance(rows, p) == exps[-1] - exps[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda d: _matrices(d, -30, 30)),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 10**6),
+    st.integers(0, 2),
+)
+def test_kernel_form_matches_integer_hnf(rows, p, pick, extra):
+    # any q = p^n with p^(n-1) Z^d inside the lattice gives the same form
+    d = len(rows)
+    cls = LatticeClass.from_matrix(rows, p)
+    expected = neighbors_by_hnf(cls, d)
+    w = pick % len(expected)
+    forms = hermite.neighbour_forms(np.array([cls.hnf], dtype=object), p, cls.det_exponent() + 1 + extra)
+    assert tuple(map(tuple, forms[w].tolist())) == expected[w].hnf
 
 
 @settings(max_examples=30)

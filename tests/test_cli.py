@@ -196,6 +196,13 @@ def test_verify_quick_is_deterministic(capsys):
     assert out == (DATA / "verify_quick.txt").read_text()
 
 
+def test_classes_output_is_pinned(capsys):
+    # stdout of `heightcount classes --d 3 --p 2 --kmax 2`, pinned byte for byte
+    code, out = run(capsys, "classes", "--d", "3", "--p", "2", "--kmax", "2")
+    assert code == 0
+    assert out == (DATA / "classes_d3_p2_k2.csv").read_text()
+
+
 @pytest.mark.parametrize("tier", ["quick", "full"])
 def test_verify_report_is_pinned(registry, tier):
     # the pinned files are the stdout of `heightcount verify --quick` and
