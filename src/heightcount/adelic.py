@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -161,13 +161,11 @@ class BallVolumeSeries:
     def components(self, T: float, max_sieve: int | None = None):
         """Per-m summands (m, D(m), b_inf(T - log m)) of the convolution."""
         weights, logs, interp = _setup(self.d, self.B, T, max_sieve, max(T, 1e-3))
-        out = []
-        for m in range(1, weights.size + 1):
-            radius = T - logs[m - 1]
-            if radius < 0:
-                break
-            out.append((m, weights[m - 1], float(np.interp(radius, interp.r_grid, interp.values))))
-        return out
+        radii = T - logs
+        negative = np.flatnonzero(radii < 0)
+        count = int(negative[0]) if negative.size else radii.size
+        values = np.interp(radii[:count], interp.r_grid, interp.values)
+        return list(zip(range(1, count + 1), weights[:count].tolist(), values.tolist()))
 
 
 def adelic_ball_series(d: int, B: float, T_grid, max_sieve: int | None = None) -> BallVolumeSeries:
@@ -382,33 +380,49 @@ def tree_ball(q: int, T: float) -> int:
 # persistence of the dominant asymptotic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurePair:
     """Point-mass measure mu, sampled cumulative nu, and the asymptotic
-    parameters (alpha, beta) with C = sum mass * e^(-beta * location)."""
+    parameters (alpha, beta) with C = sum mass * e^(-beta * location).
 
-    masses: tuple[tuple[float, float], ...]
-    nu_grid: tuple[float, ...]
-    nu_values: tuple[float, ...]
+    The samples are held as float arrays: `masses` of shape (n, 2), one
+    (location, mass) row per point mass, and 1-d `nu_grid`, `nu_values`.
+    Sequences such as tuples of pairs are converted on construction; an
+    array that already is float64 is held without a copy.
+    """
+
+    masses: np.ndarray
+    nu_grid: np.ndarray
+    nu_values: np.ndarray
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.masses:
+        masses = np.asarray(self.masses, dtype=float)
+        if masses.size == 0:
             raise DomainError("mu needs at least one point mass")
-        if any(loc < 0 or mass <= 0 for loc, mass in self.masses):
+        if masses.ndim != 2 or masses.shape[1] != 2:
+            raise DomainError("mu point masses must be (location, mass) pairs")
+        if np.any((masses[:, 0] < 0) | (masses[:, 1] <= 0)):
             raise DomainError("mu point masses need location >= 0 and mass > 0")
         if self.alpha < 0 or self.beta <= 0:
             raise DomainError(f"need alpha >= 0 and beta > 0, got {self.alpha}, {self.beta}")
-        grid = self.nu_grid
-        if len(grid) < 2 or len(grid) != len(self.nu_values):
+        grid = np.asarray(self.nu_grid, dtype=float)
+        values = np.asarray(self.nu_values, dtype=float)
+        if grid.ndim != 1 or len(grid) < 2 or grid.shape != values.shape:
             raise DomainError("nu needs matching grids of length >= 2")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if np.any(grid[1:] <= grid[:-1]):
             raise DomainError("nu grid must be strictly increasing")
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "nu_grid", grid)
+        object.__setattr__(self, "nu_values", values)
 
-    @property
+    @cached_property
     def C(self) -> float:
-        return math.fsum(mass * math.exp(-self.beta * loc) for loc, mass in self.masses)
+        # math.exp per location, since numpy's float64 exp can differ in the last bit
+        locs, mass = self.masses.T
+        decay = np.fromiter(map(math.exp, (-self.beta * locs).tolist()), float, count=locs.size)
+        return math.fsum((mass * decay).tolist())
 
 
 def persistence_check(pair: MeasurePair, T: float) -> tuple[float, float]:
@@ -416,10 +430,8 @@ def persistence_check(pair: MeasurePair, T: float) -> tuple[float, float]:
     dominant term C * T^alpha * e^(beta T)."""
     if not (T > 0):
         raise DomainError(f"need T > 0, got {T}")
-    grid = np.asarray(pair.nu_grid)
-    vals = np.asarray(pair.nu_values)
-    locs = np.array([loc for loc, _ in pair.masses])
-    mass = np.array([m for _, m in pair.masses])
+    grid = pair.nu_grid
+    locs, mass = pair.masses.T
     keep = locs <= T + 1e-12
     needed = T - locs[keep]
     if needed.size and float(needed.max()) > grid[-1] + 1e-9:
@@ -427,7 +439,7 @@ def persistence_check(pair: MeasurePair, T: float) -> tuple[float, float]:
             f"nu sampled only up to {grid[-1]:.6g} but T - location reaches "
             f"{float(needed.max()):.6g}; extend the nu range"
         )
-    terms = mass[keep] * np.interp(needed, grid, vals)
+    terms = mass[keep] * np.interp(needed, grid, pair.nu_values)
     pieces = [float(terms[a:b].sum()) for a, b in _chunk_edges(terms.size)]
     d_T = math.fsum(pieces)
     dominant = pair.C * T**pair.alpha * math.exp(pair.beta * T)
@@ -450,12 +462,11 @@ def pgl2_measure_pair(
         raise DomainError(f"need T_max > 0, got {T_max}")
     weights, logs, _ = _setup(2, B, T_max, max_sieve)
     m = np.arange(1, weights.size + 1, dtype=float)
-    masses = tuple(zip(logs.tolist(), (weights / m**B).tolist()))
     grid = np.linspace(0.0, T_max, int(T_max * 1000) + 1)
     return MeasurePair(
-        masses=masses,
-        nu_grid=tuple(grid.tolist()),
-        nu_values=tuple(np.exp(2.0 * grid).tolist()),
+        masses=np.column_stack((logs, weights / m**B)),
+        nu_grid=grid,
+        nu_values=np.exp(2.0 * grid),
         alpha=0.0,
         beta=2.0,
     )

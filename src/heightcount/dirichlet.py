@@ -21,9 +21,9 @@ always exact.  `coeff_D` (factorization) is its test oracle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -205,17 +205,6 @@ def zeta_em(s: complex) -> complex:
     return total
 
 
-def _euler_factor(p: int, D_p: int, c_p: int, s: complex) -> complex:
-    """(1 - [c(p) - D(p)] p^(-s)) / (1 - c(p) p^(-s)) at a prime p."""
-    ps = cmath.exp(-s * math.log(p))
-    denom = 1 - c_p * ps
-    if abs(denom) < 1e-12:
-        raise DomainError(
-            f"s={s} is within 1e-12 of the pole line of the factor at p={p}"
-        )
-    return (1 - (c_p - D_p) * ps) / denom
-
-
 def _tail_log_bound(d: int, sigma: float, cutoff: int) -> float:
     """Rigorous bound on |log of the omitted Euler factors| past the cutoff.
 
@@ -236,6 +225,83 @@ def _tail_log_bound(d: int, sigma: float, cutoff: int) -> float:
     return const * cutoff ** (-decay) / decay
 
 
+@lru_cache(maxsize=8)
+def _euler_table(d: int, prime_cutoff: int):
+    """Per-prime data of the Euler product over p <= prime_cutoff.
+
+    Returns (primes, log p, c(p), c(p) - D(p), p^j for j < d), the last
+    four as read-only float arrays, p^j of shape (d, n).  The counts and
+    powers are exact Python ints rounded once to float, as CPython rounds
+    an int operand of complex arithmetic; log p is `math.log`, whose bits
+    numpy's own log need not match.
+    """
+    primes = primes_up_to(prime_cutoff)
+    exact = np.array(primes, dtype=object)
+    c = shell_ratio(d, exact)
+    arrays = (
+        np.array(list(map(math.log, primes))),
+        c.astype(float),
+        (c - shell_count(d, exact)).astype(float),
+        np.array([(exact**j).astype(float) for j in range(d)]),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (tuple(primes), *arrays)
+
+
+# CPython's complex arithmetic on (real, imag) pairs of float64 arrays, one
+# IEEE operation per numpy call, so every element has the bits the scalar
+# complex expression has.  numpy's complex multiply and `prod` may fuse
+# multiply-adds and so are not used.  A float operand of complex
+# arithmetic enters as (x, 0.0).
+
+
+def _mul(a, b):
+    """_Py_c_prod: a * b."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _sub_from_one(a):
+    """_Py_c_diff: 1 - a."""
+    return 1.0 - a[0], 0.0 - a[1]
+
+
+def _div(a, b):
+    """_Py_c_quot: a / b by Smith's algorithm, its branch chosen per element."""
+    (ar, ai), (br, bi) = a, b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = bi / br
+        denom = br + bi * ratio
+        by_real = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+        ratio = br / bi
+        denom = br * ratio + bi
+        by_imag = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+    real_larger = np.abs(br) >= np.abs(bi)
+    return tuple(np.where(real_larger, x, y) for x, y in zip(by_real, by_imag))
+
+
+def _pow(a, n: int):
+    """c_powu: a ** n for an integer n >= 1, square and multiply from 1."""
+    out = np.ones_like(a[0]), np.zeros_like(a[0])
+    mask = 1
+    while n >= mask:
+        if n & mask:
+            out = _mul(out, a)
+        mask <<= 1
+        a = _mul(a, a)
+    return out
+
+
+def _exp(a):
+    """cmath.exp: numpy's complex exp is libm's cexp, which forms exp(x) cos(y)
+    and exp(x) sin(y) as cmath does; numpy's float64 exp has vectorised
+    code of its own that can differ in the last bit."""
+    z = np.empty(a[0].shape, dtype=complex)
+    z.real, z.imag = a
+    z = np.exp(z)
+    return z.real, z.imag
+
+
 def L_euler(d: int, s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     """L(s) by zeta-accelerated Euler product over p <= prime_cutoff.
 
@@ -245,6 +311,15 @@ def L_euler(d: int, s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     truncation_bound covers that tail rigorously plus an allowance for
     double rounding across the O(pi(cutoff)) factor multiplications (the
     mathematical tail alone can sit far below float noise).
+
+    The per-prime data is cached per (d, prime_cutoff).  Every factor
+
+        (1 - [c(p) - D(p)] p^(-s)) / (1 - c(p) p^(-s)) * prod_{j<d} (1 - p^(j-s))^(d-1)
+
+    is formed for all primes at once by float64 array operations that
+    repeat CPython's complex arithmetic step for step, and the factors are
+    multiplied into the value in prime order, so value and bound are
+    bit-identical to the scalar product.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
@@ -256,13 +331,22 @@ def L_euler(d: int, s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     value = 1.0 + 0.0j
     for j in range(d):
         value *= zeta_em(s - j) ** (d - 1)
-    primes = primes_up_to(prime_cutoff)
-    for p in primes:
-        factor = _euler_factor(p, shell_count(d, p), shell_ratio(d, p), s)
-        ps = cmath.exp(-s * math.log(p))
-        for j in range(d):
-            factor *= (1 - ps * p**j) ** (d - 1)
-        value *= factor
+    primes, logs, c, c_minus_D, powers = _euler_table(d, prime_cutoff)
+    zero = np.zeros_like(logs)
+    ps = _exp(_mul((-s.real, -s.imag), (logs, zero)))  # p^(-s)
+    denom = _sub_from_one(_mul((c, zero), ps))
+    near = np.flatnonzero(np.hypot(*denom) < 1e-12)
+    if near.size:
+        raise DomainError(
+            f"s={s} is within 1e-12 of the pole line of the factor at p={primes[near[0]]}"
+        )
+    factor = _div(_sub_from_one(_mul((c_minus_D, zero), ps)), denom)
+    for power in powers:
+        factor = _mul(factor, _pow(_sub_from_one(_mul(ps, (power, zero))), d - 1))
+    factors = np.empty(zero.shape, dtype=complex)
+    factors.real, factors.imag = factor
+    for f in factors.tolist():
+        value *= f
     log_tail = _tail_log_bound(d, s.real, prime_cutoff)
     rounding = 64 * 2.220446049250313e-16 * (len(primes) + 2) * d
     return LSeriesValue(s, value, abs(value) * (math.expm1(log_tail) + rounding))
@@ -282,7 +366,7 @@ def L_euler_sl2(s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
     value = zeta_em(2 * s - 2) * zeta_em(2 * s - 1)
-    primes = primes_up_to(prime_cutoff)
+    primes = _euler_table(2, prime_cutoff)[0]
     for p in primes:
         value *= 1 - p ** (2 - 4 * s)
     a = 4 * s.real - 2  # tail terms are p^(-a), a > 4 on our domain

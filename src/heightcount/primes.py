@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DomainError
 
 # Witnesses proving primality for every n < 3.3 * 10^24
@@ -45,7 +47,7 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, n + 1, i)))
         i += 1
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

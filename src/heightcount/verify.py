@@ -303,21 +303,20 @@ def _check_bfs_deep_d2():
 def _d3_census(p: int) -> tuple[tuple[int, int, int], int]:
     """Shell sizes out to distance 2 and the shell-2 -> shell-1 edge count.
 
-    Two checks read it for each p, so the BFS runs once per p.
+    Two checks read it for each p, so the BFS runs once per p.  A shell-2
+    class contains p^2 Z^3, so each of its neighbours contains p^3 Z^3:
+    one `hermite.neighbour_forms` call at q = p^3 gives the neighbours of
+    the whole shell, and their keys are matched against shell 1's.
     """
-    params = building.BuildingParams(3, p)
-    classes = building.enumerate_classes(params, 2)
-    counts = [0, 0, 0]
-    for _, dist in classes:
-        counts[dist] += 1
-    by_dist: dict[int, list] = {0: [], 1: [], 2: []}
-    for cls, dist in classes:
-        by_dist[dist].append(cls)
-    shell1 = set(by_dist[1])
-    incidences = 0
-    for cls in by_dist[2]:
-        incidences += sum(1 for nb in building.neighbors(cls, 3) if nb in shell1)
-    return tuple(counts), incidences
+    from . import hermite  # here, so the CLI's import of verify skips compiling it
+
+    shells: list[list] = [[], [], []]
+    for cls, dist in building.enumerate_classes(building.BuildingParams(3, p), 2):
+        shells[dist].append(cls.hnf)
+    bits = (p**3).bit_length()
+    found = hermite.form_keys(hermite.neighbour_forms(np.array(shells[2]), p, 3), bits)
+    incidences = int(np.isin(found, hermite.form_keys(np.array(shells[1]), bits)).sum())
+    return tuple(len(shell) for shell in shells), incidences
 
 
 @_check("building/d3-closed-form-vertex-count", "full")

@@ -13,17 +13,28 @@ shipped package carries only what it uses.
 - `neighbors_by_hnf`, `enumerate_by_hnf`: neighbours by one integer
   Hermite form per subspace, and breadth-first search over them, against
   the batched modular kernel behind `neighbors` and `enumerate_classes`.
+- `primes_by_scan`: the byte sieve read out one index at a time, against
+  `primes_up_to`.
+- `euler_product_by_prime`: the Euler product of L(s) one scalar complex
+  factor at a time, against the array factors of `L_euler`, bit for bit.
+- `components_by_loop`: the convolution summands one `np.interp` per m,
+  against `BallVolumeSeries.components`.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from itertools import product
 
-from heightcount import BuildingParams, DomainError, LatticeClass, base_class
-from heightcount.building import _primitive_rescale
+import numpy as np
+
+from heightcount import BuildingParams, DomainError, LatticeClass, base_class, zeta_em
+from heightcount.adelic import BallVolumeSeries, _setup
+from heightcount.building import _primitive_rescale, shell_count, shell_ratio
 from heightcount.hermite import subspace_bases
 from heightcount.intmat import Mat, content, det_int, hnf_rows
-from heightcount.primes import is_prime
+from heightcount.primes import is_prime, primes_up_to
 
 
 def sl2_sphere_size(p: int, k: int) -> int:
@@ -184,3 +195,45 @@ def enumerate_by_hnf(
                     new.append(w)
         frontier = new
     return sorted(dist.items(), key=lambda item: (item[1], item[0].hnf))
+
+
+def primes_by_scan(n: int) -> list[int]:
+    """All primes <= n: the byte sieve, read out by a comprehension."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    i = 2
+    while i * i <= n:
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, n + 1, i)))
+        i += 1
+    return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def euler_product_by_prime(d: int, s: complex, prime_cutoff: int) -> complex:
+    """The value of `L_euler`, one Python complex factor per prime in order."""
+    s = complex(s)
+    value = 1.0 + 0.0j
+    for j in range(d):
+        value *= zeta_em(s - j) ** (d - 1)
+    for p in primes_up_to(prime_cutoff):
+        c_p, D_p = shell_ratio(d, p), shell_count(d, p)
+        ps = cmath.exp(-s * math.log(p))
+        factor = (1 - (c_p - D_p) * ps) / (1 - c_p * ps)
+        for j in range(d):
+            factor *= (1 - ps * p**j) ** (d - 1)
+        value *= factor
+    return value
+
+
+def components_by_loop(series: BallVolumeSeries, T: float):
+    """(m, D(m), b_inf(T - log m)) for each m until T - log m < 0."""
+    weights, logs, interp = _setup(series.d, series.B, T, None, max(T, 1e-3))
+    out = []
+    for m in range(1, weights.size + 1):
+        radius = T - logs[m - 1]
+        if radius < 0:
+            break
+        out.append((m, weights[m - 1], float(np.interp(radius, interp.r_grid, interp.values))))
+    return out

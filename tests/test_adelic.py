@@ -2,6 +2,7 @@
 regularity / persistence verifiers built on top of it."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from heightcount import (
     tree_ball,
 )
 from heightcount.archimedean import ball_volume_numeric
+from oracles import components_by_loop
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,13 @@ def test_series_components_sum_to_total():
     assert ms == sorted(ms)
     assert ms[-1] <= math.exp(3.0)
     assert [w for _, w, _ in comps[:4]] == [1, 3, 4, 6]
+
+
+def test_series_components_match_per_term_loop():
+    for d in (2, 3):
+        for T in (0.7, 3.0):
+            series = adelic_ball_series(d, 1.0, [T])
+            assert series.components(T) == components_by_loop(series, T)
 
 
 def test_entry_points_agree_bitwise():
@@ -321,22 +330,78 @@ def test_persistence_requires_covering_range():
 
 def test_measure_pair_validation():
     grid = (0.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        MeasurePair(
-            masses=((0.0, -1.0),),
-            nu_grid=grid,
-            nu_values=(1.0, 2.0, 3.0),
-            alpha=0.0,
-            beta=2.0,
-        )
-    with pytest.raises(DomainError):
-        MeasurePair(
-            masses=((0.0, 1.0),),
-            nu_grid=grid,
-            nu_values=(1.0, 2.0),
-            alpha=0.0,
-            beta=2.0,
-        )
+    good = {"masses": ((0.0, 1.0),), "nu_grid": grid, "nu_values": (1.0, 2.0, 3.0)}
+    cases = (
+        ({"masses": ()}, "at least one point mass"),
+        ({"masses": ((0.0, 1.0, 2.0),)}, r"\(location, mass\) pairs"),
+        ({"masses": ((0.0, -1.0),)}, "location >= 0 and mass > 0"),
+        ({"masses": ((0.0, 1.0), (0.5, 0.0))}, "location >= 0 and mass > 0"),
+        ({"nu_values": (1.0, 2.0)}, "matching grids of length >= 2"),
+        ({"nu_grid": (0.0, 1.0, 1.0)}, "strictly increasing"),
+    )
+    for change, message in cases:
+        for as_array in (False, True):
+            kwargs = dict(good, **change)
+            if as_array:
+                kwargs = {k: np.asarray(v, dtype=float) for k, v in kwargs.items()}
+            with pytest.raises(DomainError, match=message):
+                MeasurePair(alpha=0.0, beta=2.0, **kwargs)
+
+
+def test_measure_pair_tuple_and_array_input_agree():
+    pair = pgl2_measure_pair(T_max=6.0)
+    rebuilt = MeasurePair(
+        masses=tuple(map(tuple, pair.masses.tolist())),
+        nu_grid=tuple(pair.nu_grid.tolist()),
+        nu_values=tuple(pair.nu_values.tolist()),
+        alpha=pair.alpha,
+        beta=pair.beta,
+    )
+    assert rebuilt.masses.shape == (pair.masses.shape[0], 2)
+    assert rebuilt.C.hex() == pair.C.hex()
+    assert persistence_check(rebuilt, 6.0) == persistence_check(pair, 6.0)
+
+
+def test_measure_pair_constant_matches_scalar_sum():
+    # one mass at a time, so a last-bit difference in any exp term shows
+    grid = (0.0, 1.0)
+    rng = np.random.default_rng(3)
+    for loc, mass, beta in zip(rng.uniform(0, 12, 300), rng.uniform(0.1, 5, 300), rng.uniform(0.5, 3, 300)):
+        pair = MeasurePair(((loc, mass),), grid, (1.0, 2.0), alpha=0.0, beta=beta)
+        assert pair.C.hex() == (mass * math.exp(-beta * loc)).hex()
+    masses = tuple(zip(rng.uniform(0, 12, 500).tolist(), rng.uniform(0.1, 5, 500).tolist()))
+    pair = MeasurePair(masses, grid, (1.0, 2.0), alpha=0.0, beta=2.0)
+    assert pair.C == math.fsum(mass * math.exp(-2.0 * loc) for loc, mass in masses)
+
+
+# float.hex of (C, d(T), d(T) / dominant), recorded when the pair was held
+# as tuples of Python floats
+_PERSISTENCE_PINS = (
+    (6.0, ("0x1.f098ac3093f9bp+0", "0x1.345127402b8c2p+18", "0x1.000002bc4c1eep+0")),
+    (10.0, ("0x1.f18b03a2b533cp+0", "0x1.c1a001bbe9b6fp+29", "0x1.000002bdc00fcp+0")),
+    (12.0, ("0x1.f18eec91f7affp+0", "0x1.7f95cafb0c5bfp+35", "0x1.000002bdc5cc1p+0")),
+)
+
+
+@pytest.mark.parametrize("T, want", _PERSISTENCE_PINS)
+def test_pgl2_persistence_bit_pins(T, want):
+    pair = pgl2_measure_pair(T)
+    d_T, ratio = persistence_check(pair, T)
+    assert (pair.C.hex(), d_T.hex(), ratio.hex()) == want
+
+
+def test_pgl2_persistence_peak_memory():
+    # the sieve is warm, so this traces the pair and the check alone; as
+    # tuples of Python floats they peaked near 25 MB
+    pgl2_measure_pair(12.0)
+    tracemalloc.start()
+    try:
+        pair = pgl2_measure_pair(12.0)
+        persistence_check(pair, 12.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_pgl2_persistence_at_moderate_T():

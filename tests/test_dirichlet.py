@@ -29,8 +29,21 @@ from heightcount.adelic import _coeff_arrays
 from heightcount.building import shell_count
 from heightcount.dirichlet import coeff_array
 from heightcount.primes import primes_up_to
+from oracles import euler_product_by_prime, primes_by_scan
 
 mpmath = pytest.importorskip("mpmath")
+
+
+# ---------------------------------------------------------------------------
+# primes
+
+
+def test_primes_up_to_matches_comprehension():
+    sizes = list(range(-1, 1100)) + [99_990, 99_991, 10**5, 199_999, 2 * 10**5]
+    for n in sizes:
+        got = primes_up_to(n)
+        assert got == primes_by_scan(n)
+        assert all(type(p) is int for p in got[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +251,101 @@ def test_euler_domain_errors():
         L_euler_sl2(1.5)
     with pytest.raises(DomainError):
         L_euler(2, 3.0, prime_cutoff=1)
+
+
+# float.hex of (value.real, value.imag, truncation_bound), recorded from the
+# scalar per-prime product; the array factors must reproduce every bit
+_EULER_PINS = (
+    (2, 2.5, 10**3, ("0x1.b098db3caaf3bp+1", "0x0.0p+0", "0x1.1b8225a4ac34dp-15")),
+    (2, 2.5, 10**5, ("0x1.b098db3ca996fp+1", "0x0.0p+0", "0x1.2793f1b480147p-28")),
+    (2, 3.0, 10**3, ("0x1.f18f893cc46c2p+0", "0x0.0p+0", "0x1.bd884db8cecb5p-27")),
+    (2, 3.0, 10**5, ("0x1.f18f893cc3820p+0", "0x0.0p+0", "0x1.235d47cad3172p-31")),
+    (2, 3 + 1j, 10**3, ("0x1.37981ed0e4336p+0", "-0x1.44818eda18870p-1", "0x1.3a92905954cabp-27")),
+    (2, 3 + 1j, 10**5, ("0x1.37981ed0e37d2p+0", "-0x1.44818eda17d0dp-1", "0x1.9b70f9c39d925p-32")),
+    (2, 4.2 - 2.5j, 10**3, ("0x1.d6d4f397fab64p-1", "0x1.3d125dbeb4695p-3", "0x1.3d13c402a7f7fp-38")),
+    (2, 4.2 - 2.5j, 10**5, ("0x1.d6d4f397faa6cp-1", "0x1.3d125dbeb45c2p-3", "0x1.1795ebad5f1c9p-32")),
+    (3, 3.5, 10**3, ("0x1.7f7386abf50d7p+5", "0x0.0p+0", "0x1.dd79ff6e6ac1dp-10")),
+    (3, 3.5, 10**5, ("0x1.7f73885d8fe89p+5", "0x0.0p+0", "0x1.b13e00f47da57p-23")),
+    (3, 4.0, 10**3, ("0x1.7c0227753ce8cp+2", "0x0.0p+0", "0x1.431ded4a4588bp-23")),
+    (3, 4.0, 10**5, ("0x1.7c02277588845p+2", "0x0.0p+0", "0x1.4dcdbf3da6be5p-29")),
+    (3, 4 + 1j, 10**3, ("0x1.338d28b4aeddbp-1", "-0x1.d3b6586cd075dp+0", "0x1.a2a243bf5eb0cp-25")),
+    (3, 4 + 1j, 10**5, ("0x1.338d28b40b2a4p-1", "-0x1.d3b6586cd7065p+0", "0x1.b07ad2d4cc7c1p-31")),
+    (3, 5.2 - 2.5j, 10**3, ("0x1.9126699080ea4p-1", "0x1.3d836b5976518p-2", "0x1.adca1e9f30dd7p-38")),
+    (3, 5.2 - 2.5j, 10**5, ("0x1.9126699081be1p-1", "0x1.3d836b5976b5bp-2", "0x1.7af14ed19910ep-32")),
+    (4, 4.5, 10**3, ("-0x1.b3887cbf6f7bdp+5", "-0x0.0p+0", "0x1.2bb7160c850aap-8")),
+    (4, 4.5, 10**5, ("-0x1.b3888283f096cp+5", "-0x0.0p+0", "0x1.0574c45ad9129p-21")),
+    (4, 5.0, 10**3, ("0x1.d72abb25f397cp+5", "0x0.0p+0", "0x1.babfc33f9745ap-19")),
+    (4, 5.0, 10**5, ("0x1.d72abb270a38ap+5", "0x0.0p+0", "0x1.13ee1e5b7e1e6p-25")),
+    (4, 5 + 1j, 10**3, ("-0x1.0f824dd403b1bp+0", "-0x1.f29a83a8030d1p+0", "0x1.0abf090de1861p-23")),
+    (4, 5 + 1j, 10**5, ("-0x1.0f824dd4d510fp+0", "-0x1.f29a83a743dbfp+0", "0x1.4c7bb70a7d3d2p-30")),
+    (4, 6.2 - 2.5j, 10**3, ("0x1.43f305fc015e8p-1", "0x1.b2fa9154e346ep-2", "0x1.0329060e76fd0p-37")),
+    (4, 6.2 - 2.5j, 10**5, ("0x1.43f305fc0182fp-1", "0x1.b2fa9154e3bffp-2", "0x1.c8f683f9470fep-32")),
+    (5, 5.5, 10**3, ("-0x1.d90d8f00fd0e1p+6", "-0x0.0p+0", "0x1.1eca2c253ba85p-6")),
+    (5, 5.5, 10**5, ("-0x1.d90d9b87b5905p+6", "-0x0.0p+0", "0x1.eb7b9964da839p-20")),
+    (5, 6.0, 10**3, ("-0x1.c85a54fcccde0p+4", "-0x0.0p+0", "0x1.79c23143c691bp-19")),
+    (5, 6.0, 10**5, ("-0x1.c85a54feeaeafp+4", "-0x0.0p+0", "0x1.4e150f25be83fp-26")),
+    (5, 6 + 1j, 10**3, ("-0x1.fcb854a4dc1e5p+0", "-0x1.ab87aae44e5ccp-1", "0x1.c8c6162ca5cd8p-23")),
+    (5, 6 + 1j, 10**5, ("-0x1.fcb854a5342e3p+0", "-0x1.ab87aae00e72ep-1", "0x1.93f6363ccc271p-30")),
+    (5, 7.2 - 2.5j, 10**3, ("0x1.f3392979e9a08p-2", "0x1.fe6a9a0b969c9p-2", "0x1.2868b576eba3ap-37")),
+    (5, 7.2 - 2.5j, 10**5, ("0x1.f3392979ea732p-2", "0x1.fe6a9a0b976f3p-2", "0x1.054c9151d11b4p-31")),
+    (6, 6.5, 10**3, ("0x1.6e6953b1c7f8ap+8", "0x0.0p+0", "0x1.593a85d536c51p-4")),
+    (6, 6.5, 10**5, ("0x1.6e6963dd0f19ap+8", "0x0.0p+0", "0x1.24d6208d1b566p-17")),
+    (6, 7.0, 10**3, ("-0x1.6842aa29d46a9p+4", "-0x0.0p+0", "0x1.cf6e117cdc691p-19")),
+    (6, 7.0, 10**5, ("-0x1.6842aa2c9b89ap+4", "-0x0.0p+0", "0x1.3c7f1d5b6084dp-26")),
+    (6, 7 + 1j, 10**3, ("-0x1.f21c48916aaccp+0", "0x1.f865ac566a6b7p-3", "0x1.42ef4be6a80b0p-22")),
+    (6, 7 + 1j, 10**5, ("-0x1.f21c489040eb3p+0", "0x1.f865ac6ed1a49p-3", "0x1.b917ac4175130p-30")),
+    (6, 8.2 - 2.5j, 10**3, ("0x1.6c84e9f04e0d2p-2", "0x1.140d81c712880p-1", "0x1.499f5e8de411cp-37")),
+    (6, 8.2 - 2.5j, 10**5, ("0x1.6c84e9f04e98bp-2", "0x1.140d81c712df7p-1", "0x1.228dcc548c6fap-31")),
+)
+_EULER_SL2_PINS = (
+    (2.0, 10**3, ("0x1.f18f893cc46d7p+0", "0x0.0p+0", "0x1.4a77526fd1fa8p-38")),
+    (2.0, 10**5, ("0x1.f18f893cc46d7p+0", "0x0.0p+0", "0x1.235b74f4bd65dp-32")),
+    (2.01, 10**3, ("0x1.eaa606fde4768p+0", "0x0.0p+0", "0x1.45dca54e1fa7ep-38")),
+    (2.01, 10**5, ("0x1.eaa606fde4768p+0", "0x0.0p+0", "0x1.1f4f48881c101p-32")),
+    (3 + 1j, 10**3, ("0x1.ff279faf98c66p-1", "-0x1.b026ef9e2aa59p-4", "0x1.555435793708fp-39")),
+    (3 + 1j, 10**5, ("0x1.ff279faf98c66p-1", "-0x1.b026ef9e2aa59p-4", "0x1.2cfbff272b7e9p-33")),
+)
+
+
+def _hex(r) -> tuple[str, str, str]:
+    return r.value.real.hex(), r.value.imag.hex(), r.truncation_bound.hex()
+
+
+@pytest.mark.parametrize("d, s, cutoff, want", _EULER_PINS)
+def test_euler_product_bit_pins(d, s, cutoff, want):
+    assert _hex(L_euler(d, s, prime_cutoff=cutoff)) == want
+
+
+@pytest.mark.parametrize("s, cutoff, want", _EULER_SL2_PINS)
+def test_euler_product_sl2_bit_pins(s, cutoff, want):
+    assert _hex(L_euler_sl2(s, prime_cutoff=cutoff)) == want
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(2, 6),
+    st.floats(0.01, 4.0),
+    st.one_of(st.just(0.0), st.just(-0.0), st.floats(-30.0, 30.0)),
+    st.sampled_from([50, 1000]),
+)
+def test_euler_product_matches_scalar_product_bitwise(d, offset, imag, cutoff):
+    # both branches of the complex quotient, and p = 2 past its pole line
+    # (Re(s) < s_2 at d >= 3), occur on this range
+    s = complex(d + offset, imag)
+    try:
+        got = L_euler(d, s, prime_cutoff=cutoff).value
+    except DomainError:
+        return  # tail bound or pole line; the pins cover the messages
+    want = euler_product_by_prime(d, s, cutoff)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_euler_pole_line_names_first_prime():
+    # s_p = log c(p) / log p: c(2) = 10 at d = 3, c(3) = 93 at d = 4
+    with pytest.raises(DomainError, match=r"pole line of the factor at p=2$"):
+        L_euler(3, math.log(10) / math.log(2))
+    with pytest.raises(DomainError, match=r"pole line of the factor at p=3$"):
+        L_euler(4, math.log(93) / math.log(3))
 
 
 # ---------------------------------------------------------------------------
