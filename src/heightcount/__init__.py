@@ -65,7 +65,6 @@ from .counting import (
 )
 from .dirichlet import (
     AbscissaTable,
-    CoeffTable,
     LSeriesValue,
     ResidueReport,
     L_closed_pgl2,
@@ -73,7 +72,6 @@ from .dirichlet import (
     L_euler,
     L_euler_sl2,
     coeff_D,
-    coeff_sieve,
     partial_sum,
     pole_abscissas,
     residue_estimate,

@@ -33,7 +33,7 @@ from .archimedean import (
     simplex_area,
 )
 from .dirichlet import L_euler, coeff_array, pole_abscissas
-from .errors import DomainError, check_budget, default_budgets
+from .errors import DomainError, check_budget
 from .intmat import as_mat, content, det_int, elementary_divisors, valuation
 from .primes import factorize
 
@@ -105,8 +105,7 @@ def _setup(d: int, B: float, T_max: float, max_sieve: int | None, R_max: float |
     Returns (weights, logs, interp), with interp None when R_max is None.
     """
     x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
-    limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
-    check_budget("sieve", x_max, limit)
+    check_budget("sieve", x_max, max_sieve, "max_sieve")
     weights, logs = _coeff_arrays(d, x_max)
     interp = None if R_max is None else _volume_grid(d, B, R_max)
     return weights, logs, interp
@@ -296,11 +295,10 @@ NON_REGULAR_GAP = 0.1
 def regularity_report(b, eps_list, T_list) -> RegularityReport:
     """Estimate liminf_T b(T-eps)/b(T) and limsup_T b(T+eps)/b(T).
 
-    b is either a callable or a pair (grid, values) of samples; sampled
-    input must resolve min(eps)/10 or finer.  Ratios are taken over the
-    larger-T half of T_list.  Verdict: regular when both smallest-shift
-    ratios are within 0.02 of 1, non-regular when the worst deviation
-    exceeds 0.1, inconclusive between.  The trend fields extrapolate the
+    b is a callable.  Ratios are taken over the larger-T half of T_list.
+    Verdict: regular when both smallest-shift ratios are within 0.02 of 1,
+    non-regular when the worst deviation exceeds 0.1, inconclusive
+    between.  The trend fields extrapolate the
     two smallest shifts linearly to eps = 0.
     """
     eps = sorted({float(e) for e in eps_list}, reverse=True)
@@ -309,34 +307,14 @@ def regularity_report(b, eps_list, T_list) -> RegularityReport:
     T = sorted(float(t) for t in T_list)
     if len(T) < 4:
         raise DomainError(f"need at least 4 T samples, got {len(T)}")
-    if callable(b):
-        f = b
-    else:
-        grid, values = b
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise DomainError("sampled b must be a pair of equal-length 1-d arrays")
-        resolution = float(np.max(np.diff(grid)))
-        if resolution > eps[-1] / 10 * (1 + 1e-9):
-            raise DomainError(
-                f"sample resolution {resolution:.3g} too coarse for smallest "
-                f"shift {eps[-1]:.3g}; need <= {eps[-1] / 10:.3g}"
-            )
-        if T[0] - eps[0] < grid[0] or T[-1] + eps[0] > grid[-1]:
-            raise DomainError("sampled b does not cover T_list +- max(eps)")
-
-        def f(t, _g=grid, _v=values):
-            return float(np.interp(t, _g, _v))
-
     tail = T[len(T) // 2 :]
-    centers = [f(t) for t in tail]
+    centers = [b(t) for t in tail]
     if min(centers) <= 0:
         raise DomainError("b must be positive on the evaluated tail")
     lower, upper = [], []
     for e in eps:
-        lower.append(min(f(t - e) / c for t, c in zip(tail, centers)))
-        upper.append(max(f(t + e) / c for t, c in zip(tail, centers)))
+        lower.append(min(b(t - e) / c for t, c in zip(tail, centers)))
+        upper.append(max(b(t + e) / c for t, c in zip(tail, centers)))
     if len(eps) >= 2:
         e0, e1 = eps[-1], eps[-2]
         slope = e0 / (e1 - e0)
@@ -427,7 +405,10 @@ class MeasurePair:
 
 def persistence_check(pair: MeasurePair, T: float) -> tuple[float, float]:
     """d(T) = sum_{loc <= T} mass * nu([0, T - loc]) and its ratio to the
-    dominant term C * T^alpha * e^(beta T)."""
+    dominant term C * T^alpha * e^(beta T).
+
+    nu is interpolated, never extrapolated: a T - loc outside the nu grid
+    raises DomainError."""
     if not (T > 0):
         raise DomainError(f"need T > 0, got {T}")
     grid = pair.nu_grid
@@ -438,6 +419,11 @@ def persistence_check(pair: MeasurePair, T: float) -> tuple[float, float]:
         raise DomainError(
             f"nu sampled only up to {grid[-1]:.6g} but T - location reaches "
             f"{float(needed.max()):.6g}; extend the nu range"
+        )
+    if needed.size and float(needed.min()) < grid[0] - 1e-9:
+        raise DomainError(
+            f"nu sampled only from {grid[0]:.6g} but T - location falls to "
+            f"{float(needed.min()):.6g}; extend the nu range"
         )
     terms = mass[keep] * np.interp(needed, grid, pair.nu_values)
     pieces = [float(terms[a:b].sum()) for a, b in _chunk_edges(terms.size)]

@@ -41,8 +41,10 @@ computed modulo q.  The search expands its frontier in blocks of `_BLOCK`
 products and deduplicates integer keys of the forms, building
 `LatticeClass` objects only for the classes found.  Arrays are int64
 while d q^2 and the keys fit in 62 bits and object arrays of Python ints
-otherwise, with the same code.  The per-neighbour integer Hermite form it
-replaced is kept as a test oracle.
+otherwise, with the same code.  `LatticeClass.from_matrix` runs the same
+modular elimination (`hermite.hermite_forms`) on a single matrix.  The
+per-neighbour integer Hermite form both replaced is kept as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -51,15 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_budget, default_budgets
-from .intmat import (
-    Mat,
-    as_mat,
-    det_int,
-    elementary_divisors,
-    hnf_rows,
-    valuation,
-)
+from .errors import DomainError, check_budget
+from .intmat import Mat, as_mat, det_int, elementary_divisors, valuation
 from .primes import is_prime
 
 # Products (classes x subspaces) per kernel call in `enumerate_classes`.
@@ -192,39 +187,29 @@ class LatticeClass:
     def from_matrix(mat, p: int) -> "LatticeClass":
         """Class of the Z_p-row-span of an arbitrary nonsingular integer matrix.
 
-        Prime-to-p structure is discarded by adjoining p^e Z^d for e the
-        p-valuation of the determinant; the result is rescaled to content
-        coprime to p.
+        With det = p^e u, u prime to p, that span contains p^e Z_p^d, so
+        prime-to-p structure is discarded by adjoining q Z^d for q =
+        p^(e + 1): `hermite.hermite_forms` gives the primitive HNF of
+        rowspan(mat) + q Z^d, computed modulo q.
         """
+        from . import hermite  # here, so `import heightcount` skips compiling it
+
         m = as_mat(mat)
-        d = len(m)
-        if len(m[0]) != d:
+        if len(m[0]) != len(m):
             raise DomainError("need a square matrix")
         det = det_int(m)
         if det == 0:
             raise DomainError("need a nonsingular matrix")
         if not is_prime(p):
             raise DomainError(f"p must be prime, got p={p}")
-        q = p ** valuation(det, p)
-        ident = tuple(
-            tuple(q if i == j else 0 for j in range(d)) for i in range(d)
-        )
-        h = hnf_rows(m + ident)
-        return LatticeClass(p, _primitive_rescale(h, p))
+        form = hermite.hermite_forms(np.array([m], dtype=object), p, valuation(det, p) + 1)
+        return _classes(form, p)[0]
 
     def det_exponent(self) -> int:
         return valuation(det_int(self.hnf), self.p)
 
     def divisor_exponents(self) -> tuple[int, ...]:
         return snf_exponents(self.hnf, self.p)
-
-
-def _primitive_rescale(h: Mat, p: int) -> Mat:
-    t = min(valuation(x, p) for row in h for x in row if x != 0)
-    if t == 0:
-        return h
-    q = p**t
-    return tuple(tuple(x // q for x in row) for row in h)
 
 
 def base_class(params: BuildingParams) -> LatticeClass:
@@ -283,8 +268,7 @@ def enumerate_classes(
 
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
-    limit = max_classes if max_classes is not None else default_budgets().max_classes
-    check_budget("lattice class", _class_bound(params, k_max), limit)
+    check_budget("lattice class", _class_bound(params, k_max), max_classes, "max_classes")
     d, p = params.d, params.p
     bits = (p**k_max).bit_length()
     base = base_class(params)

@@ -102,8 +102,8 @@ def _cmd_classes(args, out):
 
 
 def _cmd_dcoeff(args, out):
-    table = dirichlet.coeff_sieve(args.d, args.xmax, max_sieve=args.max_sieve)
-    rows = [[m, table[m]] for m in range(1, args.xmax + 1)]
+    values = dirichlet.coeff_array(args.d, args.xmax, max_sieve=args.max_sieve).tolist()
+    rows = [[m, values[m]] for m in range(1, args.xmax + 1)]
     _emit_csv("dcoeff", ["m", "D"], rows, out)
 
 

@@ -47,6 +47,9 @@ entries in [-N, N]^4 when N >= entry_bound(x, B):
 
 `_count_chunk` searches that box.  It is kept only as the test oracle of
 the shell enumeration, which verify's box-saturation check also calls.
+`_classify` is the package's one height predicate; the scalar height of a
+single representative and the pure-Python box walk are test oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -57,54 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_budget, default_budgets
+from .errors import DomainError, check_budget
 
 _TIE_TOL = 1e-9
 _BALL_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class _GroupElementQ:
-    """Canonical representative of a PGL_2(Q) class: primitive integer
-    entries (a, b, c, d) with the first nonzero entry positive."""
-
-    entries: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        a, b, c, d = self.entries
-        if a * d - b * c == 0:
-            raise DomainError(f"singular representative {self.entries}")
-        if math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d))) != 1:
-            raise DomainError(f"non-primitive representative {self.entries}")
-        first = next(v for v in self.entries if v != 0)
-        if first < 0:
-            raise DomainError(f"sign not canonical in {self.entries}")
-
-    @classmethod
-    def from_matrix(cls, mat) -> "_GroupElementQ":
-        flat = [int(v) for row in mat for v in row]
-        if len(flat) != 4:
-            raise DomainError("need a 2x2 matrix")
-        g = math.gcd(math.gcd(abs(flat[0]), abs(flat[1])), math.gcd(abs(flat[2]), abs(flat[3])))
-        if g == 0:
-            raise DomainError("zero matrix")
-        flat = [v // g for v in flat]
-        first = next(v for v in flat if v != 0)
-        if first < 0:
-            flat = [-v for v in flat]
-        return cls(tuple(flat))
-
-    @property
-    def det(self) -> int:
-        a, b, c, d = self.entries
-        return a * d - b * c
-
-    def height(self, B: float) -> float:
-        a, b, c, d = self.entries
-        det = abs(a * d - b * c)
-        frob = a * a + b * b + c * c + d * d
-        sigma1_sq = (frob + math.sqrt(frob * frob - 4 * det * det)) / 2.0
-        return det * (sigma1_sq / det) ** (1.0 / (2.0 * B))
+# half-width in log x of the adelic ball sandwich of `compare_report`
+_SANDWICH_EPS = 0.1
 
 
 def entry_bound(x: float, B: float) -> int:
@@ -117,29 +78,6 @@ def entry_bound(x: float, B: float) -> int:
     for e in range(1, int(math.floor(x + 1e-9)) + 1):
         best = max(best, e ** (1.0 - 2.0 * B) * x ** (2.0 * B))
     return int(math.floor(math.sqrt(best) + 1e-9))
-
-
-def _enumerate_elements(bound: int, max_cells: int | None = None):
-    """Yield every canonical representative with entries in [-bound, bound],
-    in lexicographic order of (a, b, c, d).  Pure-Python box oracle for
-    verify's snf-vs-bfs-distance check and the tests."""
-    if bound < 1:
-        raise DomainError(f"need bound >= 1, got {bound}")
-    limit = max_cells if max_cells is not None else default_budgets().max_cells
-    check_budget("enumeration cells", (2 * bound + 1) ** 4, limit)
-    rng = range(-bound, bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c == 0:
-                        continue
-                    first = next(v for v in (a, b, c, d) if v != 0)
-                    if first < 0:
-                        continue
-                    if math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d))) != 1:
-                        continue
-                    yield _GroupElementQ((a, b, c, d))
 
 
 @dataclass(frozen=True)
@@ -225,8 +163,7 @@ def pi_count_detail(
     bound = entry_bound(x, B)
     x_hi = _x_hi(x)
     fcap = shells.shell_caps(x_hi, B)
-    limit = max_cells if max_cells is not None else default_budgets().max_cells
-    check_budget("det-shell candidates", shells.candidate_bound(fcap), limit)
+    check_budget("det-shell candidates", shells.candidate_bound(fcap), max_cells, "max_cells")
     table = shells.Shells(x_hi, B, fcap)
 
     def count(block):
@@ -288,10 +225,9 @@ def compare_report(
     workers: int = 1,
     max_cells: int | None = None,
     max_sieve: int | None = None,
-    sandwich_eps: float = 0.1,
 ) -> CountReport:
     """Exact pi(x) against (30/pi^2) * I * x^2 / covolume and the adelic
-    ball sandwich b(log x -+ eps)/covolume.
+    ball sandwich b(log x -+ eps)/covolume, eps = _SANDWICH_EPS.
 
     I = integral e^(-2t) b_inf(t) dt is taken in closed form under both
     radial growth conventions (e^(B t), labeled low, and e^(2 B t), labeled
@@ -299,13 +235,17 @@ def compare_report(
     high one is infinite exactly when 2B >= 2 and the low one is finite
     throughout 0 < B < 2.  The sandwich columns are asymptotic envelopes,
     so the report states the measured slack max(lower/pi, pi/upper)
-    instead of asserting pointwise bounds.
+    instead of asserting pointwise bounds.  A sandwich side whose radius
+    log x -+ eps is not positive is 0, the volume of an empty ball, so
+    every x > 0 is accepted.
     """
     from .adelic import adelic_volume_callable
 
     grid = [float(t) for t in x_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("x_grid must be nonempty and strictly increasing")
+    if not (grid[0] > 0):
+        raise DomainError(f"need x > 0, got {grid[0]}")
     if not (0 < B < 2):
         raise DomainError(f"the d = 2 counting regime needs 0 < B < 2, got {B}")
     if not (covolume > 0):
@@ -313,7 +253,8 @@ def compare_report(
     coeff = 30.0 / math.pi**2
     i_low = _mainterm_integral(B)
     i_high = _mainterm_integral(2.0 * B)
-    b_adelic = adelic_volume_callable(2, B, math.log(grid[-1]) + sandwich_eps + 1e-9, max_sieve)
+    eps = _SANDWICH_EPS
+    b_adelic = adelic_volume_callable(2, B, max(math.log(grid[-1]), 0.0) + eps + 1e-9, max_sieve)
     pis, ties, low, high, lo_s, hi_s = [], [], [], [], [], []
     bound_used = 0
     for x in grid:
@@ -324,8 +265,8 @@ def compare_report(
         low.append(coeff * i_low * x**2 / covolume)
         high.append(coeff * i_high * x**2 / covolume)
         t = math.log(x)
-        lo_s.append(b_adelic(t - sandwich_eps) / covolume if t - sandwich_eps > 0 else 0.0)
-        hi_s.append(b_adelic(t + sandwich_eps) / covolume)
+        lo_s.append(b_adelic(t - eps) / covolume if t - eps > 0 else 0.0)
+        hi_s.append(b_adelic(t + eps) / covolume if t + eps > 0 else 0.0)
     ratios = [s / p for s, p in zip(lo_s, pis) if p > 0] + [
         p / s for s, p in zip(hi_s, pis) if s > 0
     ]
@@ -339,6 +280,6 @@ def compare_report(
         upper_sandwich=tuple(hi_s),
         entry_bound_used=bound_used,
         tie_counts=tuple(ties),
-        sandwich_eps=sandwich_eps,
+        sandwich_eps=eps,
         slack=slack,
     )

@@ -11,9 +11,10 @@ zeta(s) zeta(s-1)/zeta(2s).  The determinant-one (even-shell) variant at
 d = 2 has closed form zeta(2s-2) zeta(2s-1)/zeta(4s-2).
 
 The coefficients D(0..x) come from one numpy kernel, `coeff_array`,
-which feeds `coeff_sieve`, `partial_sum` and the adelic weights: strided
-int64 products over the prime powers p^k <= x with p <= sqrt(x), then one
-gather for the single prime factor above sqrt(x) that an index can have.
+which feeds the `dcoeff` command, `partial_sum` and the adelic weights:
+strided int64 products over the prime powers p^k <= x with p <= sqrt(x),
+then one gather for the single prime factor above sqrt(x) that an index
+can have.
 A float64 shadow of the same products flags the values that may not fit
 in int64; only those are recomputed on Python ints, so the result is
 always exact.  `coeff_D` (factorization) is its test oracle.
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .building import BuildingParams, shell_count, shell_ratio, sphere_size
-from .errors import DomainError, check_budget, default_budgets
+from .errors import DomainError, check_budget
 from .primes import factorize, primes_up_to
 
 _MARGIN = 1e-6
@@ -50,20 +51,6 @@ _BERNOULLI = (
     7 / 6,
     -3617 / 510,
 )
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Sieved multiplicative coefficients D(1..x_max)."""
-
-    d: int
-    x_max: int
-    values: tuple[int, ...]  # index m; values[0] unused
-
-    def __getitem__(self, m: int) -> int:
-        if not 1 <= m <= self.x_max:
-            raise DomainError(f"m={m} outside sieved range 1..{self.x_max}")
-        return self.values[m]
 
 
 @dataclass(frozen=True)
@@ -163,8 +150,7 @@ def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
         raise DomainError(f"need d >= 2, got {d}")
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
-    limit = max_sieve if max_sieve is not None else default_budgets().max_sieve
-    check_budget("sieve", x_max, limit)
+    check_budget("sieve", x_max, max_sieve, "max_sieve")
     primes = primes_up_to(math.isqrt(x_max))
     vals, shadow, q = _coeff_int64(d, x_max, primes)
     over = np.flatnonzero(shadow >= _INT64_SAFE)
@@ -172,11 +158,6 @@ def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
         vals = _coeff_exact(d, x_max, primes, vals, over, q)
     vals[0] = 0
     return vals
-
-
-def coeff_sieve(d: int, x_max: int, max_sieve: int | None = None) -> CoeffTable:
-    """All of D(1..x_max) from the `coeff_array` kernel, as Python ints."""
-    return CoeffTable(d, x_max, tuple(coeff_array(d, x_max, max_sieve).tolist()))
 
 
 def zeta_em(s: complex) -> complex:

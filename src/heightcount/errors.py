@@ -69,7 +69,14 @@ def default_budgets() -> Budgets:
     return Budgets.from_env()
 
 
-def check_budget(kind: str, estimate: int, limit: int) -> None:
+def check_budget(kind: str, estimate: int, limit: int | None, field: str) -> None:
+    """Raise BudgetError when estimate exceeds limit.
+
+    limit is a per-call override; None means the `field` budget of
+    `default_budgets()` ("max_classes", "max_sieve" or "max_cells").
+    """
+    if limit is None:
+        limit = getattr(default_budgets(), field)
     if estimate > limit:
         raise BudgetError(
             f"estimated {kind} count {estimate} exceeds budget {limit}; "

@@ -1,4 +1,4 @@
-"""Batched Hermite normal forms of lattice-class neighbours.
+"""Batched Hermite normal forms of lattice classes and their neighbours.
 
 The lattice-class search of `heightcount.building` calls this module on
 whole blocks of classes at once.  A class is rowspan(h) for its primitive
@@ -12,9 +12,12 @@ Every such lattice contains q Z^d for some q = p^n that the caller knows,
 so its Hermite form can be computed modulo q (Domich, Kannan and Trotter,
 *Hermite normal form computation using modulo determinant arithmetic*,
 1987).  Over the local ring Z/q this is a fixed-shape elimination
-(`neighbour_forms`).  `form_keys` packs each form into one integer whose
-order is the order of the hnf tuples, so that a block is deduplicated by
-sorting, and `key_forms` unpacks the keys.
+(`hermite_forms`), which `neighbour_forms` runs on the products.  It is
+also the package's only Hermite form of an arbitrary matrix:
+`LatticeClass.from_matrix` runs it on one matrix of determinant p^e u,
+u prime to p, with q = p^(e + 1).  `form_keys` packs each form into one
+integer whose order is the order of the hnf tuples, so that a block is
+deduplicated by sorting, and `key_forms` unpacks the keys.
 
 Arrays are int64 while every intermediate fits in 62 bits: d q^2 for the
 elimination, and the packed entries for the keys.  Beyond that they are
@@ -31,6 +34,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
+
+from .errors import DomainError
 
 # int64 bound for the intermediates and the keys; see `_dtype`
 _INT64_BITS = 62
@@ -94,9 +99,24 @@ def neighbour_forms(hnfs: np.ndarray, p: int, n: int) -> np.ndarray:
     hnfs has shape (B, d, d), and p^(n-1) Z^d must lie in each of its
     lattices, so that q Z^d lies in every neighbour, q = p^n.  Returns
     shape (B N1, d, d): the neighbours of hnfs[0] in subspace order, then
-    those of hnfs[1], and so on.
+    those of hnfs[1], and so on.  Each product S_W h goes through
+    `hermite_forms`.
+    """
+    d = hnfs.shape[1]
+    q = p**n
+    dt = _dtype((d * q * q).bit_length())
+    s = subspace_products(d, p).astype(dt, copy=False)
+    return hermite_forms((s[None] @ hnfs.astype(dt)[:, None]).reshape(-1, d, d), p, n)
 
-    Each product S_W h is put in Hermite form modulo q (Domich, Kannan and
+
+def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Primitive HNFs of rowspan(x[i]) + q Z^d, q = p^n, for x of shape (B, d, d).
+
+    n must be at least 1.  When q Z^d already lies in rowspan(x[i]), this is
+    the primitive HNF of the class of rowspan(x[i]).  x may be any integer
+    array, of Python ints too; it is reduced modulo q first.
+
+    Each matrix is put in Hermite form modulo q (Domich, Kannan and
     Trotter 1987).  Z/q is a local ring, so each column pivots on a row of
     least p-valuation v; its unit part becomes 1 through u^(phi(q) - 1),
     the other rows are cleared, and the pivot slot keeps the annihilator
@@ -104,11 +124,11 @@ def neighbour_forms(hnfs: np.ndarray, p: int, n: int) -> np.ndarray:
     row as its pivot and keeps the row.  The entries above each pivot are
     then reduced, and p^(least valuation) is divided out.
     """
-    d = hnfs.shape[1]
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")  # u^(phi(1) - 1) never ends
+    d = x.shape[1]
     q = p**n
-    dt = _dtype((d * q * q).bit_length())
-    s = subspace_products(d, p).astype(dt, copy=False)
-    x = (s[None] @ hnfs.astype(dt)[:, None]).reshape(-1, d, d) % q
+    x = (x % q).astype(_dtype((d * q * q).bit_length()), copy=False)
     rows = np.arange(len(x))
     h = np.zeros_like(x)
     for c in range(d):

@@ -1,4 +1,4 @@
-"""Exact integer matrix helpers: determinants, Hermite form, elementary divisors.
+"""Exact integer matrix helpers: determinants, elementary divisors, valuations.
 
 Matrices are tuples of row tuples of Python ints.  Everything here is exact;
 no floating point.  Lattices are always row spans.
@@ -43,39 +43,6 @@ def det_int(mat: Mat) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def hnf_rows(mat: Mat) -> Mat:
-    """Row-style Hermite normal form.
-
-    The input rows span a lattice of full column rank d; the result is the
-    unique upper triangular basis with positive diagonal and the entries
-    above each pivot reduced modulo the diagonal entry of their column.
-    Zero rows (from redundant generators) are dropped.
-    """
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    d = len(rows[0])
-    top = 0
-    for col in range(d):
-        piv = next((i for i in range(top, n) if rows[i][col] != 0), None)
-        if piv is None:
-            raise DomainError("rows do not span a full-rank lattice")
-        rows[top], rows[piv] = rows[piv], rows[top]
-        for i in range(top + 1, n):
-            # Euclid on the column entries, swapping to keep the smaller on top.
-            while rows[i][col] != 0:
-                q = rows[top][col] // rows[i][col]
-                rows[top] = [x - q * y for x, y in zip(rows[top], rows[i])]
-                rows[top], rows[i] = rows[i], rows[top]
-        if rows[top][col] < 0:
-            rows[top] = [-x for x in rows[top]]
-        for i in range(top):
-            q = rows[i][col] // rows[top][col]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
-        top += 1
-    return tuple(tuple(r) for r in rows[:top])
 
 
 def elementary_divisors(mat: Mat) -> tuple[int, ...]:

@@ -12,6 +12,10 @@ fixed check order, no timestamps, all numbers through one %.12g
 formatter, and every reduction in a fixed order, so two runs produce
 byte-identical reports.
 
+Checks compare only against package code (counting/snf-vs-bfs-distance
+walks the canonical matrices of [-2, 2]^4 inline); the test oracles of
+tests/oracles.py are not shipped.
+
 The quick tier is the sub-minute CI gate.  The full tier additionally runs
 the breadth-first enumerations, the large sieves, and the empirical
 regularity/persistence studies; it deliberately includes the d = 3
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -110,7 +115,7 @@ def _check_d3_first_shell():
 
 @_check("dirichlet/coefficient-tables", "quick")
 def _check_coeff_tables():
-    t2 = dirichlet.coeff_sieve(2, 10).values[1:]
+    t2 = tuple(dirichlet.coeff_array(2, 10)[1:].tolist())
     want2 = (1, 3, 4, 6, 6, 12, 8, 12, 12, 18)
     d3 = (dirichlet.coeff_D(3, 2), dirichlet.coeff_D(3, 4), dirichlet.coeff_D(3, 6))
     want3 = (14, 140, 364)
@@ -395,14 +400,19 @@ def _check_pi_saturation():
 def _check_snf_vs_bfs():
     checked = 0
     ok = True
-    for g in counting._enumerate_elements(2):
-        det = abs(g.det)
+    # canonical representatives in [-2, 2]^4, in lexicographic order:
+    # nonsingular, primitive, first nonzero entry positive
+    for a, b, c, d in product(range(-2, 3), repeat=4):
+        det = abs(a * d - b * c)
+        if det == 0 or math.gcd(a, b, c, d) != 1 or next(v for v in (a, b, c, d) if v) < 0:
+            continue
         factors = {p for p, _ in factorize(det)}
         if not factors <= {2, 3, 5}:
             continue
-        prof = adelic.global_height([g.entries[:2], g.entries[2:]], 1.0)
+        mat = [[a, b], [c, d]]
+        prof = adelic.global_height(mat, 1.0)
         for p, d_p in prof.finite_exponents:
-            cls = building.LatticeClass.from_matrix([g.entries[:2], g.entries[2:]], p)
+            cls = building.LatticeClass.from_matrix(mat, p)
             dist_map = {c: dist for c, dist in building.enumerate_classes(building.BuildingParams(2, p), d_p + 1)}
             ok &= dist_map.get(cls) == d_p
         checked += 1

@@ -10,6 +10,9 @@ shipped package carries only what it uses.
   against `building.neighbors`.
 - `hnf_universe`: all primitive HNF class representatives of one
   determinant, against the breadth-first shells.
+- `hnf_rows`, `_primitive_rescale`: the row Hermite form by integer
+  Euclid and its division by the p-part of the content, against the
+  modular elimination behind `LatticeClass.from_matrix`.
 - `neighbors_by_hnf`, `enumerate_by_hnf`: neighbours by one integer
   Hermite form per subspace, and breadth-first search over them, against
   the batched modular kernel behind `neighbors` and `enumerate_classes`.
@@ -19,21 +22,27 @@ shipped package carries only what it uses.
   factor at a time, against the array factors of `L_euler`, bit for bit.
 - `components_by_loop`: the convolution summands one `np.interp` per m,
   against `BallVolumeSeries.components`.
+- `_GroupElementQ`, `_enumerate_elements`: the canonical representative
+  of one PGL_2(Q) class with its scalar height, and the pure-Python walk
+  of the entry box, against the array predicate `counting._classify` and
+  the det-shell count.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from heightcount import BuildingParams, DomainError, LatticeClass, base_class, zeta_em
 from heightcount.adelic import BallVolumeSeries, _setup
-from heightcount.building import _primitive_rescale, shell_count, shell_ratio
+from heightcount.building import shell_count, shell_ratio
+from heightcount.errors import check_budget
 from heightcount.hermite import subspace_bases
-from heightcount.intmat import Mat, content, det_int, hnf_rows
+from heightcount.intmat import Mat, content, det_int, valuation
 from heightcount.primes import is_prime, primes_up_to
 
 
@@ -156,6 +165,47 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def hnf_rows(mat: Mat) -> Mat:
+    """Row-style Hermite normal form.
+
+    The input rows span a lattice of full column rank d; the result is the
+    unique upper triangular basis with positive diagonal and the entries
+    above each pivot reduced modulo the diagonal entry of their column.
+    Zero rows (from redundant generators) are dropped.
+    """
+    rows = [list(r) for r in mat]
+    n = len(rows)
+    d = len(rows[0])
+    top = 0
+    for col in range(d):
+        piv = next((i for i in range(top, n) if rows[i][col] != 0), None)
+        if piv is None:
+            raise DomainError("rows do not span a full-rank lattice")
+        rows[top], rows[piv] = rows[piv], rows[top]
+        for i in range(top + 1, n):
+            # Euclid on the column entries, swapping to keep the smaller on top.
+            while rows[i][col] != 0:
+                q = rows[top][col] // rows[i][col]
+                rows[top] = [x - q * y for x, y in zip(rows[top], rows[i])]
+                rows[top], rows[i] = rows[i], rows[top]
+        if rows[top][col] < 0:
+            rows[top] = [-x for x in rows[top]]
+        for i in range(top):
+            q = rows[i][col] // rows[top][col]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
+        top += 1
+    return tuple(tuple(r) for r in rows[:top])
+
+
+def _primitive_rescale(h: Mat, p: int) -> Mat:
+    t = min(valuation(x, p) for row in h for x in row if x != 0)
+    if t == 0:
+        return h
+    q = p**t
+    return tuple(tuple(x // q for x in row) for row in h)
+
+
 def neighbors_by_hnf(cls: LatticeClass, d: int) -> list[LatticeClass]:
     """All classes adjacent to cls.
 
@@ -237,3 +287,69 @@ def components_by_loop(series: BallVolumeSeries, T: float):
             break
         out.append((m, weights[m - 1], float(np.interp(radius, interp.r_grid, interp.values))))
     return out
+
+
+@dataclass(frozen=True)
+class _GroupElementQ:
+    """Canonical representative of a PGL_2(Q) class: primitive integer
+    entries (a, b, c, d) with the first nonzero entry positive."""
+
+    entries: tuple[int, int, int, int]
+
+    def __post_init__(self) -> None:
+        a, b, c, d = self.entries
+        if a * d - b * c == 0:
+            raise DomainError(f"singular representative {self.entries}")
+        if math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d))) != 1:
+            raise DomainError(f"non-primitive representative {self.entries}")
+        first = next(v for v in self.entries if v != 0)
+        if first < 0:
+            raise DomainError(f"sign not canonical in {self.entries}")
+
+    @classmethod
+    def from_matrix(cls, mat) -> "_GroupElementQ":
+        flat = [int(v) for row in mat for v in row]
+        if len(flat) != 4:
+            raise DomainError("need a 2x2 matrix")
+        g = math.gcd(math.gcd(abs(flat[0]), abs(flat[1])), math.gcd(abs(flat[2]), abs(flat[3])))
+        if g == 0:
+            raise DomainError("zero matrix")
+        flat = [v // g for v in flat]
+        first = next(v for v in flat if v != 0)
+        if first < 0:
+            flat = [-v for v in flat]
+        return cls(tuple(flat))
+
+    @property
+    def det(self) -> int:
+        a, b, c, d = self.entries
+        return a * d - b * c
+
+    def height(self, B: float) -> float:
+        a, b, c, d = self.entries
+        det = abs(a * d - b * c)
+        frob = a * a + b * b + c * c + d * d
+        sigma1_sq = (frob + math.sqrt(frob * frob - 4 * det * det)) / 2.0
+        return det * (sigma1_sq / det) ** (1.0 / (2.0 * B))
+
+
+def _enumerate_elements(bound: int, max_cells: int | None = None):
+    """Yield every canonical representative with entries in [-bound, bound],
+    in lexicographic order of (a, b, c, d).  Pure-Python box oracle of
+    the tests."""
+    if bound < 1:
+        raise DomainError(f"need bound >= 1, got {bound}")
+    check_budget("enumeration cells", (2 * bound + 1) ** 4, max_cells, "max_cells")
+    rng = range(-bound, bound + 1)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                for d in rng:
+                    if a * d - b * c == 0:
+                        continue
+                    first = next(v for v in (a, b, c, d) if v != 0)
+                    if first < 0:
+                        continue
+                    if math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d))) != 1:
+                        continue
+                    yield _GroupElementQ((a, b, c, d))

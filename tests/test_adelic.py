@@ -225,20 +225,6 @@ def test_regularity_report_shape():
     assert rep.verdict in {"regular", "non-regular", "inconclusive"}
 
 
-def test_regularity_accepts_sampled_input():
-    grid = np.linspace(5.0, 12.0, 14001)
-    samples = np.exp(2 * grid) * grid
-    rep = regularity_report((grid, samples), _eps(), np.linspace(6.0, 11.0, 30))
-    assert rep.verdict == "regular"
-
-
-def test_regularity_rejects_coarse_samples():
-    grid = np.linspace(5.0, 12.0, 200)
-    samples = np.exp(grid)
-    with pytest.raises(DomainError, match="resolution"):
-        regularity_report((grid, samples), _eps(), np.linspace(6.0, 11.0, 30))
-
-
 def test_regularity_validation():
     with pytest.raises(DomainError):
         regularity_report(lambda x: math.exp(x), [], [5.0, 6.0])
@@ -326,6 +312,19 @@ def test_persistence_requires_covering_range():
     pair = _pair_two_masses()
     with pytest.raises(DomainError):
         persistence_check(pair, 11.0)
+
+
+def test_persistence_rejects_nu_below_its_grid():
+    # nu sampled on [1, 10]: at T = 1.5 the mass at log 2 needs nu at 0.807,
+    # below the grid, where interpolation would clamp it to nu(1) and
+    # return 27.4746 instead of e^3 + e^(2 (1.5 - log 2)) = 25.1069
+    grid = np.linspace(1.0, 10.0, 9001)
+    pair = MeasurePair(((0.0, 1.0), (math.log(2.0), 1.0)), grid, np.exp(2.0 * grid), alpha=0.0, beta=2.0)
+    with pytest.raises(DomainError, match="only from 1 but T - location falls to 0.80685"):
+        persistence_check(pair, 1.5)
+    # from T = 1 + log 2 on every read lies on the grid
+    d_T, _ = persistence_check(pair, 2.0)
+    assert d_T == pytest.approx(1.25 * math.exp(4.0), rel=1e-5)
 
 
 def test_measure_pair_validation():

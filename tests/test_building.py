@@ -2,7 +2,8 @@
 
 The closed-form shell counts are cross-checked against brute-force BFS
 from the standard lattice class, and the lattice-class normal form is
-exercised with random unimodular row operations.
+exercised with random unimodular row operations and compared with the
+integer Euclid Hermite form of the oracles.
 """
 
 import math
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heightcount import (
@@ -32,8 +33,11 @@ from heightcount import (
 )
 from heightcount import building, hermite
 from heightcount.building import _class_bound
+from heightcount.intmat import det_int, valuation
 from oracles import (
+    _primitive_rescale,
     enumerate_by_hnf,
+    hnf_rows,
     hnf_universe,
     is_adjacent,
     neighbors_by_hnf,
@@ -415,6 +419,40 @@ def test_kernel_form_matches_integer_hnf(rows, p, pick, extra):
     w = pick % len(expected)
     forms = hermite.neighbour_forms(np.array([cls.hnf], dtype=object), p, cls.det_exponent() + 1 + extra)
     assert tuple(map(tuple, forms[w].tolist())) == expected[w].hnf
+
+
+def _class_by_euclid(rows, p):
+    """The class through the integer Hermite form of rowspan(rows) + p^e Z^d."""
+    m = tuple(map(tuple, rows))
+    q = p ** valuation(det_int(m), p)
+    ident = tuple(tuple(q if i == j else 0 for j in range(len(m))) for i in range(len(m)))
+    return LatticeClass(p, _primitive_rescale(hnf_rows(m + ident), p))
+
+
+def _scaled_matrices(d):
+    """Nonsingular matrices with small or 70-bit entries, and column powers."""
+    entries = st.one_of(_matrices(d), _matrices(d, -(2**70), 2**70))
+    return st.tuples(entries, st.lists(st.integers(0, 30), min_size=d, max_size=d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(_scaled_matrices), st.sampled_from([2, 3, 5]))
+@example(([[1, 0], [0, 1]], [0, 0]), 2)
+@example(([[3, 1, 4], [1, 5, 9], [2, 6, 5]], [40, 0, 25]), 2)
+@example(([[-(2**70), 1], [5, 2**69 + 1]], [30, 30]), 5)
+def test_from_matrix_matches_integer_hnf(case, p):
+    # column k scaled by p^(powers[k]) lifts v_p(det) up to 120, so
+    # q = p^(v_p(det) + 1) puts the elimination on int64 and on object
+    # arrays (the second and third examples)
+    rows, powers = case
+    rows = [[v * p**k for v, k in zip(row, powers)] for row in rows]
+    assert LatticeClass.from_matrix(rows, p) == _class_by_euclid(rows, p)
+
+
+def test_hermite_forms_needs_a_positive_power():
+    # q = p^0 = 1 would make the unit inverse u^(phi(q) - 1) loop forever
+    with pytest.raises(DomainError, match="n >= 1"):
+        hermite.hermite_forms(np.eye(2, dtype=np.int64)[None], 2, 0)
 
 
 @settings(max_examples=30)

@@ -203,6 +203,16 @@ def test_classes_output_is_pinned(capsys):
     assert out == (DATA / "classes_d3_p2_k2.csv").read_text()
 
 
+@pytest.mark.parametrize("d, xmax", [(2, 64), (3, 64), (4, 64), (5, 64), (6, 600)])
+def test_dcoeff_output_is_pinned(capsys, d, xmax):
+    # stdout of `heightcount dcoeff --d d --xmax xmax`, pinned byte for byte;
+    # at d = 6 the values pass 2^62 from m = 512 on, so the sieve's object
+    # array path is pinned too
+    code, out = run(capsys, "dcoeff", "--d", str(d), "--xmax", str(xmax))
+    assert code == 0
+    assert out == (DATA / f"dcoeff_d{d}_x{xmax}.csv").read_text()
+
+
 @pytest.mark.parametrize("tier", ["quick", "full"])
 def test_verify_report_is_pinned(registry, tier):
     # the pinned files are the stdout of `heightcount verify --quick` and
@@ -250,6 +260,24 @@ def test_budget_error_exits_two(capsys):
         assert "HEIGHTCOUNT_MAX_" in err
 
 
+@pytest.mark.parametrize(
+    "variable, argv, kind",
+    [
+        ("HEIGHTCOUNT_MAX_SIEVE", ["dcoeff", "--d", "2", "--xmax", "100"], "sieve count 100"),
+        ("HEIGHTCOUNT_MAX_SIEVE", ["ball-adelic", "--d", "2", "--B", "1", "--Tmax", "5"], "sieve count 148"),
+        ("HEIGHTCOUNT_MAX_CLASSES", ["classes", "--d", "2", "--p", "2", "--kmax", "3"], "lattice class count 22"),
+        ("HEIGHTCOUNT_MAX_CELLS", ["count", "--xmax", "8", "--B", "1"], "det-shell candidates count 78"),
+    ],
+)
+def test_budget_defaults_come_from_the_environment(capsys, monkeypatch, variable, argv, kind):
+    # without a --max-* flag each budget is the HEIGHTCOUNT_MAX_* value
+    monkeypatch.setenv(variable, "10")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert f"estimated {kind} exceeds budget 10;" in err
+
+
 def test_all_outputs_carry_schema_tag(capsys):
     runs = [
         ["sphere", "--d", "2", "--p", "2", "--k", "1"],
@@ -292,13 +320,30 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert code == 0, argv
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_readme_script_lines_run():
     lines = [shlex.split(line) for line in _readme_block("## Scripts") if line.startswith("python ")]
     assert len(lines) == 3
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = _src_env()
     for argv in lines:
         proc = subprocess.run(
             [sys.executable, *argv[1:]], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_import_leaves_kernels_and_verify_unimported():
+    # the BFS kernel, the det-shell enumeration and the check suite load on
+    # first use, so a bare `import heightcount` stays cheap
+    lazy = ("heightcount.hermite", "heightcount.shells", "heightcount.verify")
+    code = f"import sys, heightcount; print([m for m in {lazy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

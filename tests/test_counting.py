@@ -26,7 +26,7 @@ from heightcount import (
     pi_count,
     pi_count_detail,
 )
-from heightcount.counting import _enumerate_elements, _GroupElementQ
+from oracles import _enumerate_elements, _GroupElementQ
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +350,39 @@ def test_compare_report_validation():
         compare_report([2.0], 2.5)  # B must satisfy 0 < B < 2
     with pytest.raises(DomainError):
         compare_report([], 1.0)
+    for grid in ([0.0, 1.0], [-1.0, 2.0]):
+        with pytest.raises(DomainError, match="need x > 0"):
+            compare_report(grid, 1.0)
+
+
+def test_compare_report_bit_pins():
+    # float.hex of the sandwich columns and the slack, recorded before the
+    # below-one branch existed: grids with every x >= 1 keep their bits
+    rep = compare_report([1.0, 2.0, 4.0], 1.0)
+    assert [v.hex() for v in rep.lower_sandwich] == [
+        "0x0.0p+0", "0x1.948ce051ec900p-2", "0x1.07cb2ddad2132p+2"
+    ]
+    assert [v.hex() for v in rep.upper_sandwich] == [
+        "0x1.48c612c7ba756p-7", "0x1.9af8123be306bp-1", "0x1.da20b88b12116p+2"
+    ]
+    assert rep.slack.hex() == "0x1.8eab5926fe711p+8"
+
+
+def test_compare_report_below_one():
+    # pi(x) = 0 below 1; a sandwich side with radius log x -+ eps <= 0 is
+    # the empty ball's 0, and the rest of the grid is unchanged
+    rep = compare_report([0.5, 1.0, 2.0], 1.0)
+    whole = compare_report([1.0, 2.0], 1.0)
+    assert rep.pi_values == (0, 4, 24)
+    assert rep.tie_counts == (0, 4, 4)
+    assert rep.lower_sandwich == (0.0,) + whole.lower_sandwich
+    assert rep.upper_sandwich == (0.0,) + whole.upper_sandwich
+    assert rep.slack == whole.slack
+    alone = compare_report([0.5], 1.0)
+    assert (alone.pi_values, alone.lower_sandwich, alone.upper_sandwich) == ((0,), (0.0,), (0.0,))
+    assert alone.slack == math.inf
+    # within eps of 1 from below the upper side is a real ball
+    near = compare_report([0.95], 1.0)
+    assert near.pi_values == (0,)
+    assert near.lower_sandwich == (0.0,)
+    assert near.upper_sandwich[0] > 0

@@ -19,7 +19,6 @@ from heightcount import (
     L_euler,
     L_euler_sl2,
     coeff_D,
-    coeff_sieve,
     partial_sum,
     pole_abscissas,
     residue_estimate,
@@ -88,18 +87,11 @@ def test_coeff_sieve_matches_pointwise():
         (6, 2000, object),
     ]
     for d, x_max, dtype in cases:
-        assert coeff_array(d, x_max).dtype == dtype
-        values = coeff_sieve(d, x_max).values
+        array = coeff_array(d, x_max)
+        assert array.dtype == dtype
+        values = array.tolist()
         assert values[0] == 0
         assert list(values[1:]) == [coeff_D(d, m) for m in range(1, x_max + 1)]
-
-
-def test_coeff_sieve_range_errors():
-    table = coeff_sieve(2, 10)
-    with pytest.raises(DomainError):
-        table[0]
-    with pytest.raises(DomainError):
-        table[11]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -107,7 +99,7 @@ def test_coeff_sieve_large_table_exact(d):
     # every entry at or past 2^52 (where float64 stops being exact), plus
     # a seeded sample of the rest, against factorization
     x_max = 10**6
-    values = coeff_sieve(d, x_max).values
+    values = coeff_array(d, x_max).tolist()
     big = [m for m in range(1, x_max + 1) if values[m] >= 2**52]
     assert len(big) == {2: 0, 3: 3908}[d]
     sample = random.Random(f"coeff-sieve/{d}").sample(range(1, x_max + 1), 3000)
@@ -117,11 +109,11 @@ def test_coeff_sieve_large_table_exact(d):
 
 def test_coeff_sieve_values_past_int64():
     # d = 3, m = 2^19: D(2) c(2)^18 = 14 * 10^18 > 2^63
-    table = coeff_sieve(3, 2**19)
+    table = coeff_array(3, 2**19).tolist()
     assert table[2**19] == 14 * 10**18 > 2**63
     assert table[2**19 - 1] == coeff_D(3, 2**19 - 1)
     # d = 5: D(p) alone passes 2^63 from p ~ 3.9e4 on
-    table = coeff_sieve(5, 50000)
+    table = coeff_array(5, 50000).tolist()
     top = primes_up_to(50000)[-20:]
     mid = primes_up_to(25000)[-20:]
     assert all(shell_count(5, q) > 2**63 for q in top)
@@ -133,7 +125,7 @@ def test_coeff_sieve_large_prime_times_oversized_part():
     # m = s q with q > sqrt(x) prime and D(s) itself past 2^63, so both
     # factors of D(m) = D(s) D(q) must be exact
     x_max = 3 * 10**5
-    table = coeff_sieve(6, x_max)
+    table = coeff_array(6, x_max).tolist()
     for s in (384, 480, 512):
         assert coeff_D(6, s) > 2**63
         for q in primes_up_to(x_max // s):
@@ -147,14 +139,14 @@ def test_shell_count_horner_does_not_wrap():
     primes = [q for q in primes_up_to(70000) if q >= 55000]
     got = shell_count(4, np.array(primes, dtype=np.int64))
     assert got.tolist() == [3 * (q**4 - 1) // (q - 1) for q in primes]
-    table = coeff_sieve(4, 70000)
+    table = coeff_array(4, 70000).tolist()
     assert all(table[q] == coeff_D(4, q) for q in primes)
 
 
 @pytest.mark.parametrize("d, x_max", [(2, 10**5), (3, 2**19), (5, 3000)])
 def test_adelic_weights_are_rounded_exact_coefficients(d, x_max):
     weights, _ = _coeff_arrays(d, x_max)
-    exact = np.array([float(v) for v in coeff_sieve(d, x_max).values[1:]])
+    exact = np.array([float(v) for v in coeff_array(d, x_max).tolist()[1:]])
     assert np.array_equal(weights.view(np.int64), exact.view(np.int64))
 
 
@@ -169,7 +161,7 @@ def test_coeff_growth_is_polynomially_bounded():
     # log_m D(m) stays below (d - 1) + log2(2(d - 1)) for every m
     for d in (2, 3):
         cap = (d - 1) + math.log2(2 * (d - 1))
-        table = coeff_sieve(d, 5000)
+        table = coeff_array(d, 5000).tolist()
         for m in range(2, 5001):
             assert math.log(table[m], m) <= cap + 1e-12
 
@@ -236,7 +228,7 @@ def test_euler_series_matches_coefficient_sum_d3():
     # the factor-by-factor product must agree with a long direct sum of
     # D(m) m^{-s} when s is far to the right of every pole
     s = 7.0
-    table = coeff_sieve(3, 4000)
+    table = coeff_array(3, 4000).tolist()
     direct = math.fsum(table[m] * m**-s for m in range(1, 4001))
     got = L_euler(3, s)
     assert abs(got.value - direct) < 1e-9 * abs(direct)
@@ -407,7 +399,7 @@ def test_partial_sum_asymptotic_slope():
 def test_partial_sum_b0_is_exact_integer_sum(d, x):
     # (3, 5e5) stays on int64 yet its total passes 2^63, so a plain int64
     # sum would wrap; (3, 2^19 + 7) and (6, 3000) sum Python ints
-    exact = sum(coeff_sieve(d, x).values)
+    exact = sum(coeff_array(d, x).tolist())
     assert (exact > 2**63) == (d > 2)
     assert partial_sum(d, 0.0, float(x)) == float(exact)
 
