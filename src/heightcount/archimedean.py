@@ -17,33 +17,30 @@ The radial ball volume is
     b_inf(R) = integral over {X dominant, norm_b(X, B) <= R} of
                prod_{i<j} sinh(X_i - X_j) dX,
 
-computed by splitting the dominant sector into a radial coordinate
-y = rho(X) in [0, B R] and a cross-section simplex.  One kernel,
-`_section_integral`, integrates the density over the cross-section at
-given radii by tensor Gauss-Legendre, a bounded chunk of radii at a time.
-Two integrators run over it: `ball_volume_numeric` (adaptive composite
-Gauss-Legendre in y, to rtol 1e-10 at one radius) and `ball_volume_table`
-(cumulative Simpson on a 1e-3 radius grid, one table serving many
-radii).  For d = 2 this collapses to
-integral of sinh(2 y) dy = (cosh(2 B R) - 1) / 2.
+taken over the cone X = sum_k t_k w_k (t >= 0) with radial coordinate
+y = rho(X) = sum_k t_k in [0, B R].  `ball_volume_numeric` (d <= 6) sums
+an exact power series in B R with nonnegative rational coefficients.
+`ball_volume_table` (d <= 4) integrates y^(rank-1) times the cross-section
+integral `_section_integral` (tensor Gauss-Legendre) by cumulative Simpson
+on a 1e-3 radius grid, one table serving many radii.  For d = 2 both come
+to (cosh(2 B R) - 1) / 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 _TRACE_TOL = 1e-12
-# ball_volume_numeric: stop when two successive refinements agree to _RTOL,
-# starting from _MESH radial panels and doubling at most _MAX_REFINEMENTS times
-_RTOL = 1e-10
-_MESH = 8
-_MAX_REFINEMENTS = 8
+# ball_volume_numeric: largest B * R, where b_inf is below 2^1024 for d <= 6
+_MAX_BR = 350.0
 # ball_volume_table: radius spacing of the cumulative table
 _TABLE_STEP = 1e-3
 # floats per chunk of the radius x cross-section x d grid (32 MB)
@@ -119,11 +116,7 @@ def norm_b(x, B: float) -> float:
     arr = as_chamber_vector(x)
     if not (B > 0):
         raise DomainError(f"need B > 0, got {B}")
-    total = 0.0
-    for i in range(arr.size):
-        for j in range(i + 1, arr.size):
-            total += abs(arr[i] - arr[j])
-    return total / (2.0 * B)
+    return sum(abs(a - b) for a, b in itertools.combinations(arr, 2)) / (2.0 * B)
 
 
 def cartan_density(x) -> float:
@@ -132,11 +125,7 @@ def cartan_density(x) -> float:
     arr = as_chamber_vector(x)
     if np.any(np.diff(arr) > _TRACE_TOL * max(1.0, float(np.max(np.abs(arr))))):
         raise DomainError("cartan_density needs a dominant (weakly decreasing) vector")
-    out = 1.0
-    for i in range(arr.size):
-        for j in range(i + 1, arr.size):
-            out *= math.sinh(max(arr[i] - arr[j], 0.0))
-    return out
+    return math.prod(math.sinh(max(a - b, 0.0)) for a, b in itertools.combinations(arr, 2))
 
 
 def archimedean_height(g, B: float) -> float:
@@ -207,25 +196,24 @@ def _sector_jacobian(system: RootSystemA) -> float:
 
 def _pair_density(x_grid: np.ndarray, d: int) -> np.ndarray:
     out = np.ones(x_grid.shape[:-1])
-    for i in range(d):
-        for j in range(i + 1, d):
-            out = out * np.sinh(x_grid[..., i] - x_grid[..., j])
+    for i, j in itertools.combinations(range(d), 2):
+        out = out * np.sinh(x_grid[..., i] - x_grid[..., j])
     return out
 
 
-def _section_integral(d: int, y: np.ndarray, q: int) -> np.ndarray:
+def _section_integral(d: int, y: np.ndarray) -> np.ndarray:
     """Integral of the Cartan density over the cross-section at each radius y.
 
     The cross-section {rho(X) = y} of the dominant sector is y times the
     simplex spanned by the rows w_k; its points are y * (sigma @ W) for
-    sigma in the standard simplex, integrated by the q-point-per-axis rule
+    sigma in the standard simplex, integrated by the 24-point-per-axis rule
     of `_simplex_nodes` in the first rank - 1 coordinates.  The y x simplex
     x d grid is built _CHUNK_FLOATS floats at a time, so memory does not
     grow with the number of radii.
     """
     system = RootSystemA(d)
     rank = system.rank
-    v, wv = _simplex_nodes(rank - 1, q)
+    v, wv = _simplex_nodes(rank - 1, 24)
     sigma = np.empty((v.shape[0], rank))
     sigma[:, : rank - 1] = v
     sigma[:, rank - 1] = 1.0 - v.sum(axis=1)
@@ -238,50 +226,66 @@ def _section_integral(d: int, y: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _weyl_rates(d: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """Exponents of prod_{i<j} sinh(X_i - X_j) = 2^(-N) sum_{w in S_d} sgn(w)
+    exp(<l_w, X>), N = d(d-1)/2, l_w = (d + 1 - 2 w(i))_i, on the cone: at
+    X = sum_k t_k w_k the exponent is sum_k c_{w,k} t_k, c_{w,k} = <l_w, w_k>
+    in [-2, 2].  Returns L = lcm_k k (d - k) and the distinct sorted integer
+    tuples L c_w with their summed signs, cancelled ones dropped."""
+    L = math.lcm(*(k * (d - k) for k in range(1, d)))
+    signs: dict[tuple[int, ...], int] = {}
+    for w in itertools.permutations(range(1, d + 1)):
+        ell = [d + 1 - 2 * v for v in w]  # sums to 0, so <l_w, omega_k> = ell_1 + ... + ell_k
+        rates = tuple(sorted(2 * L // (k * (d - k)) * sum(ell[:k]) for k in range(1, d)))
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(w, 2))
+        signs[rates] = signs.get(rates, 0) + sign
+    return L, tuple(item for item in signs.items() if item[1])
+
+
 def ball_volume_numeric(d: int, B: float, R: float) -> float:
-    """Normalised-measure volume of the radial ball {norm_b <= R}, d <= 4.
+    """Normalised-measure volume of the radial ball {norm_b <= R}, d <= 6.
 
-    Integrates the cross-section integral times y^(rank-1) over the radial
-    variable y = rho(X) in [0, B R] with composite 16-point Gauss-Legendre
-    panels, then doubles the panels and raises the cross-section rule
-    (8 -> 48 points per axis) until two successive values agree to
-    _RTOL.  Raises QuadratureError if agreement stalls after
-    _MAX_REFINEMENTS doublings.
+    On the cone X = sum_k t_k w_k (t >= 0, sum t = rho(X) <= s = B R) each
+    X_i - X_j is a nonnegative combination of the t_k.  Expanding the
+    exponentials of `_weyl_rates` and integrating powers of linear forms
+    over the simplex (Baldoni et al., "How to integrate a polynomial over a
+    simplex", 2011) gives, with r = d - 1 and h_j the complete homogeneous
+    polynomial, b_inf(R) = jac * sum_j alpha_j s^(j + r), where every
+    alpha_j = 2^(-N) sum_w sgn(w) h_j(c_w) / (j + r)! is >= 0.  The partial
+    sum is exact in rationals (s = Fraction(B) * Fraction(R)), rounded once
+    to float and multiplied by jac.
+
+    Stopping rule: the density is coefficientwise at most e^(2 rho(X)), so
+    alpha_j s^(j + r) <= beta_j = (2s)^j s^r / (j! (r - 1)! (j + r)) and
+    beta_(j+1) / beta_j <= 2s / (j + 1).  Once J + 2 > 2s the terms past J
+    sum to at most beta_(J+1) / (1 - 2s / (J + 2)); the sum stops at the
+    first such J where that is at most 2^-60 of the partial sum.
     """
-    if d < 2 or d > 4:
-        raise DomainError(f"ball_volume_numeric supports 2 <= d <= 4, got {d}")
-    if not (B > 0) or not (R >= 0):
-        raise DomainError(f"need B > 0 and R >= 0, got B={B}, R={R}")
-    if R == 0.0:
-        return 0.0
-    system = RootSystemA(d)
-    jac = _sector_jacobian(system)
-    rank = system.rank
-    y_max = B * R
-    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(16)
+    if d < 2 or d > 6:
+        raise DomainError(f"ball_volume_numeric supports 2 <= d <= 6, got {d}")
+    if not (B > 0 and R >= 0 and B * R <= _MAX_BR):
+        raise DomainError(f"need B > 0, R >= 0 and B R <= {_MAX_BR}, got B={B}, R={R}")
+    from fractions import Fraction
 
-    def evaluate(n_panels: int, q_inner: int) -> float:
-        edges = np.linspace(0.0, y_max, n_panels + 1)
-        half = np.diff(edges) / 2.0
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        y = (mid[:, None] + half[:, None] * nodes_1d[None, :]).reshape(-1)
-        wy = (half[:, None] * weights_1d[None, :]).reshape(-1)
-        inner = _section_integral(d, y, q_inner)
-        return jac * float(np.dot(wy * y ** (rank - 1), inner))
-
-    mesh, q = _MESH, 8
-    previous = evaluate(mesh, q)
-    for _ in range(_MAX_REFINEMENTS):
-        mesh *= 2
-        q = min(q + 8, 48)
-        current = evaluate(mesh, q)
-        scale = max(abs(current), abs(previous), 1e-300)
-        if abs(current - previous) <= _RTOL * scale:
-            return current
-        previous = current
-    raise QuadratureError(
-        f"ball volume quadrature did not reach rtol={_RTOL} for d={d}, B={B}, R={R}"
-    )
+    r, (L, groups) = d - 1, _weyl_rates(d)
+    s = Fraction(B) * Fraction(R)
+    rows = [[1] * d for _ in groups]  # rows[g][k] = h_j(first k rates of group g)
+    denom, total = 2 ** (d * r // 2) * math.factorial(r), Fraction(0)  # 2^N L^j (j + r)!
+    for j in itertools.count():
+        a_j = sum(sign * row[r] for (_, sign), row in zip(groups, rows))
+        total += Fraction(a_j, denom) * s ** (j + r)
+        if j + 2 > 2 * s:
+            beta = (2 * s) ** (j + 1) * s**r
+            beta /= math.factorial(j + 1) * math.factorial(r - 1) * (j + 1 + r)
+            if beta * 2**60 <= total * (1 - 2 * s / (j + 2)):
+                break
+        denom *= L * (j + 1 + r)
+        for (rates, _), row in zip(groups, rows):
+            row[0] = 0
+            for k in range(1, d):
+                row[k] = row[k - 1] + rates[k - 1] * row[k]
+    return _sector_jacobian(RootSystemA(d)) * float(total)
 
 
 def ball_volume_table(d: int, B: float, R_max: float):
@@ -304,7 +308,7 @@ def ball_volume_table(d: int, B: float, R_max: float):
     r_grid = _TABLE_STEP * np.arange(n_steps + 1)
     h = B * _TABLE_STEP / 2.0
     y = h * np.arange(2 * n_steps + 1)
-    g = _section_integral(d, y, 24) * y ** (rank - 1)
+    g = _section_integral(d, y) * y ** (rank - 1)
     if rank == 1:
         g[0] = 0.0  # y^0 * sinh(2y) vanishes at 0; avoid 0**0 ambiguity
     panels = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1::2] + g[2::2])

@@ -30,10 +30,6 @@ class BudgetError(HeightCountError, RuntimeError):
     """Estimated cost of an operation exceeds the configured budget."""
 
 
-class QuadratureError(HeightCountError, RuntimeError):
-    """Numerical integration failed to converge under refinement."""
-
-
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:

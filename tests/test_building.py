@@ -128,6 +128,13 @@ def test_bfs_matches_tree_counts_d2(p):
         assert len(shell) == sphere_size(params, k)
 
 
+def test_bfs_deep_d2_check_passes(registry):
+    # p = 2, 3, 5 out to distance 6; criterion 2 runs this check too, but
+    # fails by design on its d = 3 checks, which would hide a failure here
+    res, _ = registry("building/bfs-deep-d2")
+    assert res.passed, res.detail
+
+
 @pytest.mark.parametrize(
     "d, p, k_max",
     [(2, 2, 6), (2, 3, 6), (2, 5, 6), (3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 1)],

@@ -71,6 +71,8 @@ def test_height_profile(capsys):
 def test_ball_volume_closed_form(capsys):
     doc = run_json(capsys, "ball-volume", "--d", "2", "--B", "1", "--R", "3")
     assert doc["volume"] == pytest.approx((math.cosh(6) - 1) / 2, rel=1e-9)
+    doc = run_json(capsys, "ball-volume", "--d", "5", "--B", "1", "--R", "2")
+    assert doc["volume"] == 2.31107801147e-06
 
 
 def test_lseries_both_variants(capsys):
@@ -338,9 +340,10 @@ def test_readme_script_lines_run():
 
 
 def test_import_leaves_kernels_and_verify_unimported():
-    # the BFS kernel, the det-shell enumeration and the check suite load on
-    # first use, so a bare `import heightcount` stays cheap
-    lazy = ("heightcount.hermite", "heightcount.shells", "heightcount.verify")
+    # the BFS kernel, the det-shell enumeration, the check suite and the
+    # exact ball-volume series load on first use, so a bare
+    # `import heightcount` stays cheap
+    lazy = ("heightcount.hermite", "heightcount.shells", "heightcount.verify", "fractions")
     code = f"import sys, heightcount; print([m for m in {lazy!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=_src_env(), capture_output=True, text=True, timeout=60
