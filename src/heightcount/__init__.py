@@ -77,6 +77,6 @@ from .dirichlet import (
     residue_estimate,
     zeta_em,
 )
-from .errors import BudgetError, Budgets, DomainError, HeightCountError
+from .errors import BudgetError, DomainError, HeightCountError
 
 __version__ = "0.1.0"

@@ -11,10 +11,13 @@ The expected count of classes with height at most e^T factors through
     b(T) = sum_{m <= e^T} D(m) * b_inf(T - log m),
 
 with D(m) the finite-height mass from the coefficient sieve and b_inf the
-radial archimedean volume.  This module evaluates that convolution on a
-memoized volume grid and provides the empirical checks used around it:
-regularity of b, the persistence of the dominant exponential term under
-measure convolution, and box-norm covering numbers.
+radial archimedean volume.  One reduction, `_convolve`, sums point masses
+against a linearly interpolated cumulative function; it evaluates that
+convolution on a memoized volume grid and the persistence check's d(T)
+alike.  One sieve per d is held and shorter requests read its prefix.
+The module also provides the empirical checks used around b: regularity,
+the persistence of the dominant exponential term under measure
+convolution, and box-norm covering numbers.
 """
 
 from __future__ import annotations
@@ -89,106 +92,86 @@ def _volume_grid(d: int, B: float, R_max: float):
     return ball_volume_table(d, B, R_max)
 
 
-@lru_cache(maxsize=8)
-def _coeff_arrays(d: int, x_max: int):
-    weights = coeff_array(d, x_max, max_sieve=x_max)[1:].astype(float)
-    logs = np.log(np.arange(1, x_max + 1, dtype=float))
-    return weights, logs
+_SIEVES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _setup(d: int, B: float, T_max: float, max_sieve: int | None, R_max: float | None = None):
-    """Coefficient arrays for m <= e^T_max and, given R_max, the volume grid.
+def _sieve(d: int, T_max: float, max_sieve: int | None):
+    """Weights D(m) as floats and locations log m for every m <= e^T_max.
 
-    The sieve length x_max = floor(e^T_max (1 + 1e-12)) is checked against
-    the sieve budget before any work; both arrays come from memoized tables,
-    so every entry point sharing (d, x_max) or (d, B, R_max) shares them.
-    Returns (weights, logs, interp), with interp None when R_max is None.
+    The length x_max = floor(e^T_max (1 + 1e-12)) is checked against the
+    sieve budget before any work.  The longest arrays sieved for d are held:
+    a shorter request is served as a prefix view of them, which is bit for
+    bit the fresh sieve, and a longer one replaces them.
     """
     x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
     check_budget("sieve", x_max, max_sieve, "max_sieve")
-    weights, logs = _coeff_arrays(d, x_max)
-    interp = None if R_max is None else _volume_grid(d, B, R_max)
-    return weights, logs, interp
+    held = _SIEVES.get(d)
+    if held is None or held[0].size < x_max:
+        weights = coeff_array(d, x_max, max_sieve=x_max)[1:].astype(float)
+        held = _SIEVES[d] = (weights, np.log(np.arange(1, x_max + 1, dtype=float)))
+    return held[0][:x_max], held[1][:x_max]
 
 
-def _chunk_edges(n: int) -> list[tuple[int, int]]:
-    edges = [round(i * n / _N_CHUNKS) for i in range(_N_CHUNKS + 1)]
-    return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def _convolve(T: float, locs, masses, grid, values) -> float:
+    """Ordered reduction of sum_{loc <= T} mass * f(T - loc), f linear on grid.
 
-
-def _convolve(T: float, weights, logs, interp) -> float:
-    """Ordered reduction of sum_m D(m) b_inf(T - log m).
-
-    The m-range is cut into a fixed number of chunks that depends only on
-    the number of terms, each chunk is summed by numpy, and math.fsum
-    combines the chunk totals with a single rounding.  Rounding error is
-    thus confined to the in-chunk sums, and the reduction is the one
-    persistence_check uses, so every b(T) the package reports is
+    locs must be nondecreasing, so the terms are a prefix cut by one binary
+    search.  The prefix is cut into a fixed number of chunks that depends
+    only on its length, each chunk is summed by numpy, and math.fsum
+    combines the chunk totals with a single rounding.  Every b(T) and d(T)
+    the package reports goes through this one reduction, so each is
     reproducible bit for bit.
     """
-    count = int(np.searchsorted(logs, T + 1e-12, side="right"))
-    if count == 0:
-        return 0.0
-    radii = T - logs[:count]
-    values = np.interp(radii, interp.r_grid, interp.values)
-    terms = weights[:count] * values
-    return math.fsum(float(terms[a:b].sum()) for a, b in _chunk_edges(count))
+    count = int(np.searchsorted(locs, T + 1e-12, side="right"))
+    terms = masses[:count] * np.interp(T - locs[:count], grid, values)
+    edges = [round(i * count / _N_CHUNKS) for i in range(_N_CHUNKS + 1)]
+    return math.fsum(float(terms[a:b].sum()) for a, b in zip(edges, edges[1:]) if b > a)
+
+
+def adelic_volume_callable(d: int, B: float, T_max: float, max_sieve: int | None = None):
+    """b(T) = sum_{m <= e^T} D(m) * b_inf(T - log m) as a callable on (0, T_max].
+
+    The weights come from the held sieve for d and b_inf from the memoized
+    volume grid (step 1e-3, linear interpolation) up to T_max; every b(T)
+    in the package is built here.
+    """
+    weights, logs = _sieve(d, T_max, max_sieve)
+    table = _volume_grid(d, B, T_max)
+
+    def b(T: float) -> float:
+        if not (0 < T <= T_max * (1 + 1e-12)):
+            raise DomainError(f"T={T} outside (0, {T_max}]")
+        return _convolve(T, logs, weights, table.r_grid, table.values)
+
+    return b
 
 
 def adelic_ball_volume(d: int, B: float, T: float, max_sieve: int | None = None) -> float:
-    """Global ball volume b(T) = sum_{m <= e^T} D(m) * b_inf(T - log m).
-
-    b_inf comes from the shared volume grid (step 1e-3, linear
-    interpolation), so the m = 1 term and every other term draw from the
-    same memoized table.
-    """
+    """Global ball volume b(T), from a callable built up to T."""
     if not (T > 0):
         raise DomainError(f"need T > 0, got {T}")
-    weights, logs, interp = _setup(d, B, T, max_sieve, max(T, 1e-3))
-    return _convolve(T, weights, logs, interp)
+    return adelic_volume_callable(d, B, T, max_sieve)(T)
 
 
 @dataclass(frozen=True)
 class BallVolumeSeries:
-    """b(T) sampled on an increasing grid, with the shared table parameters."""
+    """b(T) sampled on an increasing grid."""
 
     d: int
     B: float
     T_grid: tuple[float, ...]
     values: tuple[float, ...]
 
-    def components(self, T: float, max_sieve: int | None = None):
-        """Per-m summands (m, D(m), b_inf(T - log m)) of the convolution."""
-        weights, logs, interp = _setup(self.d, self.B, T, max_sieve, max(T, 1e-3))
-        radii = T - logs
-        negative = np.flatnonzero(radii < 0)
-        count = int(negative[0]) if negative.size else radii.size
-        values = np.interp(radii[:count], interp.r_grid, interp.values)
-        return list(zip(range(1, count + 1), weights[:count].tolist(), values.tolist()))
-
 
 def adelic_ball_series(d: int, B: float, T_grid, max_sieve: int | None = None) -> BallVolumeSeries:
-    """Evaluate b(T) across an increasing grid with one shared sieve/table."""
+    """Evaluate b(T) across an increasing grid with one callable."""
     grid = [float(t) for t in T_grid]
     if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("T_grid must be nonempty and strictly increasing")
     if not (grid[0] > 0):
         raise DomainError(f"need T > 0, got {grid[0]}")
-    weights, logs, interp = _setup(d, B, grid[-1], max_sieve, grid[-1])
-    values = tuple(_convolve(t, weights, logs, interp) for t in grid)
-    return BallVolumeSeries(d, B, tuple(grid), values)
-
-
-def adelic_volume_callable(d: int, B: float, T_max: float, max_sieve: int | None = None):
-    """b(T) as a reusable callable on (0, T_max]; shares one sieve and table."""
-    weights, logs, interp = _setup(d, B, T_max, max_sieve, T_max)
-
-    def b(T: float) -> float:
-        if not (0 < T <= T_max * (1 + 1e-12)):
-            raise DomainError(f"T={T} outside (0, {T_max}]")
-        return _convolve(T, weights, logs, interp)
-
-    return b
+    b = adelic_volume_callable(d, B, grid[-1], max_sieve)
+    return BallVolumeSeries(d, B, tuple(grid), tuple(map(b, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +348,9 @@ class MeasurePair:
 
     The samples are held as float arrays: `masses` of shape (n, 2), one
     (location, mass) row per point mass, and 1-d `nu_grid`, `nu_values`.
-    Sequences such as tuples of pairs are converted on construction; an
-    array that already is float64 is held without a copy.
+    Sequences such as tuples of pairs are converted on construction, and
+    rows out of order are stably sorted by location; a float64 array
+    already in order is held without a copy.
     """
 
     masses: np.ndarray
@@ -383,6 +367,8 @@ class MeasurePair:
             raise DomainError("mu point masses must be (location, mass) pairs")
         if np.any((masses[:, 0] < 0) | (masses[:, 1] <= 0)):
             raise DomainError("mu point masses need location >= 0 and mass > 0")
+        if np.any(masses[1:, 0] < masses[:-1, 0]):
+            masses = masses[np.argsort(masses[:, 0], kind="stable")]
         if self.alpha < 0 or self.beta <= 0:
             raise DomainError(f"need alpha >= 0 and beta > 0, got {self.alpha}, {self.beta}")
         grid = np.asarray(self.nu_grid, dtype=float)
@@ -413,21 +399,18 @@ def persistence_check(pair: MeasurePair, T: float) -> tuple[float, float]:
         raise DomainError(f"need T > 0, got {T}")
     grid = pair.nu_grid
     locs, mass = pair.masses.T
-    keep = locs <= T + 1e-12
-    needed = T - locs[keep]
-    if needed.size and float(needed.max()) > grid[-1] + 1e-9:
+    count = int(np.searchsorted(locs, T + 1e-12, side="right"))
+    if count and T - locs[0] > grid[-1] + 1e-9:
         raise DomainError(
             f"nu sampled only up to {grid[-1]:.6g} but T - location reaches "
-            f"{float(needed.max()):.6g}; extend the nu range"
+            f"{float(T - locs[0]):.6g}; extend the nu range"
         )
-    if needed.size and float(needed.min()) < grid[0] - 1e-9:
+    if count and T - locs[count - 1] < grid[0] - 1e-9:
         raise DomainError(
             f"nu sampled only from {grid[0]:.6g} but T - location falls to "
-            f"{float(needed.min()):.6g}; extend the nu range"
+            f"{float(T - locs[count - 1]):.6g}; extend the nu range"
         )
-    terms = mass[keep] * np.interp(needed, grid, pair.nu_values)
-    pieces = [float(terms[a:b].sum()) for a, b in _chunk_edges(terms.size)]
-    d_T = math.fsum(pieces)
+    d_T = _convolve(T, locs, mass, grid, pair.nu_values)
     dominant = pair.C * T**pair.alpha * math.exp(pair.beta * T)
     return d_T, d_T / dominant
 
@@ -446,7 +429,7 @@ def pgl2_measure_pair(
     """
     if not (T_max > 0):
         raise DomainError(f"need T_max > 0, got {T_max}")
-    weights, logs, _ = _setup(2, B, T_max, max_sieve)
+    weights, logs = _sieve(2, T_max, max_sieve)
     m = np.arange(1, weights.size + 1, dtype=float)
     grid = np.linspace(0.0, T_max, int(T_max * 1000) + 1)
     return MeasurePair(

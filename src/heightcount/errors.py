@@ -15,7 +15,6 @@ an a-priori size estimate, never from a timeout.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 
 class HeightCountError(Exception):
@@ -28,6 +27,14 @@ class DomainError(HeightCountError, ValueError):
 
 class BudgetError(HeightCountError, RuntimeError):
     """Estimated cost of an operation exceeds the configured budget."""
+
+
+# the environment variable and default behind each budget field
+_BUDGETS = {
+    "max_classes": ("HEIGHTCOUNT_MAX_CLASSES", 10**7),
+    "max_sieve": ("HEIGHTCOUNT_MAX_SIEVE", 10**6),
+    "max_cells": ("HEIGHTCOUNT_MAX_CELLS", 10**9),
+}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -43,36 +50,15 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Resource limits for enumeration-style operations."""
-
-    max_classes: int = 10**7
-    max_sieve: int = 10**6
-    max_cells: int = 10**9
-
-    @staticmethod
-    def from_env() -> "Budgets":
-        return Budgets(
-            max_classes=_env_int("HEIGHTCOUNT_MAX_CLASSES", 10**7),
-            max_sieve=_env_int("HEIGHTCOUNT_MAX_SIEVE", 10**6),
-            max_cells=_env_int("HEIGHTCOUNT_MAX_CELLS", 10**9),
-        )
-
-
-def default_budgets() -> Budgets:
-    """Budgets resolved from the environment at call time."""
-    return Budgets.from_env()
-
-
 def check_budget(kind: str, estimate: int, limit: int | None, field: str) -> None:
     """Raise BudgetError when estimate exceeds limit.
 
-    limit is a per-call override; None means the `field` budget of
-    `default_budgets()` ("max_classes", "max_sieve" or "max_cells").
+    limit is a per-call override; None reads the one environment variable
+    behind `field` ("max_classes", "max_sieve" or "max_cells"), or its
+    default when the variable is unset.
     """
     if limit is None:
-        limit = getattr(default_budgets(), field)
+        limit = _env_int(*_BUDGETS[field])
     if estimate > limit:
         raise BudgetError(
             f"estimated {kind} count {estimate} exceeds budget {limit}; "

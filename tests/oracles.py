@@ -20,8 +20,6 @@ shipped package carries only what it uses.
   `primes_up_to`.
 - `euler_product_by_prime`: the Euler product of L(s) one scalar complex
   factor at a time, against the array factors of `L_euler`, bit for bit.
-- `components_by_loop`: the convolution summands one `np.interp` per m,
-  against `BallVolumeSeries.components`.
 - `volume_by_brion`: the radial ball volume as the signed Weyl sum of
   exponential integrals over the simplex, each a divided difference of
   exp in mpmath, against the power series of `ball_volume_numeric`.
@@ -39,10 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-import numpy as np
-
 from heightcount import BuildingParams, DomainError, LatticeClass, base_class, zeta_em
-from heightcount.adelic import BallVolumeSeries, _setup
 from heightcount.building import shell_count, shell_ratio
 from heightcount.errors import check_budget
 from heightcount.hermite import subspace_bases
@@ -334,18 +329,6 @@ def volume_by_brion(d: int, B: float, R: float) -> float:
         det = mpmath.det(mpmath.matrix([[_mp(x) for x in row] for row in gram]))
         jac = mpmath.sqrt(_mp(lam)) ** r * mpmath.sqrt(det)
         return float(jac * _mp(s) ** r * total / 2**n_pairs)
-
-
-def components_by_loop(series: BallVolumeSeries, T: float):
-    """(m, D(m), b_inf(T - log m)) for each m until T - log m < 0."""
-    weights, logs, interp = _setup(series.d, series.B, T, None, max(T, 1e-3))
-    out = []
-    for m in range(1, weights.size + 1):
-        radius = T - logs[m - 1]
-        if radius < 0:
-            break
-        out.append((m, weights[m - 1], float(np.interp(radius, interp.r_grid, interp.values))))
-    return out
 
 
 @dataclass(frozen=True)

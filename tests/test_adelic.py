@@ -27,8 +27,8 @@ from heightcount import (
     regularity_report,
     tree_ball,
 )
+from heightcount import adelic
 from heightcount.archimedean import ball_volume_numeric
-from oracles import components_by_loop
 
 
 # ---------------------------------------------------------------------------
@@ -142,31 +142,60 @@ def test_volume_is_monotone_in_T():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_series_components_sum_to_total():
-    series = adelic_ball_series(2, 1.0, [2.0, 3.0])
-    comps = series.components(3.0)
-    total = math.fsum(w * term for _, w, term in comps)
-    assert total == pytest.approx(series.values[1], rel=1e-9)
-    ms = [m for m, _, _ in comps]
-    assert ms == sorted(ms)
-    assert ms[-1] <= math.exp(3.0)
-    assert [w for _, w, _ in comps[:4]] == [1, 3, 4, 6]
-
-
-def test_series_components_match_per_term_loop():
-    for d in (2, 3):
-        for T in (0.7, 3.0):
-            series = adelic_ball_series(d, 1.0, [T])
-            assert series.components(T) == components_by_loop(series, T)
-
-
 def test_entry_points_agree_bitwise():
-    # the three entry points share one setup path and one reduction
+    # every entry point builds b through adelic_volume_callable; below
+    # T ~ 1e-12 the volume table has one node and b is 0 from each of them
     for d in (2, 3):
-        for T in (5e-4, 0.7, 3.0, 6.5):
+        for T in (1e-13, 5e-4, 0.7, 3.0, 6.5):
             direct = adelic_ball_volume(d, 1.0, T)
             assert adelic_volume_callable(d, 1.0, T)(T) == direct
             assert adelic_ball_series(d, 1.0, [T / 2, T]).values[-1] == direct
+
+
+@pytest.mark.parametrize("d, lengths", [(2, (1, 7, 162_754, 488_942)), (3, (1, 1000, 2**19 - 1, 2**19, 2**19 + 7))])
+def test_sieve_prefix_is_the_fresh_sieve(monkeypatch, d, lengths):
+    # at d = 3 the sieve is int64 below 2^19 and an object array from there
+    fresh = {}
+    for n in lengths:
+        monkeypatch.setattr(adelic, "_SIEVES", {})
+        fresh[n] = adelic._sieve(d, math.log(n), None)
+    monkeypatch.setattr(adelic, "_SIEVES", {})
+    adelic._sieve(d, math.log(max(lengths)), None)
+    for n in lengths:
+        weights, logs = adelic._sieve(d, math.log(n), None)
+        assert weights.size == logs.size == n
+        assert np.array_equal(weights.view(np.int64), fresh[n][0].view(np.int64))
+        assert np.array_equal(logs.view(np.int64), fresh[n][1].view(np.int64))
+    assert adelic._SIEVES[d][0].size == max(lengths)
+
+
+def test_b_does_not_depend_on_the_held_sieve(monkeypatch):
+    # in scan's order the regularity callable holds d = 2 to 488,942 before
+    # the persistence pair reads its 162,754-term prefix
+    def values():
+        b = adelic_volume_callable(2, 1.0, 12.0)
+        pair = pgl2_measure_pair(12.0)
+        d_T, ratio = persistence_check(pair, 12.0)
+        return [b(T).hex() for T in (0.5, 3.0, 9.7, 12.0)] + [pair.C.hex(), d_T.hex(), ratio.hex()]
+
+    monkeypatch.setattr(adelic, "_SIEVES", {})
+    adelic_volume_callable(2, 1.0, 13.1)
+    held = values()
+    monkeypatch.setattr(adelic, "_SIEVES", {})
+    assert values() == held
+
+
+def test_measure_pair_sorts_rows_out_of_order():
+    pair = pgl2_measure_pair(6.0)
+    order = np.random.default_rng(5).permutation(len(pair.masses))
+    shuffled = MeasurePair(pair.masses[order], pair.nu_grid, pair.nu_values, pair.alpha, pair.beta)
+    assert shuffled.C.hex() == pair.C.hex()
+    for T in (2.5, 6.0):
+        got, want = persistence_check(shuffled, T), persistence_check(pair, T)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    # rows already in order are held without a copy
+    rebuilt = MeasurePair(pair.masses, pair.nu_grid, pair.nu_values, pair.alpha, pair.beta)
+    assert rebuilt.masses is pair.masses
 
 
 def test_volume_callable_matches_direct_evaluation():

@@ -215,6 +215,27 @@ def test_dcoeff_output_is_pinned(capsys, d, xmax):
     assert out == (DATA / f"dcoeff_d{d}_x{xmax}.csv").read_text()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("ball_adelic_d2_T8.csv", "ball-adelic --d 2 --B 1 --Tmax 8"),
+        ("ball_adelic_d3_T6.csv", "ball-adelic --d 3 --B 1 --Tmax 6"),
+        (
+            "regularity_d2.json",
+            "regularity --d 2 --B 1 --Tmin 8 --Tmax 13 --points 25 --eps 0.1,0.05,0.01,0.005 --max-sieve 600000",
+        ),
+        ("persistence_T12.json", "persistence --T 12"),
+        ("count_x8_B1.csv", "count --xmax 8 --B 1"),
+    ],
+)
+def test_adelic_output_is_pinned(capsys, name, argv):
+    # stdout of each command, pinned byte for byte; every b(T) and d(T)
+    # behind them goes through the one adelic reduction
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert out == (DATA / name).read_text()
+
+
 @pytest.mark.parametrize("tier", ["quick", "full"])
 def test_verify_report_is_pinned(registry, tier):
     # the pinned files are the stdout of `heightcount verify --quick` and
@@ -278,6 +299,19 @@ def test_budget_defaults_come_from_the_environment(capsys, monkeypatch, variable
     err = capsys.readouterr().err
     assert code == 2, argv
     assert f"estimated {kind} exceeds budget 10;" in err
+
+
+def test_budget_reads_only_its_own_variable(capsys, monkeypatch):
+    # a malformed variable for another budget does not stop the command
+    monkeypatch.setenv("HEIGHTCOUNT_MAX_CELLS", "abc")
+    code, out = run(capsys, "dcoeff", "--d", "2", "--xmax", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "5,6"
+    monkeypatch.setenv("HEIGHTCOUNT_MAX_SIEVE", "abc")
+    code = main(["dcoeff", "--d", "2", "--xmax", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "HEIGHTCOUNT_MAX_SIEVE must be an integer, got 'abc'" in err
 
 
 def test_all_outputs_carry_schema_tag(capsys):
