@@ -2,7 +2,7 @@
 """Sweep archimedean ball volumes over R and fit the growth exponent.
 
 For d = 2 the closed form (cosh(2BR) - 1)/2 is printed alongside the
-quadrature as a sanity column.  The fit runs over the top half of the
+tabulated series as a sanity column.  The fit runs over the top half of the
 radius range, so pick --rmax comfortably above the transient region.
 
 Usage:

@@ -135,6 +135,8 @@ def adelic_volume_callable(d: int, B: float, T_max: float, max_sieve: int | None
     volume grid (step 1e-3, linear interpolation) up to T_max; every b(T)
     in the package is built here.
     """
+    if not (T_max > 0):
+        raise DomainError(f"need T_max > 0, got T_max={T_max}")
     weights, logs = _sieve(d, T_max, max_sieve)
     table = _volume_grid(d, B, T_max)
 

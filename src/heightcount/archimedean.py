@@ -18,12 +18,12 @@ The radial ball volume is
                prod_{i<j} sinh(X_i - X_j) dX,
 
 taken over the cone X = sum_k t_k w_k (t >= 0) with radial coordinate
-y = rho(X) = sum_k t_k in [0, B R].  `ball_volume_numeric` (d <= 6) sums
-an exact power series in B R with nonnegative rational coefficients.
-`ball_volume_table` (d <= 4) integrates y^(rank-1) times the cross-section
-integral `_section_integral` (tensor Gauss-Legendre) by cumulative Simpson
-on a 1e-3 radius grid, one table serving many radii.  For d = 2 both come
-to (cosh(2 B R) - 1) / 2.
+y = rho(X) = sum_k t_k in [0, B R].  One evaluator, `_series`, gives it
+as a power series in B R with nonnegative rational coefficients, exact in
+integers, for 2 <= d <= 6 and B R <= 350.  `ball_volume_numeric` rounds
+its exact sum once; `ball_volume_table` cuts it once at the top of a
+1e-3 radius grid and sums the same float terms at every node by Horner.
+For d = 2 both come to (cosh(2 B R) - 1) / 2.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ import numpy as np
 from .errors import DomainError
 
 _TRACE_TOL = 1e-12
-# ball_volume_numeric: largest B * R, where b_inf is below 2^1024 for d <= 6
+# largest B * R of the volume series, where b_inf is below 2^1024 for d <= 6
 _MAX_BR = 350.0
-# ball_volume_table: radius spacing of the cumulative table
+# ball_volume_table: radius spacing of its grid
 _TABLE_STEP = 1e-3
-# floats per chunk of the radius x cross-section x d grid (32 MB)
-_CHUNK_FLOATS = 1 << 22
 
 
 def as_chamber_vector(x) -> np.ndarray:
@@ -153,34 +151,6 @@ def archimedean_height(g, B: float) -> float:
     return math.exp(norm_b(logs - logs.mean(), B))
 
 
-def _simplex_nodes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for the standard simplex {v >= 0, sum v <= 1} in R^n.
-
-    Tensor Gauss-Legendre on the unit cube pushed through the collapsing
-    map v_i = u_i * prod_{l<i} (1 - u_l), whose Jacobian is
-    prod_l (1 - u_l)^(n - 1 - l).  n = 0 returns the single point of the
-    zero-dimensional simplex with weight 1.
-    """
-    if n == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(q)
-    u1 = (nodes_1d + 1.0) / 2.0
-    w1 = weights_1d / 2.0
-    grids = np.meshgrid(*([u1] * n), indexing="ij")
-    u = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    w = np.ones(u.shape[0])
-    for axis in range(n):
-        w *= np.meshgrid(*([w1] * n), indexing="ij")[axis].reshape(-1)
-    v = np.empty_like(u)
-    jac = np.ones(u.shape[0])
-    remaining = np.ones(u.shape[0])
-    for i in range(n):
-        v[:, i] = u[:, i] * remaining
-        jac *= remaining
-        remaining = remaining * (1.0 - u[:, i])
-    return v, w * jac
-
-
 def _sector_jacobian(system: RootSystemA) -> float:
     """Volume factor of the cone parametrisation t -> sum t_k w_k.
 
@@ -192,38 +162,6 @@ def _sector_jacobian(system: RootSystemA) -> float:
     gram = w_rows @ w_rows.T
     det = float(np.linalg.det(gram))
     return system.rho_norm_sq ** (system.rank / 2.0) * math.sqrt(det)
-
-
-def _pair_density(x_grid: np.ndarray, d: int) -> np.ndarray:
-    out = np.ones(x_grid.shape[:-1])
-    for i, j in itertools.combinations(range(d), 2):
-        out = out * np.sinh(x_grid[..., i] - x_grid[..., j])
-    return out
-
-
-def _section_integral(d: int, y: np.ndarray) -> np.ndarray:
-    """Integral of the Cartan density over the cross-section at each radius y.
-
-    The cross-section {rho(X) = y} of the dominant sector is y times the
-    simplex spanned by the rows w_k; its points are y * (sigma @ W) for
-    sigma in the standard simplex, integrated by the 24-point-per-axis rule
-    of `_simplex_nodes` in the first rank - 1 coordinates.  The y x simplex
-    x d grid is built _CHUNK_FLOATS floats at a time, so memory does not
-    grow with the number of radii.
-    """
-    system = RootSystemA(d)
-    rank = system.rank
-    v, wv = _simplex_nodes(rank - 1, 24)
-    sigma = np.empty((v.shape[0], rank))
-    sigma[:, : rank - 1] = v
-    sigma[:, rank - 1] = 1.0 - v.sum(axis=1)
-    directions = sigma @ system.coweight_directions()
-    rows = max(1, _CHUNK_FLOATS // directions.size)
-    out = np.empty(y.size)
-    for lo in range(0, y.size, rows):
-        x_grid = y[lo : lo + rows, None, None] * directions[None, :, :]
-        out[lo : lo + rows] = _pair_density(x_grid, d) @ wv
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -243,76 +181,88 @@ def _weyl_rates(d: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
     return L, tuple(item for item in signs.items() if item[1])
 
 
-def ball_volume_numeric(d: int, B: float, R: float) -> float:
-    """Normalised-measure volume of the radial ball {norm_b <= R}, d <= 6.
+def _series(d: int, B: float, R: float) -> tuple[list[float], float]:
+    """Terms alpha_j s^(j + r) of the ball-volume series at s = B R, each
+    rounded to float, and their exact sum rounded once; b_inf(R) is jac
+    times the sum.
 
-    On the cone X = sum_k t_k w_k (t >= 0, sum t = rho(X) <= s = B R) each
+    On the cone X = sum_k t_k w_k (t >= 0, sum t = rho(X) <= s) each
     X_i - X_j is a nonnegative combination of the t_k.  Expanding the
     exponentials of `_weyl_rates` and integrating powers of linear forms
     over the simplex (Baldoni et al., "How to integrate a polynomial over a
     simplex", 2011) gives, with r = d - 1 and h_j the complete homogeneous
     polynomial, b_inf(R) = jac * sum_j alpha_j s^(j + r), where every
-    alpha_j = 2^(-N) sum_w sgn(w) h_j(c_w) / (j + r)! is >= 0.  The partial
-    sum is exact in rationals (s = Fraction(B) * Fraction(R)), rounded once
-    to float and multiplied by jac.
+    alpha_j = 2^(-N) sum_w sgn(w) h_j(c_w) / (j + r)! is >= 0.  With
+    s = P / Q exact from the float ratios of B and R, term j is an integer
+    over 2^N (j + r)! L^j Q^(j + r), and the partial sum is kept as an
+    integer over that running denominator.
 
     Stopping rule: the density is coefficientwise at most e^(2 rho(X)), so
     alpha_j s^(j + r) <= beta_j = (2s)^j s^r / (j! (r - 1)! (j + r)) and
     beta_(j+1) / beta_j <= 2s / (j + 1).  Once J + 2 > 2s the terms past J
     sum to at most beta_(J+1) / (1 - 2s / (J + 2)); the sum stops at the
-    first such J where that is at most 2^-60 of the partial sum.
+    first such J where that is at most 2^-60 of the partial sum, an exact
+    integer comparison.
     """
     if d < 2 or d > 6:
-        raise DomainError(f"ball_volume_numeric supports 2 <= d <= 6, got {d}")
+        raise DomainError(f"ball volumes support 2 <= d <= 6, got {d}")
     if not (B > 0 and R >= 0 and B * R <= _MAX_BR):
         raise DomainError(f"need B > 0, R >= 0 and B R <= {_MAX_BR}, got B={B}, R={R}")
-    from fractions import Fraction
-
     r, (L, groups) = d - 1, _weyl_rates(d)
-    s = Fraction(B) * Fraction(R)
+    (pb, qb), (pr, qr) = float(B).as_integer_ratio(), float(R).as_integer_ratio()
+    P, Q = pb * pr, qb * qr
     rows = [[1] * d for _ in groups]  # rows[g][k] = h_j(first k rates of group g)
-    denom, total = 2 ** (d * r // 2) * math.factorial(r), Fraction(0)  # 2^N L^j (j + r)!
+    # term j is a_j power / denom: power = P^(j + r), denom = 2^N (j + r)! L^j Q^(j + r)
+    power, denom = P**r, 2 ** (d * r // 2) * math.factorial(r) * Q**r
+    terms, total = [], 0  # the partial sum is total / denom
     for j in itertools.count():
         a_j = sum(sign * row[r] for (_, sign), row in zip(groups, rows))
-        total += Fraction(a_j, denom) * s ** (j + r)
-        if j + 2 > 2 * s:
-            beta = (2 * s) ** (j + 1) * s**r
-            beta /= math.factorial(j + 1) * math.factorial(r - 1) * (j + 1 + r)
-            if beta * 2**60 <= total * (1 - 2 * s / (j + 2)):
+        terms.append(a_j * power / denom)
+        total += a_j * power
+        if (j + 2) * Q > 2 * P:
+            # beta_(j+1) 2^60 <= (total / denom) (1 - 2s / (j + 2)), denominators cleared
+            beta_den = Q ** (j + 1 + r) * math.factorial(j + 1) * math.factorial(r - 1) * (j + 1 + r)
+            bound = 2 ** (j + 61) * P * power * denom * (j + 2) * Q
+            if bound <= total * ((j + 2) * Q - 2 * P) * beta_den:
                 break
-        denom *= L * (j + 1 + r)
+        step = L * (j + 1 + r) * Q
+        power, denom, total = power * P, denom * step, total * step
         for (rates, _), row in zip(groups, rows):
             row[0] = 0
             for k in range(1, d):
                 row[k] = row[k - 1] + rates[k - 1] * row[k]
-    return _sector_jacobian(RootSystemA(d)) * float(total)
+    return terms, total / denom
+
+
+def ball_volume_numeric(d: int, B: float, R: float) -> float:
+    """Normalised-measure volume of the radial ball {norm_b <= R}, d <= 6:
+    jac times the exact sum of the `_series` terms, rounded once."""
+    return _sector_jacobian(RootSystemA(d)) * _series(d, B, R)[1]
 
 
 def ball_volume_table(d: int, B: float, R_max: float):
-    """Cumulative radial volumes on a fine grid, returned as an interpolant.
+    """Radial volumes on the grid R_j = j * _TABLE_STEP, returned as an interpolant.
 
-    Integrates the radial profile g(y) = y^(rank-1) * (cross-section
-    integral, 24 points per axis) with composite Simpson at spacing
-    B * _TABLE_STEP / 2, so each table entry b(R_j), R_j = j * _TABLE_STEP,
-    shares all panels with its predecessors.  The returned callable
-    interpolates linearly and raises DomainError beyond R_max.
+    The `_series` is cut once, at the top radius R_top of the grid.  At a
+    node u = R_j / R_top <= 1 and term j scales by u^(j + r), so the tail's
+    share of the partial sum is at most u times its share at R_top, and the
+    same float terms serve every node: one vectorised Horner pass sums them,
+    adding positive terms only.  The domain is the series': 2 <= d <= 6 and
+    B R_top <= 350.  The returned callable interpolates linearly and raises
+    DomainError beyond R_max.
     """
-    if d < 2 or d > 4:
-        raise DomainError(f"ball_volume_table supports 2 <= d <= 4, got {d}")
-    if not (B > 0) or not (R_max > 0):
-        raise DomainError(f"bad table parameters B={B}, R_max={R_max}")
-    system = RootSystemA(d)
-    jac = _sector_jacobian(system)
-    rank = system.rank
+    if not (0 < R_max < math.inf):
+        raise DomainError(f"need 0 < R_max < inf, got R_max={R_max}")
     n_steps = int(math.ceil(R_max / _TABLE_STEP - 1e-9))
     r_grid = _TABLE_STEP * np.arange(n_steps + 1)
-    h = B * _TABLE_STEP / 2.0
-    y = h * np.arange(2 * n_steps + 1)
-    g = _section_integral(d, y) * y ** (rank - 1)
-    if rank == 1:
-        g[0] = 0.0  # y^0 * sinh(2y) vanishes at 0; avoid 0**0 ambiguity
-    panels = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1::2] + g[2::2])
-    values = np.concatenate([[0.0], np.cumsum(panels)]) * jac
+    R_top = max(R_max, float(r_grid[-1]))
+    terms, _ = _series(d, B, R_top)
+    u = r_grid / R_top
+    acc = np.zeros_like(u)
+    for term in reversed(terms):
+        acc *= u
+        acc += term
+    values = _sector_jacobian(RootSystemA(d)) * (u ** (d - 1) * acc)
 
     def interpolate(r: float) -> float:
         if not (0.0 <= r <= R_max * (1 + 1e-12) + 1e-12):

@@ -152,6 +152,14 @@ def test_entry_points_agree_bitwise():
             assert adelic_ball_series(d, 1.0, [T / 2, T]).values[-1] == direct
 
 
+@pytest.mark.parametrize("T_max", [-1.0, 0.0, math.nan])
+def test_callable_rejects_T_max_before_sieving(monkeypatch, T_max):
+    monkeypatch.setattr(adelic, "_SIEVES", {})
+    with pytest.raises(DomainError, match="T_max"):
+        adelic_volume_callable(2, 1.0, T_max)
+    assert adelic._SIEVES == {}
+
+
 @pytest.mark.parametrize("d, lengths", [(2, (1, 7, 162_754, 488_942)), (3, (1, 1000, 2**19 - 1, 2**19, 2**19 + 7))])
 def test_sieve_prefix_is_the_fresh_sieve(monkeypatch, d, lengths):
     # at d = 3 the sieve is int64 below 2^19 and an object array from there

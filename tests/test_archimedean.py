@@ -210,31 +210,43 @@ def test_numeric_volume_matches_brion_oracle(d, B, R):
     assert ball_volume_numeric(d, B, R) == pytest.approx(volume_by_brion(d, B, R), rel=1e-13)
 
 
-# float.hex values of the chunked table, equal to those of the unchunked
-# y x simplex x d grid it replaced (same rule, same arithmetic)
+@pytest.mark.parametrize(
+    "d, B, R_max",
+    [(2, 1.0, 13.1), (3, 0.7, 5.0), (4, 0.7, 5.0), (5, 1.0, 3.0), (6, 1.0, 2.0), (2, 25.0, 13.9)],
+)
+def test_table_matches_series_at_nodes(d, B, R_max):
+    # the table sums the series terms cut once at its top radius; at every
+    # node that is the exact series to float accuracy (B R = 347.5 included)
+    table = ball_volume_table(d, B, R_max)
+    n = table.r_grid.size - 1
+    for i in sorted({0, 1, 10, 100, n // 3, n // 2, n - 1, n}):
+        want = ball_volume_numeric(d, B, float(table.r_grid[i]))
+        assert table.values[i] == pytest.approx(want, rel=1e-13)
+
+
+# float.hex of the table at fixed nodes and one interpolated radius, so any
+# change to its arithmetic shows
 def test_table_volume_bits():
     t2 = ball_volume_table(2, 1.0, 8.0)
-    assert float(t2.values[-1]).hex() == "0x1.0f2eb90a8007cp+21"
+    assert float(t2.values[-1]).hex() == "0x1.0f2eb90a8005dp+21"
     t3 = ball_volume_table(3, 0.7, 5.0)
-    assert float(t3.values[970]).hex() == "0x1.8d4a6370f042ap-8"
-    assert float(t3.values[-1]).hex() == "0x1.3e97946ea9804p+7"
-    # 10001 radii at d = 4 span several chunks of the kernel
+    assert float(t3.values[970]).hex() == "0x1.8d4a6370f0231p-8"
+    assert float(t3.values[-1]).hex() == "0x1.3e97946ea97f5p+7"
     t4 = ball_volume_table(4, 0.7, 5.0)
-    assert float(t4.values[1940]).hex() == "0x1.be1171b59cdd5p-12"
-    assert float(t4.values[-1]).hex() == "0x1.a963815aab95fp+2"
-    assert t4(1.2345).hex() == "0x1.ae86d2a620cefp-18"
+    assert float(t4.values[1940]).hex() == "0x1.be1171b59cabcp-12"
+    assert float(t4.values[-1]).hex() == "0x1.a963815aab930p+2"
+    assert t4(1.2345).hex() == "0x1.ae86d2a61fda6p-18"
 
 
 def test_table_memory_is_bounded():
-    # the whole 16001 x 576 x 4 grid would be ~295 MB, ~500 MB traced with
-    # the density temporaries; chunks of _CHUNK_FLOATS keep it far below
+    # the series terms and two float arrays over the 8001 radii, ~0.3 MB traced
     tracemalloc.start()
     try:
         ball_volume_table(4, 1.0, 8.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 5e6
 
 
 def test_table_domain_checks():
@@ -244,6 +256,10 @@ def test_table_domain_checks():
         table(2.5)
     with pytest.raises(DomainError):
         table(-0.1)
+    # the table is built on the series' domain
+    for d, B, R_max in [(7, 1.0, 1.0), (2, 30.0, 12.0), (2, 1.0, math.inf), (2, 1.0, 0.0), (2, -1.0, 1.0)]:
+        with pytest.raises(DomainError):
+            ball_volume_table(d, B, R_max)
 
 
 # ---------------------------------------------------------------------------

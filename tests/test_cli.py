@@ -264,6 +264,32 @@ def test_domain_error_exits_one(capsys):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "regularity --d 2 --B 1 --Tmin 8 --Tmax nan",
+        "ball-adelic --d 2 --B 30 --Tmax 12 --step 4",  # B T_max = 360 > 350
+        "ball-adelic --d 7 --B 1 --Tmax 2",
+    ],
+)
+def test_bad_adelic_range_exits_one(capsys, argv):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("heightcount: error:")
+    assert captured.out == ""
+
+
+def test_adelic_commands_reach_d6(capsys):
+    # the volume table covers the series' 2 <= d <= 6
+    for d in ("5", "6"):
+        _, rows = run_csv(capsys, "ball-adelic", "--d", d, "--B", "1", "--Tmax", "3", "--step", "0.5")
+        values = [float(b) for _, b in rows]
+        assert len(values) == 6 and all(0 < a < b for a, b in zip(values, values[1:]))
+        doc = run_json(capsys, "regularity", "--d", d, "--B", "1", "--Tmin", "2", "--Tmax", "3", "--points", "6")
+        assert doc["schema"] == "heightcount/regularity/v1"
+
+
 def test_usage_error_exits_one(capsys):
     code, _ = run(capsys, "sphere", "--d", "2", "--p", "2")
     assert code == 1
@@ -363,6 +389,7 @@ def _src_env():
 
 
 def test_readme_script_lines_run():
+    # scan_ball_volumes.py reads the volume table, the other two the adelic b(T)
     lines = [shlex.split(line) for line in _readme_block("## Scripts") if line.startswith("python ")]
     assert len(lines) == 3
     env = _src_env()
@@ -371,16 +398,22 @@ def test_readme_script_lines_run():
             [sys.executable, *argv[1:]], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.strip(), argv
 
 
 def test_import_leaves_kernels_and_verify_unimported():
-    # the BFS kernel, the det-shell enumeration, the check suite and the
-    # exact ball-volume series load on first use, so a bare
-    # `import heightcount` stays cheap
-    lazy = ("heightcount.hermite", "heightcount.shells", "heightcount.verify", "fractions")
-    code = f"import sys, heightcount; print([m for m in {lazy!r} if m in sys.modules])"
+    # the BFS kernel, the det-shell enumeration and the check suite load on
+    # first use, so a bare `import heightcount` stays cheap; the volume
+    # series is exact in integers, so a table and a series sum import
+    # neither fractions nor decimal
+    lazy = ("heightcount.hermite", "heightcount.shells", "heightcount.verify", "fractions", "decimal")
+    code = (
+        f"import sys, heightcount; print([m for m in {lazy!r} if m in sys.modules]); "
+        "heightcount.ball_volume_table(3, 1.0, 2.0); heightcount.ball_volume_numeric(6, 0.7, 1.5); "
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=_src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
