@@ -21,22 +21,31 @@ pi_count walks the shells e = 1 .. floor(X) (`heightcount.shells`).  A
 canonical first row (a, b) (a > 0, or a = 0 < b) with n = a^2 + b^2 and
 g = gcd(a, b) meets shell e only if g | e, and Lagrange's identity n (c^2 + d^2) = e^2 + (ac + bd)^2
 says it meets the cap only if n (F_cap - n) >= e^2.  The second rows with
-ad - bc = +-e lie on the lattice line (c0, d0) + k (a, b)/g, (c0, d0)
-from the Bezout pair of (a, b), and the cap cuts each line to an integer
-interval of k, found from a quadratic and settled in exact integers.
-Distinct (row, e, sign, k) give distinct matrices, so no candidate is
-generated twice.  The work is about x^2 log x candidates at B = 1,
-against (2x + 1)^4 cells for the box below.
+ad - bc = e lie on the lattice line (c0, d0) + k (a, b)/g, (c0, d0)
+from the Bezout pair of (a, b), their mirrors (-c, -d) give ad - bc = -e
+with the same F, and the cap cuts each line to an integer interval of k,
+found from a quadratic and settled in exact integers.  Distinct
+(row, e, sign, k) give distinct matrices; these are the candidates, about
+x^2 log x at B = 1, against (2x + 1)^4 cells for the box below.
 
 The shells are taken at X = x_hi, just above both the closed-ball test
 x (1 + 1e-12) + 1e-12 and the tie band x + 1e-9, with a relative margin of
 1e-12 that covers the rounding of the float height.  Every matrix that
 the float height puts inside the ball or in the tie band is therefore a
-candidate.  Each candidate is classified by the same predicates as the box
-search (`_classify`: nonzero det, canonical sign, primitivity, float
-height, ball slack, tie band), so the candidate set is a superset of the
-box's hits and ties, and count and tie_count equal the box's whenever the
-box is exhaustive.
+candidate.
+
+The count costs about one unit of work per line, not per candidate.  A
+candidate has nonzero det and a canonical sign by construction, so its
+float decision (`_decide`) depends only on (e, F).  `_shell_table`
+evaluates it once for every integer F = 2e .. F_cap(e) and checks, in
+exact integers, that the inside set is a prefix F <= F_in(e) and the tie
+set one interval.  On such a regular shell every line contributes the
+primitive matrices of at most three intervals of k (inside, and the two
+ends of the tie set), and primitivity is a coprimality count along the
+line (`shells.Lines.primitive`).  A shell that fails the check is sent
+through `_classify` candidate by candidate.  Either way each candidate is
+decided by the same float function as in the box search, so count and
+tie_count equal the box's whenever the box is exhaustive.
 
 Box search (test oracle).  Every class with h <= x has its canonical
 entries in [-N, N]^4 when N >= entry_bound(x, B):
@@ -46,10 +55,11 @@ entries in [-N, N]^4 when N >= entry_bound(x, B):
     at most max over integers 1 <= e <= x of sqrt(e^(1-2B) x^(2B)).
 
 `_count_chunk` searches that box.  It is kept only as the test oracle of
-the shell enumeration, which verify's box-saturation check also calls.
-`_classify` is the package's one height predicate; the scalar height of a
-single representative and the pure-Python box walk are test oracles in
-tests/oracles.py.
+the det-shell count, which verify's box-saturation check also calls; the
+candidate walk `shells.Shells.candidates` through `_classify` is the
+other.  `_decide` is the package's one height decision; the scalar height
+of a single representative and the pure-Python box walk are test oracles
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -85,8 +95,10 @@ class PiCountDetail:
     """Exact count with its search parameters and boundary diagnostics.
 
     entry_bound_used is the certified box half-width entry_bound(x, B);
-    candidates is the number of candidate matrices the det-shell
-    enumeration examined (before the predicates of `_classify`)."""
+    candidates is the number of det-shell candidates, the matrices with
+    |det| = e, canonical first row and F <= F_cap(e) over all shells, before
+    any height decision.  It is the sum of the lines' interval lengths:
+    the count counts these matrices, it does not examine each one."""
 
     x: float
     B: float
@@ -96,13 +108,23 @@ class PiCountDetail:
     candidates: int
 
 
+def _decide(adet: np.ndarray, frob: np.ndarray, x: float, B: float) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise (inside, tie) masks of a matrix with |det| = adet and
+    squared Frobenius norm frob (float arrays): its float height is <= x up
+    to _BALL_SLACK, or within _TIE_TOL of x.  The package's one height
+    decision, behind both `_classify` and the det-shell table."""
+    sigma1_sq = (frob + np.sqrt(frob * frob - 4.0 * adet * adet)) / 2.0
+    h = adet * (sigma1_sq / adet) ** (1.0 / (2.0 * B))
+    return h <= x * (1.0 + _BALL_SLACK) + _BALL_SLACK, np.abs(h - x) <= _TIE_TOL
+
+
 def _classify(a, b, c, d, x: float, B: float) -> tuple[int, int]:
     """(inside, ties) among the integer matrices (a, b, c, d), elementwise.
 
     A matrix is inside if it is nonsingular, canonically signed and
-    primitive and its float height is <= x up to _BALL_SLACK; it is a tie
-    if that height is within _TIE_TOL of x.  Both the det-shell count and
-    the box oracle decide with this one definition."""
+    primitive and `_decide` puts it inside; it is a tie if `_decide` says
+    so.  The box oracle, the candidate oracle and the det-shell count's
+    fallback decide with this one definition."""
     det = a * d - b * c
     keep = det != 0
     # canonical sign: first nonzero of (a, b, c, d) positive
@@ -113,11 +135,88 @@ def _classify(a, b, c, d, x: float, B: float) -> tuple[int, int]:
         return 0, 0
     adet = np.abs(det[keep]).astype(float)
     frob = (a * a + b * b + c * c + d * d)[keep].astype(float)
-    sigma1_sq = (frob + np.sqrt(frob * frob - 4.0 * adet * adet)) / 2.0
-    h = adet * (sigma1_sq / adet) ** (1.0 / (2.0 * B))
-    inside = h <= x * (1.0 + _BALL_SLACK) + _BALL_SLACK
-    ties = np.abs(h - x) <= _TIE_TOL
+    inside, ties = _decide(adet, frob, x, B)
     return int(np.count_nonzero(inside)), int(np.count_nonzero(ties))
+
+
+@dataclass(frozen=True)
+class _ShellTable:
+    """`_decide` on every integer F = 2e .. F_cap(e) of every shell e
+    (index e - 1), reduced to intervals: a matrix of shell e is inside
+    exactly when F <= f_in, and a tie exactly when tie_lo <= F <= tie_hi
+    (empty when tie_lo > tie_hi).  A shell where either set is not such an
+    interval is not regular."""
+
+    fcap: np.ndarray
+    f_in: np.ndarray
+    tie_lo: np.ndarray
+    tie_hi: np.ndarray
+    regular: np.ndarray
+
+
+def _shell_table(fcap: np.ndarray, x: float, B: float, block: int) -> _ShellTable:
+    """The `_ShellTable` of the caps fcap, evaluated and reduced in slices
+    of at most `block` entries of the flat table (shell by shell, F
+    ascending) and checked in exact integers."""
+    e = np.arange(1, fcap.size + 1, dtype=np.int64)
+    size = fcap - 2 * e + 1  # F >= 2e: F = s1^2 + s2^2 >= 2 s1 s2
+    end = np.cumsum(size)
+    shift = 2 * e - (end - size)  # F = flat index + shift[e - 1]
+    n_in = np.zeros_like(e)
+    f_in = 2 * e - 1
+    n_tie = np.zeros_like(e)
+    none = int(fcap.max()) + 1  # above every F
+    tie_lo = np.full_like(e, none)
+    tie_hi = np.zeros_like(e)
+    for s in range(0, int(end[-1]), block):
+        flat = np.arange(s, min(s + block, int(end[-1])), dtype=np.int64)
+        owner = np.searchsorted(end, flat, side="right")
+        f = flat + shift[owner]
+        inside, tie = _decide(e[owner].astype(float), f.astype(float), x, B)
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        u = owner[starts]  # distinct shells, one segment each
+        n_in[u] += np.add.reduceat(inside, starts, dtype=np.int64)
+        f_in[u] = np.maximum(f_in[u], np.maximum.reduceat(np.where(inside, f, 0), starts))
+        if tie.any():
+            n_tie[u] += np.add.reduceat(tie, starts, dtype=np.int64)
+            tie_lo[u] = np.minimum(tie_lo[u], np.minimum.reduceat(np.where(tie, f, none), starts))
+            tie_hi[u] = np.maximum(tie_hi[u], np.maximum.reduceat(np.where(tie, f, 0), starts))
+    empty = n_tie == 0
+    tie_lo[empty], tie_hi[empty] = fcap[empty] + 1, fcap[empty]
+    regular = (n_in == f_in - 2 * e + 1) & (n_tie == tie_hi - tie_lo + 1)
+    return _ShellTable(fcap, f_in, tie_lo, tie_hi, regular)
+
+
+def _count_lines(lines, table: _ShellTable, x: float, B: float) -> tuple[int, int, int]:
+    """(inside, ties, candidates) on one `shells.Lines` batch.
+
+    Every matrix on a line has |det| = e and a canonical first row, so on
+    a regular shell its decision is the table's, by F alone, and each line
+    contributes the primitive matrices of at most three intervals of k
+    (`Lines.primitive`).  Lines of irregular shells go through `_classify`
+    matrix by matrix."""
+    s = lines.e - 1
+    inside = ties = 0
+    regular = table.regular[s]
+    if not regular.all():
+        for o, c, d in lines.points(np.flatnonzero(~regular)):
+            i, t = _classify(lines.a[o], lines.b[o], c, d, x, B)
+            inside, ties = inside + i, ties + t
+    reg = np.flatnonzero(regular)
+    s_reg = s[reg]
+    lo, hi = lines.lo[reg], lines.hi[reg]
+    f_in = table.f_in[s_reg]
+    short = np.flatnonzero(f_in < table.fcap[s_reg])
+    if short.size:
+        lo[short], hi[short] = lines.upto(reg[short], f_in[short])
+    inside += int(lines.primitive(reg, lo, hi).sum())
+    tied = reg[table.tie_lo[s_reg] <= table.tie_hi[s_reg]]
+    if tied.size:
+        upper = lines.primitive(tied, *lines.upto(tied, table.tie_hi[s[tied]]))
+        lower = lines.primitive(tied, *lines.upto(tied, table.tie_lo[s[tied]] - 1))
+        ties += int((upper - lower).sum())
+    # each line stands for itself and its mirror (-c, -d)
+    return 2 * inside, 2 * ties, 2 * int(np.maximum(lines.hi - lines.lo + 1, 0).sum())
 
 
 def _axis_values(bound: int) -> np.ndarray:
@@ -148,9 +247,10 @@ def pi_count_detail(
     """Exact closed-ball count #{h <= x} by determinant shells.
 
     max_cells (default HEIGHTCOUNT_MAX_CELLS) bounds the a-priori estimate
-    of the candidates examined.  The first rows are split into a fixed set
-    of blocks independent of the worker count, and the integer partial
-    counts are summed, so the result does not depend on workers.
+    `shells.candidate_bound` of the candidates, which also bounds the lines
+    and the decision table.  The first rows are split into a fixed set of
+    blocks independent of the worker count, and the integer partial counts
+    are summed, so the result does not depend on workers.
     """
     if not (x >= 0):
         raise DomainError(f"need x >= 0, got {x}")
@@ -165,20 +265,22 @@ def pi_count_detail(
     fcap = shells.shell_caps(x_hi, B)
     check_budget("det-shell candidates", shells.candidate_bound(fcap), max_cells, "max_cells")
     table = shells.Shells(x_hi, B, fcap)
+    decisions = _shell_table(fcap, x, B, shells._BLOCK)
 
     def count(block):
         inside = ties = seen = 0
-        for a, b, c, d in table.candidates(block):
-            i, t = _classify(a, b, c, d, x, B)
-            inside, ties, seen = inside + i, ties + t, seen + a.size
+        for lines in table.lines(block):
+            i, t, n = _count_lines(lines, decisions, x, B)
+            inside, ties, seen = inside + i, ties + t, seen + n
+            del lines  # freed before the next batch is built
         return inside, ties, seen
 
     blocks = table.blocks()
-    # The package's one thread pool.  numpy releases the GIL inside the
-    # block kernels, so it pays once there are many blocks: on a 2-vCPU
-    # Xeon, workers=2 takes pi_count_detail(30, B=2) from ~1.6 s to ~1.3 s
-    # and (600, B=1) from ~3.1 s to ~2.4 s; single-block sizes (x <= 70
-    # at B = 1) are unchanged.
+    # The package's one thread pool.  It paid while every candidate went
+    # through long numpy kernels; on the line counts it no longer does.  On
+    # a 2-vCPU Xeon (medians of 5, workers 1 -> 2) pi_count_detail(30, B=2)
+    # takes 0.94 -> 1.13 s, (600, B=1) 1.13 -> 1.09 s and (70, B=1)
+    # 0.015 -> 0.015 s.
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(count, blocks))

@@ -107,7 +107,11 @@ def _coeff_int64(d: int, x: int, primes: list[int]):
             vals[pk::pk] *= Dp if pk == p else cp
             shadow[pk::pk] *= Dp_f if pk == p else cp_f
             smooth[pk::pk] *= p
-    q = np.arange(x + 1, dtype=np.int64) // smooth
+    # in place, and smooth freed before the gather: two fewer (x + 1)-long
+    # int64 arrays at the peak
+    q = np.arange(x + 1, dtype=np.int64)
+    q //= smooth
+    del smooth
     large = np.flatnonzero(q > 1)
     vals[large] *= shell_count(d, q[large])
     shadow[large] *= shell_count(d, q[large].astype(float))

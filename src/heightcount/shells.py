@@ -1,10 +1,13 @@
-"""Determinant-shell enumeration of integer 2x2 matrices.
+"""Determinant-shell lines of integer 2x2 matrices.
 
-For shells e = 1 .. len(fcap), `Shells` yields every integer matrix
-(a, b, c, d) with ad - bc = +-e, canonical first row (a > 0, or a = 0 < b)
-and a^2 + b^2 + c^2 + d^2 <= fcap[e - 1], each exactly once and in blocks
-of bounded size.  `heightcount.counting` derives the caps from the height
-ball and classifies the candidates.
+For shells e = 1 .. len(fcap), `Shells` yields the lattice lines that hold
+every integer matrix (a, b, c, d) with ad - bc = +-e, canonical first row
+(a > 0, or a = 0 < b) and a^2 + b^2 + c^2 + d^2 <= fcap[e - 1], in blocks of
+bounded size.  A line (`Lines`) fixes the first row and e; its second rows
+form an integer interval of k, and any bound on F cuts out a subinterval,
+so `heightcount.counting` counts matrices per line without building them.
+`Shells.candidates` walks every matrix, each exactly once; it is the test
+oracle of the count.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import numpy as np
 
 from .errors import BudgetError
 
-# first rows, (row, e) pairs and candidate matrices handled per block;
-# bounds memory.  At 2^13 a block's int64 arrays are 64 KiB, below glibc's
-# default 128 KiB mmap threshold, so they are reused from the heap.  At 2^16
-# (512 KiB arrays) every block mapped and faulted in fresh pages unless an
-# earlier large free had raised the threshold: the census benchmark took
-# ~0.71 s against ~0.52 s at 2^13 (2-vCPU Xeon), and 52 against 35 MB
+# first rows, (row, e) pairs, candidate matrices and entries of the
+# decision table handled per block; bounds memory.  At 2^13 a block's int64
+# arrays are 64 KiB, below glibc's default 128 KiB mmap threshold, so they
+# are reused from the heap.  At 2^16 (512 KiB arrays) every block mapped and
+# faulted in fresh pages unless an earlier large free had raised the
+# threshold: the census benchmark took ~0.71 s against ~0.52 s at 2^13
+# (2-vCPU Xeon), and 52 against 35 MB
 _BLOCK = 1 << 13
 # shell caps below this keep every quadratic of the enumeration inside int64
 _FCAP_LIMIT = 1 << 31
@@ -51,6 +55,10 @@ def candidate_bound(fcap: np.ndarray) -> int:
 
     with r = sqrt(2)/2: the unit square around each v lies in the disk of
     radius sqrt(R) + r, and 1/|v| <= (1 + r)/|u| for u in it when |v| >= 1.
+
+    The g = 1 lines alone number at least pi F_cap(e) per shell, more than
+    the F_cap(e) - 2e + 1 entries of its decision table in
+    `counting._shell_table`, so the bound covers the table too.
     """
     r = math.sqrt(0.5)
     total = 0.0
@@ -151,10 +159,19 @@ def _quadratic_interval(A, P, D, W) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _line_interval(A, P, m, c0, d0, room) -> tuple[np.ndarray, np.ndarray]:
+    """lo <= k <= hi with c^2 + d^2 <= room on the lines
+    (c, d) = (c0, d0) + k (ap, bp), A = ap^2 + bp^2, P = c0 ap + d0 bp,
+    m = ap d0 - bp c0, for A room >= m^2."""
+    # c^2 + d^2 - room = A k^2 + 2 P k + W; its discriminant is
+    # P^2 - A W = A room - m^2, since A (c0^2 + d0^2) - P^2 = m^2
+    return _quadratic_interval(A, P, A * room - m * m, c0 * c0 + d0 * d0 - room)
+
+
 @dataclass(frozen=True)
 class Shells:
-    """The candidates under the shell caps fcap (F_cap(e) at index e - 1)
-    of one x_hi and B, enumerated in blocks of first rows."""
+    """The lines under the shell caps fcap (F_cap(e) at index e - 1) of one
+    x_hi and B, in blocks of first rows."""
 
     x_hi: float
     B: float
@@ -175,44 +192,138 @@ class Shells:
         a = np.arange(math.isqrt(self._n_max) + 1, dtype=np.int64)
         return _spans(_b_ranges(self._n_max, a)[1])
 
-    def candidates(self, block: tuple[int, int]):
-        """Yield arrays (a, b, c, d) of the candidates whose first entry a
-        lies in block; every matrix with ad - bc = +-e, canonical first row
-        and F <= F_cap(e) occurs exactly once."""
+    def lines(self, block: tuple[int, int]):
+        """Yield `Lines` batches holding every (row, e) line of the first
+        rows whose first entry a lies in block, each line once."""
+        a, b, n, j_lo, j_count = self._rows(block)
+        g, p, q = _bezout(a, b)
+        for s, t in _spans(j_count):
+            yield self._lines(a[s:t], b[s:t], n[s:t], g[s:t], p[s:t], q[s:t], j_lo[s:t], j_count[s:t])
+
+    def _rows(self, block: tuple[int, int]):
+        """The first rows (a, b) of block that may meet a shell, with
+        n = a^2 + b^2 and their shells e = g j, j_lo <= j < j_lo + j_count."""
         a = np.arange(*block, dtype=np.int64)
         owner, b = _ragged(*_b_ranges(self._n_max, a))
         a = a[owner]
         n = a * a + b * b
-        g, p, q = _bezout(a, b)
         e_lo, e_hi = _shell_ranges(n, self.x_hi, self.B, self.fcap.size)
-        j_lo = -(-e_lo // g)  # shells e = g j
-        j_count = np.maximum(e_hi // g - j_lo + 1, 0)
-        for s, t in _spans(j_count):
-            yield from self._lines(a[s:t], b[s:t], n[s:t], g[s:t], p[s:t], q[s:t], j_lo[s:t], j_count[s:t])
+        g = np.gcd(a, b)
+        j_lo = -(-e_lo // g)
+        j_count = e_hi // g - j_lo + 1
+        live = j_count > 0
+        return a[live], b[live], n[live], j_lo[live], j_count[live]
 
     def _lines(self, a, b, n, g, p, q, j_lo, j_count):
-        """Candidates of the (row, e) pairs e = g j, j_lo <= j < j_lo + j_count."""
+        """The lines of the (row, e) pairs e = g j, j_lo <= j < j_lo + j_count."""
         i, j = _ragged(j_lo, j_count)
         e = g[i] * j
         room = self.fcap[e - 1] - n[i]  # cap on c^2 + d^2
         hit = room * n[i] >= e * e
         i, e, room = i[hit], e[hit], room[hit]
-        a, b, g, p, q = a[i], b[i], g[i], p[i], q[i]
-        ap, bp = a // g, b // g
+        a, b, n, g, p, q = a[i], b[i], n[i], g[i], p[i], q[i]
+        ap, bp, m = a // g, b // g, e // g
         A = ap * ap + bp * bp
-        for m in (e // g, -(e // g)):
-            # (c, d) = (c0, d0) + k (ap, bp) solves ap d - bp c = m, i.e.
-            # ad - bc = +-e; start at the point nearest the foot of the
-            # perpendicular from the origin
-            c0, d0 = -m * q, m * p
-            k0 = (A - 2 * (c0 * ap + d0 * bp)) // (2 * A)
-            c0, d0 = c0 + k0 * ap, d0 + k0 * bp
-            P = c0 * ap + d0 * bp
-            # c^2 + d^2 - room = A k^2 + 2 P k + W; its discriminant
-            # P^2 - A W = A room - m^2 is >= 0 by the test above
-            lo, hi = _quadratic_interval(A, P, A * room - m * m, c0 * c0 + d0 * d0 - room)
-            count = np.maximum(hi - lo + 1, 0)
-            for s, t in _spans(count):
-                o, k = _ragged(lo[s:t], count[s:t])
-                o += s
-                yield a[o], b[o], c0[o] + k * ap[o], d0[o] + k * bp[o]
+        # (c, d) = (c0, d0) + k (ap, bp) solves ap d - bp c = m, i.e.
+        # ad - bc = e; start at the point nearest the foot of the
+        # perpendicular from the origin
+        c0, d0 = -m * q, m * p
+        k0 = (A - 2 * (c0 * ap + d0 * bp)) // (2 * A)
+        c0, d0 = c0 + k0 * ap, d0 + k0 * bp
+        P = c0 * ap + d0 * bp
+        lo, hi = _line_interval(A, P, m, c0, d0, room)
+        return Lines(a, b, n, g, e, m, ap, bp, k0, c0, d0, A, P, lo, hi)
+
+    def candidates(self, block: tuple[int, int]):
+        """Yield arrays (a, b, c, d) of the candidates whose first entry a
+        lies in block; every matrix with ad - bc = +-e, canonical first row
+        and F <= F_cap(e) occurs exactly once.  The count enumerates no
+        line that `counting` can count; this full walk is its test oracle."""
+        for lines in self.lines(block):
+            for o, c, d in lines.points():
+                yield lines.a[o], lines.b[o], c, d
+                yield lines.a[o], lines.b[o], -c, -d
+
+
+@dataclass(frozen=True)
+class Lines:
+    """A batch of det-shell lines.
+
+    Line i has first row (a, b) with n = a^2 + b^2 and g = gcd(a, b), shell
+    e and m = e/g.  Its second rows are (c, d) = (c0, d0) + k (ap, bp),
+    (ap, bp) = (a, b)/g, those with ad - bc = e, and F = n + c^2 + d^2 <=
+    F_cap(e) exactly when lo <= k <= hi.  Its mirror (-c, -d) holds those
+    with ad - bc = -e, with the same F and content, so it is not stored.
+    Along a line, c^2 + d^2 = A k^2 + 2 P k + c0^2 + d0^2 is convex in k, so
+    every bound on F cuts out an interval of k.  The start is
+    (c0, d0) = m (-q, p) + k0 (ap, bp) with a p + b q = g (`_bezout`).
+
+    The methods take sel, an index array of lines."""
+
+    a: np.ndarray
+    b: np.ndarray
+    n: np.ndarray
+    g: np.ndarray
+    e: np.ndarray
+    m: np.ndarray
+    ap: np.ndarray
+    bp: np.ndarray
+    k0: np.ndarray
+    c0: np.ndarray
+    d0: np.ndarray
+    A: np.ndarray
+    P: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def upto(self, sel: np.ndarray, f_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The interval lo <= k <= hi (empty when hi < lo) of F <= f_max on
+        each line of sel (an index array), f_max aligned with sel."""
+        room = f_max - self.n[sel]
+        lo, hi = np.zeros(sel.size, dtype=np.int64), np.full(sel.size, -1, dtype=np.int64)
+        some = self.A[sel] * room >= self.m[sel] ** 2
+        sel, room = sel[some], room[some]
+        lo[some], hi[some] = _line_interval(self.A[sel], self.P[sel], self.m[sel], self.c0[sel], self.d0[sel], room)
+        return lo, hi
+
+    def primitive(self, sel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per line of sel, the number of primitive matrices with
+        lo <= k <= hi.
+
+        A prime dividing g, c and d divides ap d - bp c = m, so with
+        G = gcd(g, m) the matrix is primitive exactly when no prime of G
+        divides (c, d) = m (-q, p) + (k + k0)(ap, bp).  As G | m and
+        gcd(ap, bp) = 1, that is gcd(k + k0, G) = 1: a count of integers
+        coprime to G, periodic mod G."""
+        count = np.maximum(hi - lo + 1, 0)
+        G = np.gcd(self.g[sel], self.m[sel])
+        mixed = np.flatnonzero((G > 1) & (count > 0))
+        if mixed.size:
+            G, k0 = G[mixed], self.k0[sel[mixed]]
+            prefix = _coprime_prefix(int(G.max()))
+
+            def below(t):  # #{0 <= i < t : gcd(i, G) = 1}, for any integer t
+                return t // G * prefix[G, G] + prefix[G, t % G]
+
+            count[mixed] = below(hi[mixed] + k0 + 1) - below(lo[mixed] + k0)
+        return count
+
+    def points(self, sel: np.ndarray | None = None):
+        """Yield (o, c, d) for every k in the cap interval of the lines sel
+        (default all), in blocks of about _BLOCK: o is the line index and
+        (c, d) the second row."""
+        if sel is None:
+            sel = np.arange(self.e.size)
+        count = np.maximum(self.hi[sel] - self.lo[sel] + 1, 0)
+        for s, t in _spans(count):
+            o, k = _ragged(self.lo[sel[s:t]], count[s:t])
+            o = sel[s:t][o]
+            yield o, self.c0[o] + k * self.ap[o], self.d0[o] + k * self.bp[o]
+
+
+def _coprime_prefix(g_max: int) -> np.ndarray:
+    """prefix[G, j] = #{0 <= i < j : gcd(i, G) = 1} for 0 <= j <= G <= g_max."""
+    i = np.arange(g_max + 1)
+    prefix = np.zeros((g_max + 1, g_max + 1), dtype=np.int64)
+    prefix[:, 1:] = np.cumsum(np.gcd(i[:-1], i[:, None]) == 1, axis=1)
+    return prefix

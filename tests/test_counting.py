@@ -214,9 +214,14 @@ def test_pi_count_pinned_box_values():
     assert (det.count, det.tie_count) == (482288, 432)
 
 
-def _shell_candidates(x, B):
+def _shell_setup(x, B):
     x_hi = counting._x_hi(x)
-    table = shells.Shells(x_hi, B, shells.shell_caps(x_hi, B))
+    fcap = shells.shell_caps(x_hi, B)
+    return shells.Shells(x_hi, B, fcap), fcap
+
+
+def _shell_candidates(x, B):
+    table, _ = _shell_setup(x, B)
     for block in table.blocks():
         yield from table.candidates(block)
 
@@ -245,6 +250,165 @@ def test_candidate_bound_covers_candidates():
         for x in (1.0, 1.5, 2.0, 3.25, 5.0, 8.0, 13.0, 20.0):
             estimate = shells.candidate_bound(shells.shell_caps(counting._x_hi(x), B))
             assert estimate >= pi_count_detail(x, B).candidates, (x, B)
+
+
+def _candidate_oracle(x, B):
+    """(count, ties, candidates): every candidate of `Shells.candidates`
+    through `_classify`, the matrix-by-matrix path the line count replaces."""
+    inside = ties = seen = 0
+    for a, b, c, d in _shell_candidates(x, B):
+        i, t = counting._classify(a, b, c, d, x, B)
+        inside, ties, seen = inside + i, ties + t, seen + a.size
+    return inside, ties, seen
+
+
+def _lines(x, B):
+    table, _ = _shell_setup(x, B)
+    for block in table.blocks():
+        yield from table.lines(block)
+
+
+_LINE_GRID = [
+    (x, B)
+    for B, xs in [
+        (0.3, (1.5, 7.3, 13.5, 40.25)),
+        (0.5, (1.25, 6.5, 17.75, 60.5)),
+        (0.8, (2.5, 9.75, 30.5)),
+        (1.0, (1.7, 5.5, 12.25, 20.75)),
+        (1.2, (2.25, 7.5, 12.5)),
+        (1.5, (1.5, 4.25, 7.75)),
+        (2.0, (1.25, 3.5, 5.75)),
+    ]
+    for x in xs
+] + [(float(x), 0.5) for x in (1, 2, 3, 4, 8, 9, 12, 16, 25, 36, 48, 99, 100)]
+
+
+@pytest.mark.parametrize("x, B", _LINE_GRID)
+def test_line_count_matches_candidate_oracle(x, B):
+    det = pi_count_detail(x, B)
+    assert (det.count, det.tie_count, det.candidates) == _candidate_oracle(x, B)
+
+
+def test_line_count_sees_real_ties():
+    # integer x at B = 1/2 puts h = x exactly on lattice points
+    assert sum(pi_count_detail(float(x), 0.5).tie_count for x in (4, 9, 16, 100)) > 0
+
+
+@pytest.mark.parametrize("x, B", [(6.5, 0.5), (9.0, 1.0), (3.5, 2.0), (25.0, 0.5)])
+def test_shell_table_against_every_decision(x, B):
+    _, fcap = _shell_setup(x, B)
+    table = counting._shell_table(fcap, x, B, shells._BLOCK)
+    assert table.regular.all()
+    for e in range(1, fcap.size + 1):
+        f = np.arange(2 * e, fcap[e - 1] + 1)
+        inside, tie = counting._decide(np.full(f.size, float(e)), f.astype(float), x, B)
+        assert np.array_equal(inside, f <= table.f_in[e - 1]), e
+        assert np.array_equal(tie, (table.tie_lo[e - 1] <= f) & (f <= table.tie_hi[e - 1])), e
+
+
+@pytest.mark.parametrize("x, B", [(8.0, 1.0), (25.0, 0.5), (3.5, 2.0)])
+def test_shell_table_slices_do_not_change_it(x, B):
+    _, fcap = _shell_setup(x, B)
+    whole = counting._shell_table(fcap, x, B, shells._BLOCK)
+    sliced = counting._shell_table(fcap, x, B, 5)
+    for name in ("f_in", "tie_lo", "tie_hi", "regular"):
+        assert np.array_equal(getattr(whole, name), getattr(sliced, name)), name
+
+
+@pytest.mark.parametrize("x, B", [(8.0, 1.0), (36.0, 0.5), (16.0, 1.0)])
+@pytest.mark.parametrize("which", ["tie shell", "imprimitive shell", "all"])
+def test_irregular_shells_take_the_candidate_path(monkeypatch, x, B, which):
+    whole = pi_count_detail(x, B)
+    build = counting._shell_table
+
+    def patched(fcap, x, B, block):
+        table = build(fcap, x, B, block)
+        ties = np.flatnonzero(table.tie_lo <= table.tie_hi)
+        assert ties.size
+        # shell 8 holds the imprimitive lines of the row (2, 0)
+        pick = {"tie shell": ties[:1], "imprimitive shell": [7], "all": slice(None)}[which]
+        table.regular[pick] = False
+        # an irregular shell's intervals must not be read
+        table.f_in[pick], table.tie_lo[pick], table.tie_hi[pick] = 0, 0, 10**9
+        return table
+
+    monkeypatch.setattr(counting, "_shell_table", patched)
+    assert pi_count_detail(x, B) == whole
+    assert pi_count_detail(x, B, workers=2) == whole
+
+
+@pytest.mark.parametrize("x, B", [(12.0, 1.0), (40.0, 0.5), (5.0, 2.0), (20.0, 0.8)])
+def test_imprimitive_matrices_need_gcd_of_g_and_e_over_g(x, B):
+    seen = 0
+    for lines in _lines(x, B):
+        G = np.gcd(lines.g, lines.m)
+        for o, c, d in lines.points():
+            imprimitive = np.gcd(np.gcd(c, d), lines.g[o]) > 1
+            assert np.all(G[o][imprimitive] > 1)
+            # the residue form behind Lines.primitive
+            k = ((c - lines.c0[o]) * lines.ap[o] + (d - lines.d0[o]) * lines.bp[o]) // lines.A[o]
+            assert np.array_equal(imprimitive, np.gcd(k + lines.k0[o], G[o]) > 1)
+            seen += int(imprimitive.sum())
+    assert seen > 0
+
+
+@pytest.mark.parametrize("x, B", [(12.0, 1.0), (40.0, 0.5), (5.0, 2.0)])
+def test_line_intervals_and_primitive_counts(x, B):
+    rng = np.random.default_rng(0)
+    _, fcap = _shell_setup(x, B)
+    for lines in _lines(x, B):
+        every = np.arange(lines.e.size)
+        f = np.zeros(every.size, dtype=np.int64)
+        prim = np.zeros(every.size, dtype=np.int64)
+        for o, c, d in lines.points():
+            np.add.at(prim, o, np.gcd(np.gcd(c, d), lines.g[o]) == 1)
+        assert np.array_equal(lines.primitive(every, lines.lo, lines.hi), prim)
+        # a random bound on F, up to the cap, cuts each line to the
+        # interval `upto` finds
+        f_max = np.minimum(lines.n + rng.integers(-2, int(lines.A.max()) * 4, every.size), fcap[lines.e - 1])
+        lo, hi = lines.upto(every, f_max)
+        for o, c, d in lines.points():
+            k = ((c - lines.c0[o]) * lines.ap[o] + (d - lines.d0[o]) * lines.bp[o]) // lines.A[o]
+            below = lines.n[o] + c * c + d * d <= f_max[o]
+            assert np.array_equal(below, (lo[o] <= k) & (k <= hi[o]))
+            np.add.at(f, o, below)
+        assert np.array_equal(np.maximum(hi - lo + 1, 0), f)
+
+
+@pytest.mark.parametrize("x, B", [(12.0, 1.0), (40.0, 0.5), (5.0, 2.0)])
+def test_line_count_follows_any_interval_table(x, B):
+    # random intervals exercise the cuts that real tables rarely need:
+    # F_in(e) < F_cap(e) and ties that straddle it
+    shell_table, fcap = _shell_setup(x, B)
+    rng = np.random.default_rng(1)
+    e = np.arange(1, fcap.size + 1)
+    f_in = rng.integers(2 * e - 1, fcap + 1)
+    tie_lo = rng.integers(2 * e, fcap + 2)
+    tie_hi = rng.integers(tie_lo - 1, fcap + 1)
+    table = counting._ShellTable(fcap, f_in, tie_lo, tie_hi, np.ones(fcap.size, dtype=bool))
+    got = np.zeros(3, dtype=np.int64)
+    want = np.zeros(3, dtype=np.int64)
+    for block in shell_table.blocks():
+        for lines in shell_table.lines(block):
+            got += counting._count_lines(lines, table, x, B)
+        for a, b, c, d in shell_table.candidates(block):
+            k = np.abs(a * d - b * c) - 1
+            f = a * a + b * b + c * c + d * d
+            primitive = np.gcd(np.gcd(a, b), np.gcd(c, d)) == 1
+            tie = (tie_lo[k] <= f) & (f <= tie_hi[k])
+            want += [np.sum(primitive & (f <= f_in[k])), np.sum(primitive & tie), a.size]
+    assert np.array_equal(got, want)
+    assert want[0] < pi_count_detail(x, B).count and want[1] > 0
+
+
+def test_candidate_bound_covers_the_shell_table():
+    # the g = 1 term of the bound alone exceeds pi F_cap(e) on each shell,
+    # so the budget also bounds the decision table, sum (F_cap(e) - 2e + 1)
+    for B in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0):
+        for x in (1.0, 1.5, 3.25, 8.0, 20.0, 64.0):
+            fcap = shells.shell_caps(counting._x_hi(x), B)
+            e = np.arange(1, fcap.size + 1)
+            assert shells.candidate_bound(fcap) >= int((fcap - 2 * e + 1).sum()), (x, B)
 
 
 def test_pi_count_budget():
