@@ -7,7 +7,7 @@ determinant-shell line, each holding a few of the about x^2 log x
 candidates at B = 1, so --xmax in the hundreds is practical.
 
 Usage:
-    python scripts/count_vs_prediction.py --xmax 8 --B 1.0 --workers 4
+    python scripts/count_vs_prediction.py --xmax 8 --B 1.0
 """
 
 import argparse
@@ -21,7 +21,6 @@ def main() -> None:
     ap.add_argument("--B", type=float, default=1.0)
     ap.add_argument("--step", type=float, default=1.0)
     ap.add_argument("--covolume", type=float, default=1.0)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     grid = []
@@ -29,9 +28,7 @@ def main() -> None:
     while x <= args.xmax + 1e-9:
         grid.append(round(x, 6))
         x += args.step
-    rep = compare_report(
-        grid, args.B, covolume=args.covolume, workers=args.workers
-    )
+    rep = compare_report(grid, args.B, covolume=args.covolume)
 
     print(f"# B={args.B} covolume={args.covolume} entry_bound={rep.entry_bound_used}")
     print(

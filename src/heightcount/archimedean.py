@@ -36,13 +36,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 _TRACE_TOL = 1e-12
 # largest B * R of the volume series, where b_inf is below 2^1024 for d <= 6
 _MAX_BR = 350.0
-# ball_volume_table: radius spacing of its grid
+# ball_volume_table: radius spacing of its grid, and the most nodes it
+# builds (R_max <= 1000, about 32 MB of temporaries)
 _TABLE_STEP = 1e-3
+_TABLE_MAX_NODES = 10**6 + 1
 
 
 def as_chamber_vector(x) -> np.ndarray:
@@ -248,12 +250,15 @@ def ball_volume_table(d: int, B: float, R_max: float):
     share of the partial sum is at most u times its share at R_top, and the
     same float terms serve every node: one vectorised Horner pass sums them,
     adding positive terms only.  The domain is the series': 2 <= d <= 6 and
-    B R_top <= 350.  The returned callable interpolates linearly and raises
-    DomainError beyond R_max.
+    B R_top <= 350.  A grid of more than _TABLE_MAX_NODES nodes raises
+    BudgetError before anything is allocated.  The returned callable
+    interpolates linearly and raises DomainError beyond R_max.
     """
     if not (0 < R_max < math.inf):
         raise DomainError(f"need 0 < R_max < inf, got R_max={R_max}")
     n_steps = int(math.ceil(R_max / _TABLE_STEP - 1e-9))
+    if n_steps + 1 > _TABLE_MAX_NODES:
+        raise BudgetError(f"volume table of {n_steps + 1} nodes exceeds the limit {_TABLE_MAX_NODES} (R_max <= 1000)")
     r_grid = _TABLE_STEP * np.arange(n_steps + 1)
     R_top = max(R_max, float(r_grid[-1]))
     terms, _ = _series(d, B, R_top)

@@ -213,7 +213,6 @@ def _cmd_count(args, out):
         x_grid,
         args.B,
         covolume=args.covolume,
-        workers=args.workers,
         max_cells=args.max_cells,
         max_sieve=args.max_sieve,
     )
@@ -352,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         xmax=float_req,
         B=float_req,
         covolume={"type": float, "default": 1.0},
-        workers={"type": int, "default": 1},
         **{
             "max-cells": {"type": int, "default": None, "dest": "max_cells"},
             "max-sieve": {"type": int, "default": None, "dest": "max_sieve"},

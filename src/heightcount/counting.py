@@ -45,7 +45,9 @@ ends of the tie set), and primitivity is a coprimality count along the
 line (`shells.Lines.primitive`).  A shell that fails the check is sent
 through `_classify` candidate by candidate.  Either way each candidate is
 decided by the same float function as in the box search, so count and
-tie_count equal the box's whenever the box is exhaustive.
+tie_count equal the box's whenever the box is exhaustive.  The count is
+one serial loop over blocks of first rows; the blocks bound the memory
+held by a batch of lines.
 
 Box search (test oracle).  Every class with h <= x has its canonical
 entries in [-N, N]^4 when N >= entry_bound(x, B):
@@ -65,7 +67,6 @@ in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,19 +239,13 @@ def _x_hi(x: float) -> float:
     return (x + _TIE_TOL) * (1.0 + _BALL_SLACK) + _BALL_SLACK
 
 
-def pi_count_detail(
-    x: float,
-    B: float,
-    workers: int = 1,
-    max_cells: int | None = None,
-) -> PiCountDetail:
+def pi_count_detail(x: float, B: float, max_cells: int | None = None) -> PiCountDetail:
     """Exact closed-ball count #{h <= x} by determinant shells.
 
     max_cells (default HEIGHTCOUNT_MAX_CELLS) bounds the a-priori estimate
     `shells.candidate_bound` of the candidates, which also bounds the lines
-    and the decision table.  The first rows are split into a fixed set of
-    blocks independent of the worker count, and the integer partial counts
-    are summed, so the result does not depend on workers.
+    and the decision table.  The lines are built one batch at a time, block
+    of first rows by block, and the integer partial counts are summed.
     """
     if not (x >= 0):
         raise DomainError(f"need x >= 0, got {x}")
@@ -266,33 +261,18 @@ def pi_count_detail(
     check_budget("det-shell candidates", shells.candidate_bound(fcap), max_cells, "max_cells")
     table = shells.Shells(x_hi, B, fcap)
     decisions = _shell_table(fcap, x, B, shells._BLOCK)
-
-    def count(block):
-        inside = ties = seen = 0
+    inside = ties = seen = 0
+    for block in table.blocks():
         for lines in table.lines(block):
             i, t, n = _count_lines(lines, decisions, x, B)
             inside, ties, seen = inside + i, ties + t, seen + n
             del lines  # freed before the next batch is built
-        return inside, ties, seen
-
-    blocks = table.blocks()
-    # The package's one thread pool.  It paid while every candidate went
-    # through long numpy kernels; on the line counts it no longer does.  On
-    # a 2-vCPU Xeon (medians of 5, workers 1 -> 2) pi_count_detail(30, B=2)
-    # takes 0.94 -> 1.13 s, (600, B=1) 1.13 -> 1.09 s and (70, B=1)
-    # 0.015 -> 0.015 s.
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count, blocks))
-    else:
-        parts = [count(block) for block in blocks]
-    inside, ties, seen = map(sum, zip(*parts))
     return PiCountDetail(x, B, inside, ties, bound, seen)
 
 
-def pi_count(x: float, B: float, workers: int = 1, max_cells: int | None = None) -> int:
+def pi_count(x: float, B: float, max_cells: int | None = None) -> int:
     """Exact number of PGL_2(Q) classes with global height <= x."""
-    return pi_count_detail(x, B, workers=workers, max_cells=max_cells).count
+    return pi_count_detail(x, B, max_cells=max_cells).count
 
 
 @dataclass(frozen=True)
@@ -324,7 +304,6 @@ def compare_report(
     x_grid,
     B: float,
     covolume: float = 1.0,
-    workers: int = 1,
     max_cells: int | None = None,
     max_sieve: int | None = None,
 ) -> CountReport:
@@ -360,7 +339,7 @@ def compare_report(
     pis, ties, low, high, lo_s, hi_s = [], [], [], [], [], []
     bound_used = 0
     for x in grid:
-        detail = pi_count_detail(x, B, workers=workers, max_cells=max_cells)
+        detail = pi_count_detail(x, B, max_cells=max_cells)
         pis.append(detail.count)
         ties.append(detail.tie_count)
         bound_used = max(bound_used, detail.entry_bound_used)

@@ -137,35 +137,21 @@ def _shell_ranges(n: np.ndarray, x_hi: float, B: float, e_max: int) -> tuple[np.
     return np.maximum(lo, 1), np.minimum(hi, e_max)
 
 
-def _quadratic_interval(A, P, D, W) -> tuple[np.ndarray, np.ndarray]:
-    """Integer k with A k^2 + 2 P k + W <= 0, as lo <= k <= hi (empty when
-    hi < lo); D = P^2 - A W >= 0.  The float roots are settled in exact
-    integer arithmetic."""
-
-    def f(k):
-        return (A * k + 2 * P) * k + W
-
-    root = np.sqrt(D.astype(float))
-    lo = np.ceil((-P - root) / A).astype(np.int64)
-    hi = np.floor((-P + root) / A).astype(np.int64)
-    while np.any(step := f(lo - 1) <= 0):
-        lo -= step
-    while np.any(step := (f(lo) > 0) & (lo <= hi)):
-        lo += step
-    while np.any(step := f(hi + 1) <= 0):
-        hi += step
-    while np.any(step := (f(hi) > 0) & (hi >= lo)):
-        hi -= step
-    return lo, hi
-
-
-def _line_interval(A, P, m, c0, d0, room) -> tuple[np.ndarray, np.ndarray]:
-    """lo <= k <= hi with c^2 + d^2 <= room on the lines
+def _line_interval(A, P, m, room) -> tuple[np.ndarray, np.ndarray]:
+    """lo <= k <= hi (empty when hi < lo) with c^2 + d^2 <= room on the lines
     (c, d) = (c0, d0) + k (ap, bp), A = ap^2 + bp^2, P = c0 ap + d0 bp,
-    m = ap d0 - bp c0, for A room >= m^2."""
-    # c^2 + d^2 - room = A k^2 + 2 P k + W; its discriminant is
-    # P^2 - A W = A room - m^2, since A (c0^2 + d0^2) - P^2 = m^2
-    return _quadratic_interval(A, P, A * room - m * m, c0 * c0 + d0 * d0 - room)
+    m = ap d0 - bp c0, for A room >= m^2.
+
+    Lagrange's identity A (c0^2 + d0^2) = P^2 + m^2 gives
+    A (c^2 + d^2) = (A k + P)^2 + m^2, so the condition is |A k + P| <= s
+    with s = isqrt(D), D = A room - m^2.  s is floor(sqrt(float(D)))
+    corrected once down and once up: A <= n < F_cap < _FCAP_LIMIT = 2^31
+    and room < 2^31, so D < 2^62, and the float root is off by less than 1."""
+    D = A * room - m * m
+    s = np.floor(np.sqrt(D.astype(float))).astype(np.int64)
+    s -= s * s > D
+    s += (s + 1) * (s + 1) <= D
+    return -((s + P) // A), (s - P) // A
 
 
 @dataclass(frozen=True)
@@ -231,7 +217,7 @@ class Shells:
         k0 = (A - 2 * (c0 * ap + d0 * bp)) // (2 * A)
         c0, d0 = c0 + k0 * ap, d0 + k0 * bp
         P = c0 * ap + d0 * bp
-        lo, hi = _line_interval(A, P, m, c0, d0, room)
+        lo, hi = _line_interval(A, P, m, room)
         return Lines(a, b, n, g, e, m, ap, bp, k0, c0, d0, A, P, lo, hi)
 
     def candidates(self, block: tuple[int, int]):
@@ -283,7 +269,7 @@ class Lines:
         lo, hi = np.zeros(sel.size, dtype=np.int64), np.full(sel.size, -1, dtype=np.int64)
         some = self.A[sel] * room >= self.m[sel] ** 2
         sel, room = sel[some], room[some]
-        lo[some], hi[some] = _line_interval(self.A[sel], self.P[sel], self.m[sel], self.c0[sel], self.d0[sel], room)
+        lo[some], hi[some] = _line_interval(self.A[sel], self.P[sel], self.m[sel], room)
         return lo, hi
 
     def primitive(self, sel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

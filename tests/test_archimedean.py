@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightcount import (
+    BudgetError,
     DomainError,
     FitResult,
     RootSystemA,
@@ -247,6 +248,21 @@ def test_table_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_table_node_cap_raises_before_allocating():
+    # B R = 350 is on the series' domain, but 3.5e8 nodes would take ~11 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            ball_volume_table(2, 1e-3, 3.5e5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    assert ball_volume_table(2, 0.1, 1000.0).r_grid.size == 10**6 + 1
+    with pytest.raises(BudgetError):
+        ball_volume_table(2, 0.1, 1000.001)
 
 
 def test_table_domain_checks():

@@ -245,10 +245,12 @@ def test_verify_report_is_pinned(registry, tier):
     assert report == (DATA / f"verify_{tier}.txt").read_text()
 
 
-def test_adelic_and_verify_take_no_workers_flag(capsys):
+def test_no_command_takes_a_workers_flag(capsys):
     code, _ = run(capsys, "verify", "--quick", "--workers", "4")
     assert code == 1
     code, _ = run(capsys, "ball-adelic", "--d", "2", "--B", "1", "--Tmax", "2", "--workers", "2")
+    assert code == 1
+    code, _ = run(capsys, "count", "--xmax", "4", "--B", "1", "--workers", "2")
     assert code == 1
 
 
@@ -403,10 +405,18 @@ def test_readme_script_lines_run():
 
 def test_import_leaves_kernels_and_verify_unimported():
     # the BFS kernel, the det-shell enumeration and the check suite load on
-    # first use, so a bare `import heightcount` stays cheap; the volume
+    # first use, so a bare `import heightcount` stays cheap; the package
+    # starts no threads, so it needs no concurrent.futures; the volume
     # series is exact in integers, so a table and a series sum import
     # neither fractions nor decimal
-    lazy = ("heightcount.hermite", "heightcount.shells", "heightcount.verify", "fractions", "decimal")
+    lazy = (
+        "heightcount.hermite",
+        "heightcount.shells",
+        "heightcount.verify",
+        "concurrent.futures",
+        "fractions",
+        "decimal",
+    )
     code = (
         f"import sys, heightcount; print([m for m in {lazy!r} if m in sys.modules]); "
         "heightcount.ball_volume_table(3, 1.0, 2.0); heightcount.ball_volume_numeric(6, 0.7, 1.5); "

@@ -158,10 +158,6 @@ def test_pi_count_agrees_with_generator_enumeration():
         assert pi_count(x, 1.0) == slow
 
 
-def test_pi_count_workers_agree():
-    assert pi_count(4.0, 1.0, workers=4) == pi_count(4.0, 1.0, workers=1)
-
-
 def test_pi_count_box_saturation():
     # recount with the search box padded by 2 in every direction; any
     # missed class would show up as a larger count
@@ -242,7 +238,6 @@ def test_block_boundaries_do_not_change_counts(monkeypatch, x, B):
     x_hi = counting._x_hi(x)
     assert len(shells.Shells(x_hi, B, shells.shell_caps(x_hi, B)).blocks()) > 1
     assert pi_count_detail(x, B) == whole
-    assert pi_count_detail(x, B, workers=3) == whole
 
 
 def test_candidate_bound_covers_candidates():
@@ -334,7 +329,6 @@ def test_irregular_shells_take_the_candidate_path(monkeypatch, x, B, which):
 
     monkeypatch.setattr(counting, "_shell_table", patched)
     assert pi_count_detail(x, B) == whole
-    assert pi_count_detail(x, B, workers=2) == whole
 
 
 @pytest.mark.parametrize("x, B", [(12.0, 1.0), (40.0, 0.5), (5.0, 2.0), (20.0, 0.8)])
