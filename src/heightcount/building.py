@@ -38,17 +38,19 @@ rowspan(h) through W is rowspan(S_W h) and one matrix product covers a
 whole block of classes.  Every such lattice contains q Z^d for q = p^n
 (n = k in shell k of the search), so its primitive Hermite form is
 computed modulo q.  The search expands its frontier in blocks of `_BLOCK`
-products and deduplicates integer keys of the forms, building
-`LatticeClass` objects only for the classes found.  Arrays are int64
-while d q^2 and the keys fit in 62 bits and object arrays of Python ints
-otherwise, with the same code.  `LatticeClass.from_matrix` runs the same
-modular elimination (`hermite.hermite_forms`) on a single matrix.  The
-per-neighbour integer Hermite form both replaced is kept as a test
-oracle.
+products and deduplicates integer keys of the forms.  It returns the
+sorted keys of each shell in a `ClassTable`, which builds `LatticeClass`
+objects a block at a time, only when it is iterated; its shell sizes are
+read from the key arrays.  Arrays are int64 while d q^2 and the keys fit
+in 62 bits and object arrays of Python ints otherwise, with the same
+code.  `LatticeClass.from_matrix` runs the same modular elimination
+(`hermite.hermite_forms`) on a single matrix.  The per-neighbour integer
+Hermite form both replaced is kept as a test oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,17 +241,52 @@ def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
     return _classes(hermite.neighbour_forms(hnf, cls.p, cls.det_exponent() + 1), cls.p)
 
 
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """The classes within distance k of the base, one sorted key array per k.
+
+    shells[k] holds the `hermite.form_keys` of the primitive HNFs at
+    distance k, at key width `bits`.  Iterating yields (class, distance)
+    pairs sorted by distance then representative, because the keys order
+    like the hnf tuples; each `LatticeClass` is built on access, one block
+    of `_BLOCK` keys at a time.
+    """
+
+    params: BuildingParams
+    bits: int
+    shells: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return sum(self.shell_sizes)
+
+    @property
+    def shell_sizes(self) -> tuple[int, ...]:
+        return tuple(len(keys) for keys in self.shells)
+
+    def __iter__(self) -> Iterator[tuple[LatticeClass, int]]:
+        from . import hermite  # here, so `import heightcount` skips compiling it
+
+        d, p = self.params.d, self.params.p
+        for k, keys in enumerate(self.shells):
+            for i in range(0, len(keys), _BLOCK):
+                for rows in hermite.key_forms(keys[i : i + _BLOCK], d, self.bits).tolist():
+                    yield LatticeClass(p, tuple(map(tuple, rows))), k
+
+
 def enumerate_classes(
     params: BuildingParams, k_max: int, max_classes: int | None = None
-) -> list[tuple[LatticeClass, int]]:
+) -> ClassTable:
     """Breadth-first enumeration of all classes within distance k_max.
 
-    Returns (class, distance) pairs sorted by distance then representative,
-    so output order is deterministic.  The neighbour-count bound
-    `_class_bound` is checked against the budget before any work happens.
-    It equals the true count at d = 2 and is above it elsewhere (4226
-    against 1916 classes at d = 4, p = 2, k = 2), unlike the closed-form
-    `ball_size`, which falls below the true count at d >= 4.
+    Returns a `ClassTable`: the sorted keys of each shell, whose iteration
+    gives (class, distance) pairs sorted by distance then representative,
+    so output order is deterministic.  No `LatticeClass` is built until
+    the table is iterated, and `shell_sizes` builds none.  The
+    neighbour-count bound `_class_bound` is checked against the budget
+    before any work happens.  It equals the true count at d = 2 and is
+    above it elsewhere (4226 against 1916 classes at d = 4, p = 2, k = 2),
+    unlike the closed-form `ball_size`, which falls below the true count
+    at d >= 4.
 
     Shell k is found from shell k - 1 by `hermite.neighbour_forms` with
     q = p^k: the classes of shell k - 1 are primitive with largest
@@ -259,10 +296,8 @@ def enumerate_classes(
     form is packed into one integer key (`hermite.form_keys`; every entry
     is at most p^k_max), and keys are deduplicated by sorting; a neighbour
     of shell k - 1 lies in shell k - 2, k - 1 or k, so only those two
-    shells are checked.  Classes are built only for the keys found, shell
-    by shell in key order, which is the (distance, hnf) order.  Arrays are
-    int64 while d q^2 and the keys stay below 2^62, and object arrays of
-    Python ints beyond that.
+    shells are checked.  Arrays are int64 while d q^2 and the keys stay
+    below 2^62, and object arrays of Python ints beyond that.
     """
     from . import hermite  # here, so `import heightcount` skips compiling it
 
@@ -271,9 +306,7 @@ def enumerate_classes(
     check_budget("lattice class", _class_bound(params, k_max), max_classes, "max_classes")
     d, p = params.d, params.p
     bits = (p**k_max).bit_length()
-    base = base_class(params)
-    shells = [hermite.form_keys(np.array([base.hnf]), bits)]
-    out = [(base, 0)]
+    shells = [hermite.form_keys(np.array([base_class(params).hnf]), bits)]
     per = max(1, _BLOCK // len(hermite.subspace_products(d, p)))
     for k in range(1, k_max + 1):
         frontier = shells[-1]
@@ -284,10 +317,7 @@ def enumerate_classes(
         found = np.unique(np.concatenate(found))
         keys = found[~np.isin(found, np.concatenate(shells[-2:]))]
         shells.append(keys)
-        # a block at a time, so one block's nested lists exist at once
-        for i in range(0, len(keys), _BLOCK):
-            out.extend((cls, k) for cls in _classes(hermite.key_forms(keys[i : i + _BLOCK], d, bits), p))
-    return out
+    return ClassTable(params, bits, tuple(shells))
 
 
 def class_records(params: BuildingParams, k_max: int, max_classes: int | None = None):

@@ -143,7 +143,9 @@ def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
         r = piv * _power_mod(u, q // p * (p - 1) - 1, q)[:, None] % q
         r[:, 0] = pv
         h[:, c, c:] = r
-        x[:, :, c:] = (sub - (col // pv[:, None])[:, :, None] * r[:, None, :]) % q
+        # in place, sparing a (B, d, d - c) temporary and its copy into x
+        f = (col // pv[:, None])[:, :, None] * r[:, None, :]
+        np.remainder(np.subtract(sub, f, out=f), q, out=sub)
         x[rows, i, c:] = (q // pv)[:, None] * r % q
     for j in range(1, d):
         t = h[:, :j, j] // h[:, j, j][:, None]

@@ -94,10 +94,7 @@ def _check_sphere_closed_form_d2():
     ok = True
     for p in (2, 3):
         params = building.BuildingParams(2, p)
-        classes = building.enumerate_classes(params, 3)
-        counts = [0, 0, 0, 0]
-        for _, dist in classes:
-            counts[dist] += 1
+        counts = list(building.enumerate_classes(params, 3).shell_sizes)
         formula = [building.sphere_size(params, k) for k in range(4)]
         ok &= counts == formula
         rows.append(f"p={p} bfs={counts} formula={formula}")
@@ -107,8 +104,7 @@ def _check_sphere_closed_form_d2():
 @_check("building/d3-first-shell", "quick")
 def _check_d3_first_shell():
     params = building.BuildingParams(3, 2)
-    classes = building.enumerate_classes(params, 1)
-    got = sum(1 for _, dist in classes if dist == 1)
+    got = building.enumerate_classes(params, 1).shell_sizes[1]
     want = building.sphere_size(params, 1)
     return got == want == 14, f"bfs={got} formula={want}"
 
@@ -293,10 +289,7 @@ def _check_bfs_deep_d2():
     ok = True
     for p in (2, 3, 5):
         params = building.BuildingParams(2, p)
-        classes = building.enumerate_classes(params, 6)
-        counts = [0] * 7
-        for _, dist in classes:
-            counts[dist] += 1
+        counts = list(building.enumerate_classes(params, 6).shell_sizes)
         formula = [building.sphere_size(params, k) for k in range(7)]
         ok &= counts == formula
         rows.append(f"p={p} match={counts == formula}")
@@ -310,17 +303,17 @@ def _d3_census(p: int) -> tuple[tuple[int, int, int], int]:
     Two checks read it for each p, so the BFS runs once per p.  A shell-2
     class contains p^2 Z^3, so each of its neighbours contains p^3 Z^3:
     one `hermite.neighbour_forms` call at q = p^3 gives the neighbours of
-    the whole shell, and their keys are matched against shell 1's.
+    the whole shell, and their keys are matched against shell 1's, both
+    at the key width of p^3.
     """
     from . import hermite  # here, so the CLI's import of verify skips compiling it
 
-    shells: list[list] = [[], [], []]
-    for cls, dist in building.enumerate_classes(building.BuildingParams(3, p), 2):
-        shells[dist].append(cls.hnf)
+    table = building.enumerate_classes(building.BuildingParams(3, p), 2)
+    shell1, shell2 = (hermite.key_forms(keys, 3, table.bits) for keys in table.shells[1:])
     bits = (p**3).bit_length()
-    found = hermite.form_keys(hermite.neighbour_forms(np.array(shells[2]), p, 3), bits)
-    incidences = int(np.isin(found, hermite.form_keys(np.array(shells[1]), bits)).sum())
-    return tuple(len(shell) for shell in shells), incidences
+    found = hermite.form_keys(hermite.neighbour_forms(shell2, p, 3), bits)
+    incidences = int(np.isin(found, hermite.form_keys(shell1, bits)).sum())
+    return table.shell_sizes, incidences
 
 
 @_check("building/d3-closed-form-vertex-count", "full")
@@ -397,6 +390,10 @@ def _check_pi_saturation():
 
 @_check("counting/snf-vs-bfs-distance", "full")
 def _check_snf_vs_bfs():
+    @cache
+    def distances(p: int, depth: int) -> dict:
+        return dict(building.enumerate_classes(building.BuildingParams(2, p), depth))
+
     checked = 0
     ok = True
     # canonical representatives in [-2, 2]^4, in lexicographic order:
@@ -412,8 +409,7 @@ def _check_snf_vs_bfs():
         prof = adelic.global_height(mat, 1.0)
         for p, d_p in prof.finite_exponents:
             cls = building.LatticeClass.from_matrix(mat, p)
-            dist_map = {c: dist for c, dist in building.enumerate_classes(building.BuildingParams(2, p), d_p + 1)}
-            ok &= dist_map.get(cls) == d_p
+            ok &= distances(p, d_p + 1).get(cls) == d_p
         checked += 1
         if checked >= 60:
             break

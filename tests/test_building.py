@@ -159,13 +159,13 @@ def test_enumeration_matches_oracle_bfs(d, p, k_max):
     params = BuildingParams(d, p)
     oracle = enumerate_by_hnf(params, k_max)
     for k in range(k_max + 1):
-        assert enumerate_classes(params, k) == [item for item in oracle if item[1] <= k]
+        assert list(enumerate_classes(params, k)) == [item for item in oracle if item[1] <= k]
 
 
 def test_enumeration_matches_oracle_at_large_prime():
     # 65,523 classes: the 65,522 neighbours of the base in one block
     params = BuildingParams(2, 65521)
-    assert enumerate_classes(params, 1) == enumerate_by_hnf(params, 1)
+    assert list(enumerate_classes(params, 1)) == enumerate_by_hnf(params, 1)
 
 
 def test_object_arrays_match_oracle(monkeypatch):
@@ -173,16 +173,33 @@ def test_object_arrays_match_oracle(monkeypatch):
     monkeypatch.setattr(hermite, "_INT64_BITS", 0)
     for d, p, k_max in [(2, 3, 4), (3, 2, 2), (4, 2, 1)]:
         params = BuildingParams(d, p)
-        assert enumerate_classes(params, k_max) == enumerate_by_hnf(params, k_max)
+        assert list(enumerate_classes(params, k_max)) == enumerate_by_hnf(params, k_max)
     cls = LatticeClass.from_matrix([[1, 0, 3], [0, 2, 1], [0, 0, 8]], 2)
     assert neighbors(cls, 3) == neighbors_by_hnf(cls, 3)
 
 
 def test_blocks_do_not_change_classes(monkeypatch):
-    expected = {c: enumerate_classes(BuildingParams(*c[:2]), c[2]) for c in [(3, 2, 3), (2, 3, 5)]}
+    expected = {c: list(enumerate_classes(BuildingParams(*c[:2]), c[2])) for c in [(3, 2, 3), (2, 3, 5)]}
     monkeypatch.setattr(building, "_BLOCK", 1)
     for c, classes in expected.items():
-        assert enumerate_classes(BuildingParams(*c[:2]), c[2]) == classes
+        assert list(enumerate_classes(BuildingParams(*c[:2]), c[2])) == classes
+
+
+@pytest.mark.parametrize("object_keys", [False, True])
+@pytest.mark.parametrize("d, p, k_max", [(2, 3, 5), (4, 2, 2)])
+def test_class_table_contract(monkeypatch, d, p, k_max, object_keys):
+    if object_keys:
+        monkeypatch.setattr(hermite, "_INT64_BITS", 0)
+    table = enumerate_classes(BuildingParams(d, p), k_max)
+    assert all((keys.dtype == object) == object_keys for keys in table.shells)
+    pairs = list(table)
+    assert len(table) == sum(table.shell_sizes) == len(pairs)
+    assert table.shell_sizes == tuple(sum(1 for _, k in pairs if k == j) for j in range(k_max + 1))
+    assert list(table) == pairs
+    for keys in table.shells:
+        assert np.all(keys[1:] > keys[:-1])
+    keys = np.concatenate(table.shells)
+    assert len(set(keys.tolist())) == len(keys)
 
 
 @pytest.mark.parametrize(
@@ -193,23 +210,21 @@ def test_blocks_do_not_change_classes(monkeypatch):
     ],
 )
 def test_bfs_shell_counts_pinned(d, p, shells):
-    counts = [0] * len(shells)
-    for _, k in enumerate_classes(BuildingParams(d, p), len(shells) - 1):
-        counts[k] += 1
-    assert counts == shells
+    assert enumerate_classes(BuildingParams(d, p), len(shells) - 1).shell_sizes == tuple(shells)
 
 
 def test_bfs_memory_is_bounded():
-    # 55,615 classes; a dict-based search over per-neighbour HNFs peaks at
-    # 40.3 MB, this search at 41.1 MB, and without frontier blocks at 127 MB
+    # 55,615 classes, held as key arrays: this search peaks at 10.8 MB,
+    # without frontier blocks at 127 MB, and with a LatticeClass built for
+    # every class at 41.1 MB
     tracemalloc.start()
     try:
-        classes = enumerate_classes(BuildingParams(5, 2), 2)
+        table = enumerate_classes(BuildingParams(5, 2), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert [sum(1 for _, k in classes if k == j) for j in range(3)] == [1, 372, 55242]
+    assert peak < 16 * 2**20
+    assert table.shell_sizes == (1, 372, 55242)
 
 
 def test_class_budget_covers_d4():
