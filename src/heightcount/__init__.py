@@ -7,7 +7,6 @@ Submodules:
 - archimedean: chamber norms, radial volumes, growth fits at infinity
 - adelic: global heights, the volume convolution, regularity/persistence checks
 - counting: exact pi(x) for PGL_2(Q) by determinant shells, and comparison reports
-- shells: the determinant-shell lines behind counting
 - cli: the `heightcount` executable
 """
 

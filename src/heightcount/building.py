@@ -273,6 +273,24 @@ class ClassTable:
                     yield LatticeClass(p, tuple(map(tuple, rows))), k
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys, for int64 and object arrays alike, as
+    numpy's `unique` gives them; `unique`, and `isin`, which may call it,
+    would import numpy.ma."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _absent(keys: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """The keys not in known, which must be sorted."""
+    at = np.searchsorted(known, keys)
+    hit = at < known.size
+    hit[hit] = known[at[hit]] == keys[hit]
+    return keys[~hit]
+
+
 def enumerate_classes(
     params: BuildingParams, k_max: int, max_classes: int | None = None
 ) -> ClassTable:
@@ -313,10 +331,9 @@ def enumerate_classes(
         found = []
         for i in range(0, len(frontier), per):
             forms = hermite.neighbour_forms(hermite.key_forms(frontier[i : i + per], d, bits), p, k)
-            found.append(np.unique(hermite.form_keys(forms, bits)))
-        found = np.unique(np.concatenate(found))
-        keys = found[~np.isin(found, np.concatenate(shells[-2:]))]
-        shells.append(keys)
+            found.append(_distinct(hermite.form_keys(forms, bits)))
+        found = _distinct(np.concatenate(found))
+        shells.append(_absent(found, np.sort(np.concatenate(shells[-2:]))))
     return ClassTable(params, bits, tuple(shells))
 
 

@@ -17,37 +17,54 @@ increases for r >= 1, so with t = (X/e)^(2B)
 
     h <= X  <=>  e <= X  and  F <= e (t + 1/t) =: F_cap(e).
 
-pi_count walks the shells e = 1 .. floor(X) (`heightcount.shells`).  A
-canonical first row (a, b) (a > 0, or a = 0 < b) with n = a^2 + b^2 and
-g = gcd(a, b) meets shell e only if g | e, and Lagrange's identity n (c^2 + d^2) = e^2 + (ac + bd)^2
-says it meets the cap only if n (F_cap - n) >= e^2.  The second rows with
-ad - bc = e lie on the lattice line (c0, d0) + k (a, b)/g, (c0, d0)
-from the Bezout pair of (a, b), their mirrors (-c, -d) give ad - bc = -e
-with the same F, and the cap cuts each line to an integer interval of k,
-found from a quadratic and settled in exact integers.  Distinct
-(row, e, sign, k) give distinct matrices; these are the candidates, about
-x^2 log x at B = 1, against (2x + 1)^4 cells for the box below.
-
 The shells are taken at X = x_hi, just above both the closed-ball test
 x (1 + 1e-12) + 1e-12 and the tie band x + 1e-9, with a relative margin of
 1e-12 that covers the rounding of the float height.  Every matrix that
-the float height puts inside the ball or in the tie band is therefore a
-candidate.
+the float height puts inside the ball or in the tie band therefore lies
+in a cell (e, F) with 1 <= e <= x_hi and 2e <= F <= F_cap(e) (F >= 2e as
+sigma_1^2 + sigma_2^2 >= 2 sigma_1 sigma_2).
 
-The count costs about one unit of work per line, not per candidate.  A
-candidate has nonzero det and a canonical sign by construction, so its
-float decision (`_decide`) depends only on (e, F).  `_shell_table`
-evaluates it once for every integer F = 2e .. F_cap(e) and checks, in
-exact integers, that the inside set is a prefix F <= F_in(e) and the tie
-set one interval.  On such a regular shell every line contributes the
-primitive matrices of at most three intervals of k (inside, and the two
-ends of the tie set), and primitivity is a coprimality count along the
-line (`shells.Lines.primitive`).  A shell that fails the check is sent
-through `_classify` candidate by candidate.  Either way each candidate is
-decided by the same float function as in the box search, so count and
-tie_count equal the box's whenever the box is exhaustive.  The count is
-one serial loop over blocks of first rows; the blocks bound the memory
-held by a batch of lines.
+Representation numbers (the identity behind Duke, Rudnick and Sarnak's
+count of integer matrices of given determinant, 1993).  The map
+(a, b; c, d) -> (u, v, w, z) = (a + d, b - c, a - d, b + c) gives
+
+    u^2 + v^2 = F + 2 det,    w^2 + z^2 = F - 2 det,
+
+and it is a bijection from Z^4 onto the (u, v, w, z) with u = w and
+v = z (mod 2), inverted by a = (u + w)/2, d = (u - w)/2, b = (v + z)/2,
+c = (z - v)/2.  With det = e, F + 2e = F - 2e (mod 4).  For F even both
+are even: two squares summing to 0 (mod 4) are both even and to 2 (mod 4)
+both odd, so every pair of representations has the same parity pattern
+and qualifies.  For F odd each representation has one odd and one even
+entry, and the swap (w, z) -> (z, w) matches the representations of
+F - 2e of either pattern, so exactly half the pairs qualify.  Hence
+
+    Q(e, F) = #{M in Z^4 : det M = e, |M|^2 = F}
+            = r_2(F + 2e) r_2(F - 2e),  halved when F is odd.
+
+Negating a row maps det = e to det = -e, and exactly one of M, -M has a
+positive first nonzero entry, so Q(e, F) is also the number of classes up
+to sign with |det| = e, and the number of candidates of the cell.  A
+matrix of content g has g^2 | e and g^2 | F, so by Moebius inversion the
+primitive ones number
+
+    P(e, F) = sum over g^2 | e, g^2 | F of mu(g) Q(e/g^2, F/g^2).
+
+A candidate has nonzero det and a canonical sign, so its float decision
+(`_decide`) depends only on (e, F), and
+
+    count = sum P(e, F) inside(e, F),   tie_count = sum P(e, F) tie(e, F),
+    candidates = sum Q(e, F),
+
+over the cells of the shells.  `_census` evaluates the sums from one
+table of r_2 (`_r2_table`): one pass per squarefree g with g^2 <= x_hi
+over the cells (e', F') = (e/g^2, F/g^2), each weighted by
+mu(g) Q(e', F') and decided by `_decide(g^2 e', g^2 F')`.  Each pass walks
+its flat table (shell by shell, F ascending) in slices of `_BLOCK`
+entries, and only cells of nonzero weight are decided.  Every decision is
+the float function of the box search below, so count and tie_count equal
+the box's whenever the box is exhaustive.  The work is about
+x^2 log x cells at B = 1, against (2x + 1)^4 cells for the box.
 
 Box search (test oracle).  Every class with h <= x has its canonical
 entries in [-N, N]^4 when N >= entry_bound(x, B):
@@ -57,11 +74,10 @@ entries in [-N, N]^4 when N >= entry_bound(x, B):
     at most max over integers 1 <= e <= x of sqrt(e^(1-2B) x^(2B)).
 
 `_count_chunk` searches that box.  It is kept only as the test oracle of
-the det-shell count, which verify's box-saturation check also calls; the
-candidate walk `shells.Shells.candidates` through `_classify` is the
-other.  `_decide` is the package's one height decision; the scalar height
-of a single representative and the pure-Python box walk are test oracles
-in tests/oracles.py.
+the det-shell count, which verify's box-saturation check also calls.
+`_decide` is the package's one height decision; the scalar height of a
+single representative and the pure-Python box walk are test oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -71,12 +87,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_budget
+from .errors import BudgetError, DomainError, check_budget
+from .primes import factorize
 
 _TIE_TOL = 1e-9
 _BALL_SLACK = 1e-12
 # half-width in log x of the adelic ball sandwich of `compare_report`
 _SANDWICH_EPS = 0.1
+# cells of the (e, F) table, and values of the r_2 table, handled per
+# slice; bounds memory.  At 2^13 a slice's int64 arrays are 64 KiB, below
+# glibc's default 128 KiB mmap threshold, so they are reused from the heap;
+# larger slices map and fault in fresh pages each time
+_BLOCK = 1 << 13
+# shell caps below this keep the r_2 table under 2^32 entries
+_FCAP_LIMIT = 1 << 31
 
 
 def entry_bound(x: float, B: float) -> int:
@@ -98,8 +122,8 @@ class PiCountDetail:
     entry_bound_used is the certified box half-width entry_bound(x, B);
     candidates is the number of det-shell candidates, the matrices with
     |det| = e, canonical first row and F <= F_cap(e) over all shells, before
-    any height decision.  It is the sum of the lines' interval lengths:
-    the count counts these matrices, it does not examine each one."""
+    any height decision.  It is the sum of Q(e, F) over the cells of the
+    shells: the count weighs each cell, it does not examine each matrix."""
 
     x: float
     B: float
@@ -113,7 +137,7 @@ def _decide(adet: np.ndarray, frob: np.ndarray, x: float, B: float) -> tuple[np.
     """Elementwise (inside, tie) masks of a matrix with |det| = adet and
     squared Frobenius norm frob (float arrays): its float height is <= x up
     to _BALL_SLACK, or within _TIE_TOL of x.  The package's one height
-    decision, behind both `_classify` and the det-shell table."""
+    decision, behind both `_classify` and the det-shell census."""
     sigma1_sq = (frob + np.sqrt(frob * frob - 4.0 * adet * adet)) / 2.0
     h = adet * (sigma1_sq / adet) ** (1.0 / (2.0 * B))
     return h <= x * (1.0 + _BALL_SLACK) + _BALL_SLACK, np.abs(h - x) <= _TIE_TOL
@@ -124,8 +148,7 @@ def _classify(a, b, c, d, x: float, B: float) -> tuple[int, int]:
 
     A matrix is inside if it is nonsingular, canonically signed and
     primitive and `_decide` puts it inside; it is a tie if `_decide` says
-    so.  The box oracle, the candidate oracle and the det-shell count's
-    fallback decide with this one definition."""
+    so.  The box oracle decides with this one definition."""
     det = a * d - b * c
     keep = det != 0
     # canonical sign: first nonzero of (a, b, c, d) positive
@@ -140,84 +163,124 @@ def _classify(a, b, c, d, x: float, B: float) -> tuple[int, int]:
     return int(np.count_nonzero(inside)), int(np.count_nonzero(ties))
 
 
-@dataclass(frozen=True)
-class _ShellTable:
-    """`_decide` on every integer F = 2e .. F_cap(e) of every shell e
-    (index e - 1), reduced to intervals: a matrix of shell e is inside
-    exactly when F <= f_in, and a tie exactly when tie_lo <= F <= tie_hi
-    (empty when tie_lo > tie_hi).  A shell where either set is not such an
-    interval is not regular."""
+def shell_caps(x_hi: float, B: float) -> np.ndarray:
+    """F_cap(e) = floor(e (t + 1/t)), t = (x_hi/e)^(2B), at index e - 1 for
+    e = 1 .. floor(x_hi).
 
-    fcap: np.ndarray
-    f_in: np.ndarray
-    tie_lo: np.ndarray
-    tie_hi: np.ndarray
-    regular: np.ndarray
+    t + 1/t is evaluated as 2 + 4 sinh^2(B log(x_hi/e)) with the 2e added
+    in integers, so F = 2e (h = e) stays under the cap when x_hi/e is 1 up
+    to rounding."""
+    e = np.arange(1, int(math.floor(x_hi)) + 1, dtype=np.int64)
+    s = np.sinh(B * np.log(x_hi / e))
+    return 2 * e + np.floor(4.0 * e * s * s).astype(np.int64)
 
 
-def _shell_table(fcap: np.ndarray, x: float, B: float, block: int) -> _ShellTable:
-    """The `_ShellTable` of the caps fcap, evaluated and reduced in slices
-    of at most `block` entries of the flat table (shell by shell, F
-    ascending) and checked in exact integers."""
-    e = np.arange(1, fcap.size + 1, dtype=np.int64)
-    size = fcap - 2 * e + 1  # F >= 2e: F = s1^2 + s2^2 >= 2 s1 s2
-    end = np.cumsum(size)
-    shift = 2 * e - (end - size)  # F = flat index + shift[e - 1]
-    n_in = np.zeros_like(e)
-    f_in = 2 * e - 1
-    n_tie = np.zeros_like(e)
-    none = int(fcap.max()) + 1  # above every F
-    tie_lo = np.full_like(e, none)
-    tie_hi = np.zeros_like(e)
-    for s in range(0, int(end[-1]), block):
-        flat = np.arange(s, min(s + block, int(end[-1])), dtype=np.int64)
-        owner = np.searchsorted(end, flat, side="right")
-        f = flat + shift[owner]
-        inside, tie = _decide(e[owner].astype(float), f.astype(float), x, B)
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        u = owner[starts]  # distinct shells, one segment each
-        n_in[u] += np.add.reduceat(inside, starts, dtype=np.int64)
-        f_in[u] = np.maximum(f_in[u], np.maximum.reduceat(np.where(inside, f, 0), starts))
-        if tie.any():
-            n_tie[u] += np.add.reduceat(tie, starts, dtype=np.int64)
-            tie_lo[u] = np.minimum(tie_lo[u], np.minimum.reduceat(np.where(tie, f, none), starts))
-            tie_hi[u] = np.maximum(tie_hi[u], np.maximum.reduceat(np.where(tie, f, 0), starts))
-    empty = n_tie == 0
-    tie_lo[empty], tie_hi[empty] = fcap[empty] + 1, fcap[empty]
-    regular = (n_in == f_in - 2 * e + 1) & (n_tie == tie_hi - tie_lo + 1)
-    return _ShellTable(fcap, f_in, tie_lo, tie_hi, regular)
+def candidate_bound(fcap: np.ndarray) -> int:
+    """A-priori upper bound on the det-shell candidates under the caps fcap.
+
+    On shell e with sign s, a first row g v (v canonical, g | e) with
+    |g v|^2 < F_cap(e) gives a line of spacing |v| whose chord in the disk
+    c^2 + d^2 <= F_cap(e) is at most 2 sqrt(F_cap(e)) long, so at most
+    1 + 2 sqrt(F_cap(e)) / |v| candidates.  Over v with |v|^2 <= R,
+
+        #v <= (pi (sqrt(R) + r)^2 - 1) / 2,  sum 1/|v| <= (1 + r) pi (sqrt(R) + r),
+
+    with r = sqrt(2)/2: the unit square around each v lies in the disk of
+    radius sqrt(R) + r, and 1/|v| <= (1 + r)/|u| for u in it when |v| >= 1.
+
+    It also bounds the census work and memory.  Its g = 1 term alone
+    exceeds pi F_cap(e) on each shell e, so it exceeds the
+    sum of F_cap(e) - 2e + 1, the cells of the g = 1 pass of `_census`;
+    the pass of each g > 1 has fewer cells, as (e', F') -> (g^2 e', g^2 F')
+    maps them into the g = 1 cells.  It also exceeds the r_2 table length
+    max (F_cap(e) + 2e) + 1, at most 2 max F_cap(e) + 1 as F_cap(e) >= 2e.
+    """
+    r = math.sqrt(0.5)
+    total = 0.0
+    for g in range(1, min(fcap.size, math.isqrt(int(fcap.max()))) + 1):
+        cap = fcap[g - 1 :: g].astype(float)  # shells e = g, 2g, ...
+        disk = np.sqrt(cap) / g + r
+        lines = np.where(cap >= g * g, (math.pi * disk * disk - 1) / 2, 0.0)
+        points = np.where(cap >= g * g, 2 * np.sqrt(cap) * (1 + r) * math.pi * disk, 0.0)
+        total += 2 * float(np.sum(lines + points))
+    return int(math.ceil(total))
 
 
-def _count_lines(lines, table: _ShellTable, x: float, B: float) -> tuple[int, int, int]:
-    """(inside, ties, candidates) on one `shells.Lines` batch.
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(n)) of int64 n >= 0 below 2^52: the correctly
+    rounded float root is never below it and at most 1 above."""
+    s = np.sqrt(n.astype(float)).astype(np.int64)
+    return s - (s * s > n)
 
-    Every matrix on a line has |det| = e and a canonical first row, so on
-    a regular shell its decision is the table's, by F alone, and each line
-    contributes the primitive matrices of at most three intervals of k
-    (`Lines.primitive`).  Lines of irregular shells go through `_classify`
-    matrix by matrix."""
-    s = lines.e - 1
-    inside = ties = 0
-    regular = table.regular[s]
-    if not regular.all():
-        for o, c, d in lines.points(np.flatnonzero(~regular)):
-            i, t = _classify(lines.a[o], lines.b[o], c, d, x, B)
-            inside, ties = inside + i, ties + t
-    reg = np.flatnonzero(regular)
-    s_reg = s[reg]
-    lo, hi = lines.lo[reg], lines.hi[reg]
-    f_in = table.f_in[s_reg]
-    short = np.flatnonzero(f_in < table.fcap[s_reg])
-    if short.size:
-        lo[short], hi[short] = lines.upto(reg[short], f_in[short])
-    inside += int(lines.primitive(reg, lo, hi).sum())
-    tied = reg[table.tie_lo[s_reg] <= table.tie_hi[s_reg]]
-    if tied.size:
-        upper = lines.primitive(tied, *lines.upto(tied, table.tie_hi[s[tied]]))
-        lower = lines.primitive(tied, *lines.upto(tied, table.tie_lo[s[tied]] - 1))
-        ties += int((upper - lower).sum())
-    # each line stands for itself and its mirror (-c, -d)
-    return 2 * inside, 2 * ties, 2 * int(np.maximum(lines.hi - lines.lo + 1, 0).sum())
+
+def _r2_table(n_max: int) -> np.ndarray:
+    """r_2(n) = #{(u, v) in Z^2 : u^2 + v^2 = n} for 0 <= n <= n_max, int32
+    (r_2(n) <= 4 d(n)).
+
+    Four times a bincount of u^2 + v^2 over the quadrant u >= 1, v >= 0,
+    one window of `_BLOCK` values of n at a time: row u holds the v with
+    lo <= u^2 + v^2 < hi, so no window allocates more than its own
+    counts."""
+    r2 = np.zeros(n_max + 1, dtype=np.int32)
+    for lo in range(1, n_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n_max + 1)
+        u = np.arange(1, math.isqrt(hi - 1) + 1, dtype=np.int64)
+        u2 = u * u
+        v_lo = np.where(u2 < lo, _isqrt(np.maximum(lo - 1 - u2, 0)) + 1, 0)
+        count = np.maximum(_isqrt(hi - 1 - u2) - v_lo + 1, 0)
+        row = np.repeat(np.arange(u.size), count)
+        v = v_lo[row] + np.arange(row.size) - (np.cumsum(count) - count)[row]
+        r2[lo:hi] = np.bincount(u2[row] + v * v - lo, minlength=hi - lo)
+    r2 *= 4
+    r2[0] = 1
+    return r2
+
+
+def _q(r2: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Q(e, F) = r_2(F + 2e) r_2(F - 2e), halved when F is odd, elementwise
+    for int64 2e <= F within the table r2."""
+    return r2[f + 2 * e].astype(np.int64) * r2[f - 2 * e] >> (f & 1)
+
+
+def _mobius(g: int) -> int:
+    """The Moebius function mu(g), by trial division."""
+    exponents = [k for _, k in factorize(g)]
+    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
+
+
+def _census(fcap: np.ndarray, x: float, B: float) -> tuple[int, int, int]:
+    """(count, ties, candidates) under the shell caps fcap: the sums of P,
+    and of Q, over the cells 2e <= F <= F_cap(e), by one pass per
+    squarefree g (module docstring).
+
+    Pass g walks the cells (e', F'), e' <= len(fcap)/g^2 and
+    2e' <= F' <= F_cap(g^2 e')/g^2, flattened shell by shell with F'
+    ascending, in slices of `_BLOCK` cells."""
+    e_all = np.arange(1, fcap.size + 1, dtype=np.int64)
+    r2 = _r2_table(int((fcap + 2 * e_all).max()))
+    count = ties = candidates = 0
+    for g in range(1, math.isqrt(fcap.size) + 1):
+        mu = _mobius(g)
+        if mu == 0:
+            continue
+        g2 = g * g
+        e = e_all[: fcap.size // g2]
+        size = fcap[g2 - 1 :: g2] // g2 - 2 * e + 1
+        end = np.cumsum(size)
+        shift = 2 * e - (end - size)  # F' = flat index + shift[e' - 1]
+        for s in range(0, int(end[-1]), _BLOCK):
+            flat = np.arange(s, min(s + _BLOCK, int(end[-1])), dtype=np.int64)
+            owner = np.searchsorted(end, flat, side="right")
+            ep, f = e[owner], flat + shift[owner]
+            q = _q(r2, ep, f)
+            if g == 1:
+                candidates += int(q.sum())
+            hit = np.flatnonzero(q)
+            q = q[hit]
+            inside, tie = _decide((g2 * ep[hit]).astype(float), (g2 * f[hit]).astype(float), x, B)
+            count += mu * int(q[inside].sum())
+            ties += mu * int(q[tie].sum())
+    return count, ties, candidates
 
 
 def _axis_values(bound: int) -> np.ndarray:
@@ -243,9 +306,8 @@ def pi_count_detail(x: float, B: float, max_cells: int | None = None) -> PiCount
     """Exact closed-ball count #{h <= x} by determinant shells.
 
     max_cells (default HEIGHTCOUNT_MAX_CELLS) bounds the a-priori estimate
-    `shells.candidate_bound` of the candidates, which also bounds the lines
-    and the decision table.  The lines are built one batch at a time, block
-    of first rows by block, and the integer partial counts are summed.
+    `candidate_bound` of the candidates, which also bounds the cells of
+    every pass of `_census` and the length of its r_2 table.
     """
     if not (x >= 0):
         raise DomainError(f"need x >= 0, got {x}")
@@ -253,21 +315,12 @@ def pi_count_detail(x: float, B: float, max_cells: int | None = None) -> PiCount
         raise DomainError(f"need B > 0, got {B}")
     if x < 1:
         return PiCountDetail(x, B, 0, 0, 0, 0)
-    from . import shells
-
-    bound = entry_bound(x, B)
-    x_hi = _x_hi(x)
-    fcap = shells.shell_caps(x_hi, B)
-    check_budget("det-shell candidates", shells.candidate_bound(fcap), max_cells, "max_cells")
-    table = shells.Shells(x_hi, B, fcap)
-    decisions = _shell_table(fcap, x, B, shells._BLOCK)
-    inside = ties = seen = 0
-    for block in table.blocks():
-        for lines in table.lines(block):
-            i, t, n = _count_lines(lines, decisions, x, B)
-            inside, ties, seen = inside + i, ties + t, seen + n
-            del lines  # freed before the next batch is built
-    return PiCountDetail(x, B, inside, ties, bound, seen)
+    fcap = shell_caps(_x_hi(x), B)
+    check_budget("det-shell candidates", candidate_bound(fcap), max_cells, "max_cells")
+    if int(fcap.max()) >= _FCAP_LIMIT:
+        raise BudgetError(f"shell cap {int(fcap.max())} exceeds the r_2 table limit {_FCAP_LIMIT}")
+    count, ties, candidates = _census(fcap, x, B)
+    return PiCountDetail(x, B, count, ties, entry_bound(x, B), candidates)
 
 
 def pi_count(x: float, B: float, max_cells: int | None = None) -> int:

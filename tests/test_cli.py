@@ -404,14 +404,13 @@ def test_readme_script_lines_run():
 
 
 def test_import_leaves_kernels_and_verify_unimported():
-    # the BFS kernel, the det-shell enumeration and the check suite load on
-    # first use, so a bare `import heightcount` stays cheap; the package
+    # the BFS kernel and the check suite load on first use, so a bare
+    # `import heightcount` stays cheap; the package
     # starts no threads, so it needs no concurrent.futures; the volume
     # series is exact in integers, so a table and a series sum import
     # neither fractions nor decimal
     lazy = (
         "heightcount.hermite",
-        "heightcount.shells",
         "heightcount.verify",
         "concurrent.futures",
         "fractions",
@@ -427,3 +426,19 @@ def test_import_leaves_kernels_and_verify_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_census_and_bfs_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma (about 18 ms of a cold process), and so
+    # does np.isin where it sorts, as on the wide keys of (2, 3, 8); the
+    # census and the BFS sort and search instead
+    code = (
+        "import sys, heightcount as hc; hc.pi_count_detail(403, 0.5); "
+        "hc.enumerate_classes(hc.BuildingParams(3, 2), 2); hc.enumerate_classes(hc.BuildingParams(2, 3), 8); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -2,19 +2,20 @@
 
 The small-x counts were frozen from the exhaustive box search after
 cross-validation against an independent generator-based enumeration.  The
-box (`counting._count_chunk`) stays as the oracle of the det-shell count,
-so regressions in the box bound, the shell enumeration or the dedup logic
-show up here.
+box (`counting._count_chunk`) stays as the oracle of the det-shell census,
+and Z^4 enumeration as the oracle of its weights Q(e, F) and P(e, F), so
+regressions in the box bound, the weights or the census show up here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heightcount import counting, shells
+from heightcount import counting
 from heightcount import (
     BudgetError,
     CountReport,
@@ -210,57 +211,122 @@ def test_pi_count_pinned_box_values():
     assert (det.count, det.tie_count) == (482288, 432)
 
 
-def _shell_setup(x, B):
-    x_hi = counting._x_hi(x)
-    fcap = shells.shell_caps(x_hi, B)
-    return shells.Shells(x_hi, B, fcap), fcap
+def _shell_caps(x, B):
+    return counting.shell_caps(counting._x_hi(x), B)
 
 
-def _shell_candidates(x, B):
-    table, _ = _shell_setup(x, B)
-    for block in table.blocks():
-        yield from table.candidates(block)
+def _box_candidates(a_values, bound, fcap):
+    """Det-shell candidates among the cells of [-bound, bound]^4 whose entry
+    a lies in a_values: nonsingular, first nonzero entry positive and
+    F <= F_cap(|det|)."""
+    v = counting._axis_values(bound)
+    a, b, c, d = (t.reshape(-1) for t in np.meshgrid(a_values, v, v, v, indexing="ij"))
+    e = np.abs(a * d - b * c)
+    live = (e >= 1) & (e <= fcap.size) & (np.where(a != 0, a, b) > 0)
+    f = (a * a + b * b + c * c + d * d)[live]
+    return int(np.count_nonzero(f <= fcap[e[live] - 1]))
+
+
+def _candidate_oracle(x, B):
+    """(count, ties, candidates) by the box of half-width isqrt(max F_cap),
+    which holds every candidate, one a-value per chunk."""
+    fcap = _shell_caps(x, B)
+    bound = math.isqrt(int(fcap.max()))
+    inside = ties = seen = 0
+    for a in range(-bound, bound + 1):
+        i, t = counting._count_chunk(np.array([a]), bound, x, B)
+        inside, ties, seen = inside + i, ties + t, seen + _box_candidates(np.array([a]), bound, fcap)
+    return inside, ties, seen
+
+
+def _z4(bound):
+    """(det, F, content, first nonzero entry) of every matrix of
+    [-bound, bound]^4."""
+    v = np.arange(-bound, bound + 1)
+    a, b, c, d = (t.reshape(-1) for t in np.meshgrid(v, v, v, v, indexing="ij"))
+    content = np.gcd(np.gcd(a, b), np.gcd(c, d))
+    first = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
+    return a * d - b * c, a * a + b * b + c * c + d * d, content, first
+
+
+def _cells(fcap):
+    """(e, F) of every cell 2e <= F <= F_cap(e) of the shells."""
+    e = np.concatenate([np.full(c - 2 * k + 1, k) for k, c in enumerate(fcap.tolist(), 1)])
+    f = np.concatenate([np.arange(2 * k, c + 1) for k, c in enumerate(fcap.tolist(), 1)])
+    return e.astype(np.int64), f.astype(np.int64)
+
+
+def _primitive_weights(e, f):
+    """P(e, F) by the Moebius sum of `counting._q`, cell by cell."""
+    r2 = counting._r2_table(int((f + 2 * e).max()))
+    p = np.zeros(e.size, dtype=np.int64)
+    for g in range(1, math.isqrt(int(e.max())) + 1):
+        div = (e % (g * g) == 0) & (f % (g * g) == 0)
+        p[div] += counting._mobius(g) * counting._q(r2, e[div] // (g * g), f[div] // (g * g))
+    return p
+
+
+def test_r2_table_matches_brute_force(monkeypatch):
+    v = np.arange(-45, 46)
+    n = (v[:, None] ** 2 + v[None, :] ** 2).reshape(-1)
+    want = np.bincount(n[n <= 2000], minlength=2001)
+    got = counting._r2_table(2000)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+    # windows of 7 values split every row of the quadrant
+    monkeypatch.setattr(counting, "_BLOCK", 7)
+    assert np.array_equal(counting._r2_table(2000), want)
+
+
+def test_q_and_p_match_z4_enumeration():
+    # every matrix with F <= 80 has entries of size <= 8
+    det, frob, content, _ = _z4(8)
+    r2 = counting._r2_table(80 + 2 * 12)
+    for e in range(1, 13):
+        on = (det == e) & (frob <= 80)
+        want_q = np.bincount(frob[on], minlength=81)
+        want_p = np.bincount(frob[on & (content == 1)], minlength=81)
+        assert not want_q[: 2 * e].any()
+        f = np.arange(2 * e, 81)
+        ee = np.full(f.size, e)
+        assert np.array_equal(counting._q(r2, ee, f), want_q[2 * e :]), e
+        assert np.array_equal(_primitive_weights(ee, f), want_p[2 * e :]), e
+    assert counting._mobius(1) == 1 and counting._mobius(30) == -1 and counting._mobius(12) == 0
 
 
 @pytest.mark.parametrize("x, B", [(1.0, 1.0), (4.0, 1.0), (6.5, 0.5), (3.0, 2.0), (7.0, 0.3)])
 def test_shell_candidates_are_distinct(x, B):
-    blocks = [np.stack(block, axis=1) for block in _shell_candidates(x, B)]
-    mats = np.concatenate(blocks)
-    assert len(np.unique(mats, axis=0)) == len(mats)
-    assert len(mats) == pi_count_detail(x, B).candidates
+    # Q(e, F) counts each canonical matrix of its cell once: it equals the
+    # box's candidates cell by cell, and the cells sum to `candidates`
+    fcap = _shell_caps(x, B)
+    det, frob, _, first = _z4(math.isqrt(int(fcap.max())))
+    e, f = _cells(fcap)
+    det = np.abs(det)
+    keep = (first > 0) & (det >= 1) & (det <= fcap.size) & (frob <= fcap.max())
+    want = np.zeros((fcap.size + 1, int(fcap.max()) + 1), dtype=np.int64)
+    np.add.at(want, (det[keep], frob[keep]), 1)
+    q = counting._q(counting._r2_table(int((f + 2 * e).max())), e, f)
+    assert np.array_equal(q, want[e, f])
+    assert all(not want[k, : 2 * k].any() for k in range(1, fcap.size + 1))
+    assert int(q.sum()) == pi_count_detail(x, B).candidates
 
 
 @pytest.mark.parametrize("x, B", [(12.0, 1.0), (6.5, 0.5), (3.0, 2.0)])
 def test_block_boundaries_do_not_change_counts(monkeypatch, x, B):
-    # at these x every stage fits in one block; tiny blocks split them all
+    # at these x every pass and the r_2 table fit in one slice; slices of 5
+    # split them all
     whole = pi_count_detail(x, B)
-    monkeypatch.setattr(shells, "_BLOCK", 5)
-    x_hi = counting._x_hi(x)
-    assert len(shells.Shells(x_hi, B, shells.shell_caps(x_hi, B)).blocks()) > 1
+    monkeypatch.setattr(counting, "_BLOCK", 5)
+    e, _ = _cells(_shell_caps(x, B))
+    assert e.size > 5
     assert pi_count_detail(x, B) == whole
 
 
 def test_candidate_bound_covers_candidates():
     for B in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
         for x in (1.0, 1.5, 2.0, 3.25, 5.0, 8.0, 13.0, 20.0):
-            estimate = shells.candidate_bound(shells.shell_caps(counting._x_hi(x), B))
+            estimate = counting.candidate_bound(_shell_caps(x, B))
             assert estimate >= pi_count_detail(x, B).candidates, (x, B)
-
-
-def _candidate_oracle(x, B):
-    """(count, ties, candidates): every candidate of `Shells.candidates`
-    through `_classify`, the matrix-by-matrix path the line count replaces."""
-    inside = ties = seen = 0
-    for a, b, c, d in _shell_candidates(x, B):
-        i, t = counting._classify(a, b, c, d, x, B)
-        inside, ties, seen = inside + i, ties + t, seen + a.size
-    return inside, ties, seen
-
-
-def _lines(x, B):
-    table, _ = _shell_setup(x, B)
-    for block in table.blocks():
-        yield from table.lines(block)
 
 
 _LINE_GRID = [
@@ -280,6 +346,8 @@ _LINE_GRID = [
 
 @pytest.mark.parametrize("x, B", _LINE_GRID)
 def test_line_count_matches_candidate_oracle(x, B):
+    # count and ties against the box search, candidates against the box's
+    # nonsingular canonical matrices under the caps
     det = pi_count_detail(x, B)
     assert (det.count, det.tie_count, det.candidates) == _candidate_oracle(x, B)
 
@@ -291,125 +359,115 @@ def test_line_count_sees_real_ties():
 
 @pytest.mark.parametrize("x, B", [(6.5, 0.5), (9.0, 1.0), (3.5, 2.0), (25.0, 0.5)])
 def test_shell_table_against_every_decision(x, B):
-    _, fcap = _shell_setup(x, B)
-    table = counting._shell_table(fcap, x, B, shells._BLOCK)
-    assert table.regular.all()
-    for e in range(1, fcap.size + 1):
-        f = np.arange(2 * e, fcap[e - 1] + 1)
-        inside, tie = counting._decide(np.full(f.size, float(e)), f.astype(float), x, B)
-        assert np.array_equal(inside, f <= table.f_in[e - 1]), e
-        assert np.array_equal(tie, (table.tie_lo[e - 1] <= f) & (f <= table.tie_hi[e - 1])), e
+    # the census against the double sum of the module docstring, each cell
+    # decided on its own and weighted by P(e, F)
+    e, f = _cells(_shell_caps(x, B))
+    p = _primitive_weights(e, f)
+    inside = ties = 0
+    for k, n, w in zip(e.tolist(), f.tolist(), p.tolist()):
+        i, t = counting._decide(np.array([float(k)]), np.array([float(n)]), x, B)
+        inside, ties = inside + w * int(i[0]), ties + w * int(t[0])
+    det = pi_count_detail(x, B)
+    assert (det.count, det.tie_count) == (inside, ties)
+    assert det.candidates >= det.count > 0
 
 
-@pytest.mark.parametrize("x, B", [(8.0, 1.0), (25.0, 0.5), (3.5, 2.0)])
-def test_shell_table_slices_do_not_change_it(x, B):
-    _, fcap = _shell_setup(x, B)
-    whole = counting._shell_table(fcap, x, B, shells._BLOCK)
-    sliced = counting._shell_table(fcap, x, B, 5)
-    for name in ("f_in", "tie_lo", "tie_hi", "regular"):
-        assert np.array_equal(getattr(whole, name), getattr(sliced, name)), name
+def _patched_decide(monkeypatch, rule):
+    """Replace `counting._decide` by rule(e, F, inside, tie) on integer
+    arrays, so the census and the box decide alike."""
+    original = counting._decide
+
+    def decide(adet, frob, x, B):
+        inside, tie = original(adet, frob, x, B)
+        return rule(adet.astype(np.int64), frob.astype(np.int64), inside, tie)
+
+    monkeypatch.setattr(counting, "_decide", decide)
 
 
 @pytest.mark.parametrize("x, B", [(8.0, 1.0), (36.0, 0.5), (16.0, 1.0)])
 @pytest.mark.parametrize("which", ["tie shell", "imprimitive shell", "all"])
 def test_irregular_shells_take_the_candidate_path(monkeypatch, x, B, which):
-    whole = pi_count_detail(x, B)
-    build = counting._shell_table
+    # each cell is weighted on its own, so shells whose inside set is not a
+    # prefix of F and whose ties are not one interval need no other path
+    e, f = _cells(_shell_caps(x, B))
+    tie_shells = np.unique(e[counting._decide(e.astype(float), f.astype(float), x, B)[1]])
+    assert tie_shells.size
+    # shell 8 holds the matrices of content 2 of shell 2
+    picked = {"tie shell": tie_shells[:1], "imprimitive shell": [8], "all": np.unique(e)}[which]
 
-    def patched(fcap, x, B, block):
-        table = build(fcap, x, B, block)
-        ties = np.flatnonzero(table.tie_lo <= table.tie_hi)
-        assert ties.size
-        # shell 8 holds the imprimitive lines of the row (2, 0)
-        pick = {"tie shell": ties[:1], "imprimitive shell": [7], "all": slice(None)}[which]
-        table.regular[pick] = False
-        # an irregular shell's intervals must not be read
-        table.f_in[pick], table.tie_lo[pick], table.tie_hi[pick] = 0, 0, 10**9
-        return table
+    def rule(e, f, inside, tie):
+        scramble = np.isin(e, picked) & inside
+        return inside & ~(scramble & (f % 3 == 0)), tie | scramble & (f % 2 == 0)
 
-    monkeypatch.setattr(counting, "_shell_table", patched)
-    assert pi_count_detail(x, B) == whole
-
-
-@pytest.mark.parametrize("x, B", [(12.0, 1.0), (40.0, 0.5), (5.0, 2.0), (20.0, 0.8)])
-def test_imprimitive_matrices_need_gcd_of_g_and_e_over_g(x, B):
-    seen = 0
-    for lines in _lines(x, B):
-        G = np.gcd(lines.g, lines.m)
-        for o, c, d in lines.points():
-            imprimitive = np.gcd(np.gcd(c, d), lines.g[o]) > 1
-            assert np.all(G[o][imprimitive] > 1)
-            # the residue form behind Lines.primitive
-            k = ((c - lines.c0[o]) * lines.ap[o] + (d - lines.d0[o]) * lines.bp[o]) // lines.A[o]
-            assert np.array_equal(imprimitive, np.gcd(k + lines.k0[o], G[o]) > 1)
-            seen += int(imprimitive.sum())
-    assert seen > 0
+    _patched_decide(monkeypatch, rule)
+    det = pi_count_detail(x, B)
+    assert (det.count, det.tie_count, det.candidates) == _candidate_oracle(x, B)
 
 
 @pytest.mark.parametrize("x, B", [(12.0, 1.0), (40.0, 0.5), (5.0, 2.0)])
-def test_line_intervals_and_primitive_counts(x, B):
-    rng = np.random.default_rng(0)
-    _, fcap = _shell_setup(x, B)
-    for lines in _lines(x, B):
-        every = np.arange(lines.e.size)
-        f = np.zeros(every.size, dtype=np.int64)
-        prim = np.zeros(every.size, dtype=np.int64)
-        for o, c, d in lines.points():
-            np.add.at(prim, o, np.gcd(np.gcd(c, d), lines.g[o]) == 1)
-        assert np.array_equal(lines.primitive(every, lines.lo, lines.hi), prim)
-        # a random bound on F, up to the cap, cuts each line to the
-        # interval `upto` finds
-        f_max = np.minimum(lines.n + rng.integers(-2, int(lines.A.max()) * 4, every.size), fcap[lines.e - 1])
-        lo, hi = lines.upto(every, f_max)
-        for o, c, d in lines.points():
-            k = ((c - lines.c0[o]) * lines.ap[o] + (d - lines.d0[o]) * lines.bp[o]) // lines.A[o]
-            below = lines.n[o] + c * c + d * d <= f_max[o]
-            assert np.array_equal(below, (lo[o] <= k) & (k <= hi[o]))
-            np.add.at(f, o, below)
-        assert np.array_equal(np.maximum(hi - lo + 1, 0), f)
-
-
-@pytest.mark.parametrize("x, B", [(12.0, 1.0), (40.0, 0.5), (5.0, 2.0)])
-def test_line_count_follows_any_interval_table(x, B):
-    # random intervals exercise the cuts that real tables rarely need:
-    # F_in(e) < F_cap(e) and ties that straddle it
-    shell_table, fcap = _shell_setup(x, B)
+def test_line_count_follows_any_interval_table(monkeypatch, x, B):
+    # random per-shell intervals exercise cuts that real decisions rarely
+    # make: F_in(e) < F_cap(e) and ties that straddle it
+    fcap = _shell_caps(x, B)
+    real = pi_count_detail(x, B)
     rng = np.random.default_rng(1)
-    e = np.arange(1, fcap.size + 1)
-    f_in = rng.integers(2 * e - 1, fcap + 1)
-    tie_lo = rng.integers(2 * e, fcap + 2)
+    k = np.arange(1, fcap.size + 1)
+    f_in = rng.integers(2 * k - 1, fcap + 1)
+    tie_lo = rng.integers(2 * k, fcap + 2)
     tie_hi = rng.integers(tie_lo - 1, fcap + 1)
-    table = counting._ShellTable(fcap, f_in, tie_lo, tie_hi, np.ones(fcap.size, dtype=bool))
-    got = np.zeros(3, dtype=np.int64)
-    want = np.zeros(3, dtype=np.int64)
-    for block in shell_table.blocks():
-        for lines in shell_table.lines(block):
-            got += counting._count_lines(lines, table, x, B)
-        for a, b, c, d in shell_table.candidates(block):
-            k = np.abs(a * d - b * c) - 1
-            f = a * a + b * b + c * c + d * d
-            primitive = np.gcd(np.gcd(a, b), np.gcd(c, d)) == 1
-            tie = (tie_lo[k] <= f) & (f <= tie_hi[k])
-            want += [np.sum(primitive & (f <= f_in[k])), np.sum(primitive & tie), a.size]
-    assert np.array_equal(got, want)
-    assert want[0] < pi_count_detail(x, B).count and want[1] > 0
+
+    def rule(e, f, inside, tie):
+        s = np.minimum(e, fcap.size) - 1
+        shell = e <= fcap.size
+        return shell & (f <= f_in[s]), shell & (tie_lo[s] <= f) & (f <= tie_hi[s])
+
+    _patched_decide(monkeypatch, rule)
+    det = pi_count_detail(x, B)
+    assert (det.count, det.tie_count, det.candidates) == _candidate_oracle(x, B)
+    assert det.count < real.count and det.tie_count > 0
 
 
 def test_candidate_bound_covers_the_shell_table():
     # the g = 1 term of the bound alone exceeds pi F_cap(e) on each shell,
-    # so the budget also bounds the decision table, sum (F_cap(e) - 2e + 1)
+    # so the budget also bounds the cells of the census, sum (F_cap(e) -
+    # 2e + 1), and the length of its r_2 table, max (F_cap(e) + 2e) + 1
     for B in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0):
         for x in (1.0, 1.5, 3.25, 8.0, 20.0, 64.0):
-            fcap = shells.shell_caps(counting._x_hi(x), B)
+            fcap = _shell_caps(x, B)
             e = np.arange(1, fcap.size + 1)
-            assert shells.candidate_bound(fcap) >= int((fcap - 2 * e + 1).sum()), (x, B)
+            bound = counting.candidate_bound(fcap)
+            assert bound >= int((fcap - 2 * e + 1).sum()), (x, B)
+            assert bound >= int((fcap + 2 * e).max()) + 1, (x, B)
+
+
+@pytest.mark.parametrize(
+    "x, B, want", [(800.0, 1.0, (35480816, 96, 37607744)), (1600.0, 0.5, (7764432, 1104, 8396160))]
+)
+def test_pi_count_pinned_census_values(x, B, want):
+    # recorded by the lattice-line count that the census replaced
+    det = pi_count_detail(x, B)
+    assert (det.count, det.tie_count, det.candidates) == want
+    assert all(type(v) is int for v in (det.count, det.tie_count, det.candidates))
+
+
+def test_census_memory_is_bounded():
+    # the r_2 table of (800, 1) has 640,003 int32 entries (2.4 MiB), and the
+    # slices stay at 2^13 cells: about 3 MiB traced, where an int64 table
+    # alone would take 4.9 MiB
+    tracemalloc.start()
+    try:
+        pi_count_detail(800.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_pi_count_budget():
     with pytest.raises(BudgetError):
         pi_count_detail(8.0, 1.0, max_cells=100)
-    # a raised budget still stops before the shell quadratics leave int64
-    with pytest.raises(BudgetError, match="int64"):
+    # a raised budget still stops before the r_2 table is allocated
+    with pytest.raises(BudgetError, match="r_2 table"):
         pi_count_detail(250.0, 2.0, max_cells=10**15)
     # the budget bounds the det-shell work, not the (2N + 1)^4 box
     det = pi_count_detail(20.0, 1.5)
