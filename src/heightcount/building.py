@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -205,7 +206,7 @@ class LatticeClass:
         if not is_prime(p):
             raise DomainError(f"p must be prime, got p={p}")
         form = hermite.hermite_forms(np.array([m], dtype=object), p, valuation(det, p) + 1)
-        return _classes(form, p)[0]
+        return next(_classes(form, p))
 
     def det_exponent(self) -> int:
         return valuation(det_int(self.hnf), self.p)
@@ -221,8 +222,15 @@ def base_class(params: BuildingParams) -> LatticeClass:
     return LatticeClass(params.p, ident)
 
 
-def _classes(forms: np.ndarray, p: int) -> list[LatticeClass]:
-    return [LatticeClass(p, tuple(map(tuple, rows))) for rows in forms.tolist()]
+def _classes(forms: np.ndarray, p: int) -> Iterator[LatticeClass]:
+    """The classes of a (B, d, d) block of primitive HNFs, in block order.
+
+    Each hnf is a tuple of row tuples of Python ints, zipped at C speed from
+    one `tolist` per entry position (r, c), so no Python code runs per form
+    besides `LatticeClass` itself."""
+    d = forms.shape[1]
+    rows = [zip(*(forms[:, r, c].tolist() for c in range(d))) for r in range(d)]
+    return map(LatticeClass, repeat(p), zip(*rows))
 
 
 def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
@@ -238,7 +246,7 @@ def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
     if len(cls.hnf) != d:
         raise DomainError(f"class has rank {len(cls.hnf)}, not d={d}")
     hnf = np.array([cls.hnf], dtype=object)
-    return _classes(hermite.neighbour_forms(hnf, cls.p, cls.det_exponent() + 1), cls.p)
+    return list(_classes(hermite.neighbour_forms(hnf, cls.p, cls.det_exponent() + 1), cls.p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +257,9 @@ class ClassTable:
     distance k, at key width `bits`.  Iterating yields (class, distance)
     pairs sorted by distance then representative, because the keys order
     like the hnf tuples; each `LatticeClass` is built on access, one block
-    of `_BLOCK` keys at a time.
+    of `_BLOCK` keys at a time: `hermite.key_forms` unpacks the block and
+    `_classes`, the converter `neighbors` and `LatticeClass.from_matrix`
+    also use, builds its classes with hnf tuples of Python ints.
     """
 
     params: BuildingParams
@@ -269,8 +279,8 @@ class ClassTable:
         d, p = self.params.d, self.params.p
         for k, keys in enumerate(self.shells):
             for i in range(0, len(keys), _BLOCK):
-                for rows in hermite.key_forms(keys[i : i + _BLOCK], d, self.bits).tolist():
-                    yield LatticeClass(p, tuple(map(tuple, rows))), k
+                forms = hermite.key_forms(keys[i : i + _BLOCK], d, self.bits)
+                yield from zip(_classes(forms, p), repeat(k))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

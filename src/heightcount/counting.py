@@ -267,11 +267,15 @@ def _census(fcap: np.ndarray, x: float, B: float) -> tuple[int, int, int]:
         e = e_all[: fcap.size // g2]
         size = fcap[g2 - 1 :: g2] // g2 - 2 * e + 1
         end = np.cumsum(size)
-        shift = 2 * e - (end - size)  # F' = flat index + shift[e' - 1]
+        start = end - size
+        shift = 2 * e - start  # F' = flat index + shift[e' - 1]
         for s in range(0, int(end[-1]), _BLOCK):
-            flat = np.arange(s, min(s + _BLOCK, int(end[-1])), dtype=np.int64)
-            owner = np.searchsorted(end, flat, side="right")
-            ep, f = e[owner], flat + shift[owner]
+            stop = min(s + _BLOCK, int(end[-1]))
+            # shells lo .. hi meet the slice, each in one run of consecutive cells
+            lo, hi = np.searchsorted(end, [s, stop - 1], side="right")
+            run = np.minimum(end[lo : hi + 1], stop) - np.maximum(start[lo : hi + 1], s)
+            owner = np.repeat(np.arange(lo, hi + 1), run)
+            ep, f = e[owner], np.arange(s, stop, dtype=np.int64) + shift[owner]
             q = _q(r2, ep, f)
             if g == 1:
                 candidates += int(q.sum())

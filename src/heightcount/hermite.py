@@ -12,7 +12,10 @@ Every such lattice contains q Z^d for some q = p^n that the caller knows,
 so its Hermite form can be computed modulo q (Domich, Kannan and Trotter,
 *Hermite normal form computation using modulo determinant arithmetic*,
 1987).  Over the local ring Z/q this is a fixed-shape elimination
-(`hermite_forms`), which `neighbour_forms` runs on the products.  It is
+(`hermite_forms`), which `neighbour_forms` runs on the products.  The
+elimination holds a block as (row, column, matrix), so that each entry
+position of the whole block is one contiguous vector, and it skips each
+pivot column once spent; callers see (B, d, d) arrays throughout.  It is
 also the package's only Hermite form of an arbitrary matrix:
 `LatticeClass.from_matrix` runs it on one matrix of determinant p^e u,
 u prime to p, with q = p^(e + 1).  `form_keys` packs each form into one
@@ -123,35 +126,47 @@ def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
     row p^(n - v) * pivot.  A column that is 0 mod q takes q e_c plus the
     row as its pivot and keeps the row.  The entries above each pivot are
     then reduced, and p^(least valuation) is divided out.
+
+    The elimination runs on the block transposed to (row, column, matrix),
+    so that entry (r, c) of every matrix is one contiguous vector; the
+    pivot rows are gathered, and the annihilator rows scattered back, along
+    the row axis.  The pivot column is spent once its pivot is taken: every
+    entry is a multiple of p^v, so clearing leaves it 0 and no later column
+    reads it.  The clear and the annihilator therefore touch only the
+    columns after it, and the last column needs neither.  The result is
+    the (B, d, d) view of that layout.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")  # u^(phi(1) - 1) never ends
     d = x.shape[1]
     q = p**n
-    x = (x % q).astype(_dtype((d * q * q).bit_length()), copy=False)
-    rows = np.arange(len(x))
+    inverse = q // p * (p - 1) - 1  # u^inverse = 1/u for units u mod q
+    x = np.remainder(x.transpose(1, 2, 0), q, order="C").astype(_dtype((d * q * q).bit_length()), copy=False)
     h = np.zeros_like(x)
     for c in range(d):
-        sub = x[:, :, c:]
-        col = sub[:, :, 0]
+        col = x[:, c]
         g = np.gcd(col, q)
-        i = g.argmin(axis=1)
-        pv = g[rows, i]
-        piv = sub[rows, i]
-        u = piv[:, 0] // pv
+        i = g.argmin(axis=0)[None]
+        pv = np.take_along_axis(g, i, axis=0)[0]
+        h[c, c] = pv
+        if c == d - 1:
+            break
+        piv = np.take_along_axis(x[:, c:], i[None], axis=0)[0]
+        u = piv[0] // pv
         u[u == 0] = 1
-        r = piv * _power_mod(u, q // p * (p - 1) - 1, q)[:, None] % q
-        r[:, 0] = pv
-        h[:, c, c:] = r
-        # in place, sparing a (B, d, d - c) temporary and its copy into x
-        f = (col // pv[:, None])[:, :, None] * r[:, None, :]
-        np.remainder(np.subtract(sub, f, out=f), q, out=sub)
-        x[rows, i, c:] = (q // pv)[:, None] * r % q
+        r = piv[1:] * _power_mod(u, inverse, q) % q
+        h[c, c + 1 :] = r
+        rest = x[:, c + 1 :]
+        # in place, sparing a (d, d - c - 1, B) temporary and its copy into x
+        f = (col // pv)[:, None] * r
+        np.remainder(np.subtract(rest, f, out=f), q, out=rest)
+        np.put_along_axis(rest, i[None], ((q // pv) * r % q)[None], axis=0)
     for j in range(1, d):
-        t = h[:, :j, j] // h[:, j, j][:, None]
-        h[:, :j, j:] -= t[:, :, None] * h[:, None, j, j:]
-        h[:, :j, j + 1 :] %= q
-    return h // np.gcd.reduce(h.reshape(len(h), -1), axis=1)[:, None, None]
+        t = h[:j, j] // h[j, j]
+        h[:j, j:] -= t[:, None] * h[j, j:]
+        h[:j, j + 1 :] %= q
+    h //= np.gcd.reduce(h.reshape(d * d, -1), axis=0)
+    return h.transpose(2, 0, 1)
 
 
 def form_keys(forms: np.ndarray, bits: int) -> np.ndarray:
@@ -162,7 +177,7 @@ def form_keys(forms: np.ndarray, bits: int) -> np.ndarray:
     iu = np.triu_indices(forms.shape[1])
     dt = _dtype(len(iu[0]) * bits)
     key = np.zeros(len(forms), dtype=dt)
-    for entry in forms[:, iu[0], iu[1]].astype(dt).T:
+    for entry in forms.transpose(1, 2, 0)[iu].astype(dt, copy=False):
         key = key << bits | entry
     return key
 

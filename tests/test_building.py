@@ -6,6 +6,7 @@ exercised with random unimodular row operations and compared with the
 integer Euclid Hermite form of the oracles.
 """
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -200,6 +201,10 @@ def test_class_table_contract(monkeypatch, d, p, k_max, object_keys):
         assert np.all(keys[1:] > keys[:-1])
     keys = np.concatenate(table.shells)
     assert len(set(keys.tolist())) == len(keys)
+    # every hnf is a tuple of tuples of Python ints, never numpy ints
+    assert {type(cls.hnf) for cls, _ in pairs} | {type(row) for cls, _ in pairs for row in cls.hnf} == {tuple}
+    assert {type(v) for cls, _ in pairs for row in cls.hnf for v in row} == {int}
+    json.dumps(list(class_records(BuildingParams(d, p), k_max)))
 
 
 @pytest.mark.parametrize(
@@ -469,6 +474,23 @@ def test_from_matrix_matches_integer_hnf(case, p):
     rows, powers = case
     rows = [[v * p**k for v, k in zip(row, powers)] for row in rows]
     assert LatticeClass.from_matrix(rows, p) == _class_by_euclid(rows, p)
+
+
+@pytest.mark.parametrize("object_arrays", [False, True])
+def test_hermite_forms_is_per_matrix(monkeypatch, object_arrays):
+    # pivots on different rows, a column that is 0 mod q and a non-primitive
+    # span in one block: each form is the form of its matrix alone
+    if object_arrays:
+        monkeypatch.setattr(hermite, "_INT64_BITS", 0)
+    rng = np.random.default_rng(18)
+    block = rng.integers(-40, 40, size=(60, 3, 3)) * 3 ** rng.integers(0, 4, size=(60, 3, 1))
+    block[0, :, 1] = 27
+    block[1] *= 3
+    block[2] = np.diag([1, 3, 9])[::-1]
+    forms = hermite.hermite_forms(block, 3, 3)
+    assert (forms.dtype == object) == object_arrays
+    for x, form in zip(block, forms):
+        assert hermite.hermite_forms(x[None], 3, 3)[0].tolist() == form.tolist()
 
 
 def test_hermite_forms_needs_a_positive_power():
