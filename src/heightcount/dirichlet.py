@@ -13,11 +13,18 @@ d = 2 has closed form zeta(2s-2) zeta(2s-1)/zeta(4s-2).
 The coefficients D(0..x) come from one numpy kernel, `coeff_array`,
 which feeds the `dcoeff` command, `partial_sum` and the adelic weights:
 strided int64 products over the prime powers p^k <= x with p <= sqrt(x),
-then one gather for the single prime factor above sqrt(x) that an index
-can have.
-A float64 shadow of the same products flags the values that may not fit
-in int64; only those are recomputed on Python ints, so the result is
-always exact.  `coeff_D` (factorization) is its test oracle.
+then the factor D(q) of the single prime q above sqrt(x) that an index
+can have.  Both steps run one segment of `_SEGMENT` indices at a time, so
+each segment's arrays stay in cache.
+
+D(p) and c(p) are at most p^alpha, alpha = log2 D(2), for every prime p,
+so D(m) <= m^alpha, and D(m) < 2^62 for every m below `_safe_prefix(d)`
+= 2^t, the largest power with D(2)^t <= 2^62 (proof at `_safe_prefix`;
+2^39 at d = 2, past any sieve the budget admits, and 2^16 at d = 3).
+Past the prefix a segment-local float64 shadow of the same products flags
+the values that may not fit; only those are recomputed on Python ints,
+so the result is always exact.  `coeff_D` (factorization) is its test
+oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +46,10 @@ _MARGIN = 1e-6
 # relative error far below 2^-40 at any size the sieve budget admits, so a
 # shadow below 2^62 puts the exact value below 2^63.
 _INT64_SAFE = 2.0**62
+
+# Indices per segment of the coefficient sieve: the int64 slice, its
+# smooth part and their temporaries (2 MB each) stay in cache.
+_SEGMENT = 2**18
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -80,16 +91,47 @@ def _prime_powers(p: int, x: int):
         pk *= p
 
 
+def _safe_prefix(d: int) -> int:
+    """2^t for the largest t with D(2)^t <= 2^62, by exact integer comparison.
+
+    Every m below it has D(m) < 2^62.  With alpha = log2 D(2), both
+    D(p)/p^(d-1) = (d-1)(1 + 1/p + ... + p^(1-d)) and
+    c(p)/p^(d-1) = (d-1) + 1/p + ... + p^(2-d) decrease in p, c(2) <= D(2),
+    and p^(alpha-d+1) increases in p, so
+
+        max(D(p), c(p)) / p^(d-1) <= D(2) / 2^(d-1) = 2^(alpha-d+1) <= p^(alpha-d+1),
+
+    that is max(D(p), c(p)) <= p^alpha for every prime p.  Hence
+    D(p^k) = D(p) c(p)^(k-1) <= p^(alpha k) and, D being multiplicative,
+    D(m) <= m^alpha < 2^(alpha t) = D(2)^t <= 2^62 for m < 2^t.  The bound
+    even gives D(m) <= 2^62 (1 - 2^-t) with t <= 39, so a float64 shadow
+    of a prefix entry would stay below 2^62 as well.
+    """
+    base = shell_count(d, 2)
+    t = 0
+    while base ** (t + 1) <= 2**62:
+        t += 1
+    return 2**t
+
+
 def _coeff_int64(d: int, x: int, primes: list[int]):
-    """D(0..x) in int64 (D(0) = 1 here), its float64 shadow, and the large
-    prime factor q of each index m >= 1 (q = 1 when there is none).
+    """D(0..x) in int64 (D(0) = 1 here), the indices whose float64 shadow
+    reaches _INT64_SAFE, and the large prime factor q of each of those
+    (q = 1 when there is none).
 
     Each p <= sqrt(x) multiplies its multiples by D(p) and the multiples
     of each higher power p^k <= x by c(p), so index m collects
     D(p) c(p)^(k-1) for p^k || m.  What is left of m after its small
-    primes is 1 or one prime q > sqrt(x), multiplied in by a single
-    gather.  The int64 products are exact mod 2^64, hence exact wherever
-    the shadow stays below _INT64_SAFE.
+    primes is 1 or one prime q > sqrt(x), multiplied in as D(q).  The
+    strides and D(q) run over one segment of _SEGMENT indices at a time,
+    with a segment-local smooth part.
+
+    The int64 products are exact mod 2^64.  Below _safe_prefix(d) they are
+    exact, as every value there is below 2^62; from the prefix on, a
+    segment-local float64 shadow repeats the same products and flags the
+    entries whose shadow reaches _INT64_SAFE, the others being exact.  At
+    d = 2 the prefix is 2^39, past any sieve the budget admits, so no
+    shadow is formed.
     """
     small = np.array(primes, dtype=np.int64)
     factors = zip(
@@ -99,35 +141,53 @@ def _coeff_int64(d: int, x: int, primes: list[int]):
         shell_count(d, small.astype(float)),
         shell_ratio(d, small.astype(float)),
     )
+    strides = [
+        (pk, p, Dp, Dp_f) if pk == p else (pk, p, cp, cp_f)
+        for p, Dp, cp, Dp_f, cp_f in factors
+        for pk in _prime_powers(p, x)
+    ]
+    prefix = _safe_prefix(d)
     vals = np.ones(x + 1, dtype=np.int64)
-    shadow = np.ones(x + 1)
-    smooth = np.ones(x + 1, dtype=np.int64)
-    for p, Dp, cp, Dp_f, cp_f in factors:
-        for pk in _prime_powers(p, x):
-            vals[pk::pk] *= Dp if pk == p else cp
-            shadow[pk::pk] *= Dp_f if pk == p else cp_f
-            smooth[pk::pk] *= p
-    # in place, and smooth freed before the gather: two fewer (x + 1)-long
-    # int64 arrays at the peak
-    q = np.arange(x + 1, dtype=np.int64)
-    q //= smooth
-    del smooth
-    large = np.flatnonzero(q > 1)
-    vals[large] *= shell_count(d, q[large])
-    shadow[large] *= shell_count(d, q[large].astype(float))
-    return vals, shadow, q
+    over, over_q = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, x + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, x + 1)
+        seg = vals[lo:hi]
+        smooth = np.ones(hi - lo, dtype=np.int64)
+        for pk, p, f, _ in strides:
+            start = -lo % pk
+            seg[start::pk] *= f
+            smooth[start::pk] *= p
+        q = np.arange(lo, hi, dtype=np.int64)
+        q //= smooth
+        del smooth
+        large = q > 1
+        seg *= np.where(large, shell_count(d, q), 1)
+        if hi <= prefix:
+            continue
+        tail = max(lo, prefix)  # the shadow covers [tail, hi)
+        shadow = np.ones(hi - tail)
+        for pk, _, _, f_float in strides:
+            shadow[-tail % pk :: pk] *= f_float
+        q = q[tail - lo :]
+        shadow *= np.where(large[tail - lo :], shell_count(d, q.astype(float)), 1.0)
+        flagged = np.flatnonzero(shadow >= _INT64_SAFE)
+        over.append(flagged + tail)
+        over_q.append(q[flagged])
+    return vals, np.concatenate(over), np.concatenate(over_q)
 
 
 def _coeff_exact(d: int, x: int, primes: list[int], vals, over, q) -> np.ndarray:
     """vals as Python ints, with the entries at `over` recomputed exactly.
 
-    A flagged index without a large prime factor is rebuilt from the same
-    prime-power strides as _coeff_int64, each stride multiplying only the
-    flagged entries it meets; any other flagged index m = s q then takes
-    D(s) D(q), its smooth part s being exact by then.
+    q holds the large prime factor of each index in `over` (1 when there
+    is none).  A flagged index without a large prime factor is rebuilt
+    from the same prime-power strides as _coeff_int64, each stride
+    multiplying only the flagged entries it meets; any other flagged index
+    m = s q then takes D(s) D(q), its smooth part s being exact by then.
     """
     out = vals.astype(object)
-    smooth = over[q[over] == 1]
+    rough = q > 1
+    smooth = over[~rough]
     slot = np.full(x + 1, -1, dtype=np.int64)
     slot[smooth] = np.arange(smooth.size)
     exact = np.ones(smooth.size, dtype=object)
@@ -137,9 +197,9 @@ def _coeff_exact(d: int, x: int, primes: list[int], vals, over, q) -> np.ndarray
             hit = slot[pk::pk]
             exact[hit[hit >= 0]] *= Dp if pk == p else cp
     out[smooth] = exact
-    rough = over[q[over] > 1]
-    primes_q, at = np.unique(q[rough], return_inverse=True)
-    out[rough] = out[rough // q[rough]] * shell_count(d, primes_q.astype(object))[at]
+    m, q = over[rough], q[rough]
+    primes_q, at = np.unique(q, return_inverse=True)
+    out[m] = out[m // q] * shell_count(d, primes_q.astype(object))[at]
     return out
 
 
@@ -147,8 +207,8 @@ def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
     """D(0..x_max) exactly, with D(0) = 0.
 
     int64 when every value is below 2^62, and otherwise an object array
-    of Python ints: the entries whose shadow reaches 2^62 are recomputed
-    exactly, the rest are the int64 values.
+    of Python ints: the entries past _safe_prefix(d) whose shadow reaches
+    2^62 are recomputed exactly, the rest are the int64 values.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
@@ -156,8 +216,7 @@ def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
         raise DomainError(f"need x_max >= 1, got {x_max}")
     check_budget("sieve", x_max, max_sieve, "max_sieve")
     primes = primes_up_to(math.isqrt(x_max))
-    vals, shadow, q = _coeff_int64(d, x_max, primes)
-    over = np.flatnonzero(shadow >= _INT64_SAFE)
+    vals, over, q = _coeff_int64(d, x_max, primes)
     if over.size:
         vals = _coeff_exact(d, x_max, primes, vals, over, q)
     vals[0] = 0
@@ -216,12 +275,14 @@ def _euler_table(d: int, prime_cutoff: int):
 
     Returns (primes, log p, c(p), c(p) - D(p), p^j for j < d), the last
     four as read-only float arrays, p^j of shape (d, n).  The counts and
-    powers are exact Python ints rounded once to float, as CPython rounds
-    an int operand of complex arithmetic; log p is `math.log`, whose bits
-    numpy's own log need not match.
+    powers are exact integers rounded once to float, as CPython rounds an
+    int operand of complex arithmetic: int64 while D(p) < 2^62 (the cast
+    rounds to nearest, as int -> float does) and Python ints past that;
+    log p is `math.log`, whose bits numpy's own log need not match.
     """
     primes = primes_up_to(prime_cutoff)
-    exact = np.array(primes, dtype=object)
+    fits = shell_count(d, primes[-1]) < 2**62  # then c(p), D(p), p^j all fit
+    exact = np.array(primes, dtype=np.int64 if fits else object)
     c = shell_ratio(d, exact)
     arrays = (
         np.array(list(map(math.log, primes))),

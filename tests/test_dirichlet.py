@@ -6,6 +6,7 @@ quotient; partial sums and residues are checked against the pole data.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from heightcount import (
     zeta_em,
 )
 from heightcount.adelic import _sieve
-from heightcount.building import shell_count
-from heightcount.dirichlet import coeff_array
+from heightcount.building import shell_count, shell_ratio
+from heightcount.dirichlet import _SEGMENT, _safe_prefix, coeff_array
 from heightcount.primes import primes_up_to
 from oracles import euler_product_by_prime, primes_by_scan
 
@@ -165,6 +166,53 @@ def test_coeff_growth_is_polynomially_bounded():
         table = coeff_array(d, 5000).tolist()
         for m in range(2, 5001):
             assert math.log(table[m], m) <= cap + 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coeff_sieve_segment_and_prefix_edges(d):
+    # every index within 3 of a segment edge, of the int64-safe prefix or
+    # of the end, plus a seeded sample; at d = 3 the table passes 2^19, so
+    # its flagged (object) entries span segments
+    x_max = 2 * _SEGMENT + 7
+    array = coeff_array(d, x_max)
+    assert array.dtype == {2: np.int64, 3: object}[d]
+    values = array.tolist()
+    edges = [_SEGMENT, 2 * _SEGMENT, _safe_prefix(d), x_max]
+    near = [m for e in edges for m in range(e - 3, e + 4) if 1 <= m <= x_max]
+    sample = random.Random(f"coeff-segments/{d}").sample(range(1, x_max + 1), 2000)
+    for m in near + sample:
+        assert values[m] == coeff_D(d, m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_safe_prefix_bound_holds(d):
+    # the prefix is 2^t with D(2)^t <= 2^62 < D(2)^(t+1), and
+    # max(D(p), c(p)) <= p^alpha, alpha = log2 D(2), so D(m) <= m^alpha
+    # keeps every value below the prefix under 2^62
+    base, prefix = shell_count(d, 2), _safe_prefix(d)
+    t = prefix.bit_length() - 1
+    assert prefix == 2**t
+    assert base**t <= 2**62 < base ** (t + 1)
+    alpha = math.log2(base)
+    for p in primes_up_to(10**4):
+        top = max(shell_count(d, p), shell_ratio(d, p))
+        # the proof's integer step, then the bound itself (equal at p = 2)
+        assert top * 2 ** (d - 1) <= base * p ** (d - 1)
+        assert top <= p**alpha * (1 + 1e-12)
+    if d >= 3:
+        assert coeff_array(d, prefix - 1).dtype == np.int64
+
+
+def test_coeff_sieve_peak_memory():
+    # below three full int64 arrays of 10^6 entries (24 MB): the smooth
+    # part is segment-local and d = 2 forms no float64 shadow
+    tracemalloc.start()
+    try:
+        coeff_array(2, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 # ---------------------------------------------------------------------------
