@@ -57,14 +57,30 @@ A candidate has nonzero det and a canonical sign, so its float decision
     candidates = sum Q(e, F),
 
 over the cells of the shells.  `_census` evaluates the sums from one
-table of r_2 (`_r2_table`): one pass per squarefree g with g^2 <= x_hi
-over the cells (e', F') = (e/g^2, F/g^2), each weighted by
-mu(g) Q(e', F') and decided by `_decide(g^2 e', g^2 F')`.  Each pass walks
-its flat table (shell by shell, F ascending) in slices of `_BLOCK`
-entries, and only cells of nonzero weight are decided.  Every decision is
-the float function of the box search below, so count and tie_count equal
-the box's whenever the box is exhaustive.  The work is about
-x^2 log x cells at B = 1, against (2x + 1)^4 cells for the box.
+table of r_2 (`_r2_table`) in one flat pass over all contents: the rows
+(g, e') of every squarefree g with g^2 <= x_hi, g = 1 first, each carry
+g^2 and mu(g), and their cells (e', F') = (e/g^2, F/g^2) are weighted by
+mu(g) Q(e', F') and decided at (g^2 e', g^2 F').  The pass walks the one
+flat sequence of cells (row by row, F' ascending) in slices of `_BLOCK`
+entries, only cells of nonzero weight are decided, and Q is added to the
+candidates on the g = 1 rows only.  Every decision is the float function
+of the box search below, so count and tie_count equal the box's whenever
+the box is exhaustive.  The work is about x^2 log x cells at B = 1,
+against (2x + 1)^4 cells for the box.
+
+One census per grid.  The float height h(e, F) (`_height`) does not
+depend on x, and the shells of the largest x of a grid hold the cells of
+every smaller x, so one pass serves a whole strictly increasing grid.  Its
+last point is decided by `_decide`; at every other x_i a cell is inside
+when h <= x_i (1 + 1e-12) + 1e-12, which one `searchsorted` of h into
+those thresholds bins, with exact int64 cumulative sums of P over the
+bins.  It is a tie at x_i when |fl(h - x_i)| <= 1e-9, the predicate of
+`_decide`; for h >= 1 every such x_i lies in [fl(h - 2e-9), fl(h + 2e-9)]
+(h - x_i is exact by Sterbenz's lemma when it could be that small), so
+the predicate is applied to the few (cell, x_i) pairs found there, also
+when grid points lie closer together than 2e-9.  `pi_count_detail` is the
+census of the one-point grid [x].  The candidate budget and the r_2 table
+limit grow with x, so they are checked once per grid, at its largest x.
 
 Box search (test oracle).  Every class with h <= x has its canonical
 entries in [-N, N]^4 when N >= entry_bound(x, B):
@@ -73,11 +89,12 @@ entries in [-N, N]^4 when N >= entry_bound(x, B):
     sigma_1^2 = e * (sigma_1/sigma_2) <= e * (x/e)^(2B), so every entry is
     at most max over integers 1 <= e <= x of sqrt(e^(1-2B) x^(2B)).
 
+As e^(1-2B) is monotone in e, that maximum sits at e = 1 or e = floor(x).
 `_count_chunk` searches that box.  It is kept only as the test oracle of
 the det-shell count, which verify's box-saturation check also calls.
-`_decide` is the package's one height decision; the scalar height of a
-single representative and the pure-Python box walk are test oracles in
-tests/oracles.py.
+`_height` is the package's one height function and `_decide` its one
+decision at a single x; the scalar height of a single representative and
+the pure-Python box walk are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -109,9 +126,8 @@ def entry_bound(x: float, B: float) -> int:
         raise DomainError(f"need x >= 1, got {x}")
     if not (B > 0):
         raise DomainError(f"need B > 0, got {B}")
-    best = 0.0
-    for e in range(1, int(math.floor(x + 1e-9)) + 1):
-        best = max(best, e ** (1.0 - 2.0 * B) * x ** (2.0 * B))
+    # the maximum over 1 <= e <= x is at an end (module docstring)
+    best = max(e ** (1.0 - 2.0 * B) * x ** (2.0 * B) for e in (1, int(math.floor(x + 1e-9))))
     return int(math.floor(math.sqrt(best) + 1e-9))
 
 
@@ -133,14 +149,26 @@ class PiCountDetail:
     candidates: int
 
 
+def _height(adet: np.ndarray, frob: np.ndarray, B: float) -> np.ndarray:
+    """Float height of a matrix with |det| = adet and squared Frobenius norm
+    frob (float arrays), elementwise: the package's one height function,
+    behind `_decide` and the grid binning of `_census`."""
+    sigma1_sq = (frob + np.sqrt(frob * frob - 4.0 * adet * adet)) / 2.0
+    return adet * (sigma1_sq / adet) ** (1.0 / (2.0 * B))
+
+
+def _ball_edge(x):
+    """The closed-ball test h <= x up to _BALL_SLACK is h <= _ball_edge(x)."""
+    return x * (1.0 + _BALL_SLACK) + _BALL_SLACK
+
+
 def _decide(adet: np.ndarray, frob: np.ndarray, x: float, B: float) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise (inside, tie) masks of a matrix with |det| = adet and
     squared Frobenius norm frob (float arrays): its float height is <= x up
     to _BALL_SLACK, or within _TIE_TOL of x.  The package's one height
-    decision, behind both `_classify` and the det-shell census."""
-    sigma1_sq = (frob + np.sqrt(frob * frob - 4.0 * adet * adet)) / 2.0
-    h = adet * (sigma1_sq / adet) ** (1.0 / (2.0 * B))
-    return h <= x * (1.0 + _BALL_SLACK) + _BALL_SLACK, np.abs(h - x) <= _TIE_TOL
+    decision at a single x, behind both `_classify` and the census."""
+    h = _height(adet, frob, B)
+    return h <= _ball_edge(x), np.abs(h - x) <= _TIE_TOL
 
 
 def _classify(a, b, c, d, x: float, B: float) -> tuple[int, int]:
@@ -188,22 +216,50 @@ def candidate_bound(fcap: np.ndarray) -> int:
     with r = sqrt(2)/2: the unit square around each v lies in the disk of
     radius sqrt(R) + r, and 1/|v| <= (1 + r)/|u| for u in it when |v| >= 1.
 
-    It also bounds the census work and memory.  Its g = 1 term alone
-    exceeds pi F_cap(e) on each shell e, so it exceeds the
-    sum of F_cap(e) - 2e + 1, the cells of the g = 1 pass of `_census`;
-    the pass of each g > 1 has fewer cells, as (e', F') -> (g^2 e', g^2 F')
-    maps them into the g = 1 cells.  It also exceeds the r_2 table length
-    max (F_cap(e) + 2e) + 1, at most 2 max F_cap(e) + 1 as F_cap(e) >= 2e.
+    It also bounds the census work and memory.  Its g term alone exceeds
+    pi F_cap(e) / g^2 on each shell e = g, 2g, ..., among them the shells
+    e = g^2 e', so it exceeds the sum of F_cap(g^2 e')/g^2 - 2e' + 1, the
+    cells of the rows of g in `_census`.  Its g = 1 term also exceeds the
+    r_2 table length max (F_cap(e) + 2e) + 1, at most 2 max F_cap(e) + 1
+    as F_cap(e) >= 2e.
     """
+    return int(math.ceil(_candidate_total(fcap)))
+
+
+def _candidate_total(fcap: np.ndarray) -> float:
+    """The float sum behind `candidate_bound`: twice each g's sum over its
+    shells e = g, 2g, ..., added up in g order.
+
+    The terms of all (g, e) pairs are evaluated together, in runs of whole
+    g cut where the pair count passes a multiple of step = max(len(fcap),
+    2^16), so a run holds fewer than 2 step pairs.  Each g's sum is its own
+    `.sum()`, whose pairwise order depends only on that g's terms."""
     r = math.sqrt(0.5)
+    g_max = min(fcap.size, math.isqrt(int(fcap.max())))
+    g_all = np.arange(1, g_max + 1)
+    count_all = fcap.size // g_all
+    end_all = np.cumsum(count_all)
+    step = max(fcap.size, 1 << 16)
+    cuts = np.searchsorted(end_all, np.arange(step, int(end_all[-1]), step), side="right")
+    bounds = sorted({0, g_max, *cuts.tolist()})
     total = 0.0
-    for g in range(1, min(fcap.size, math.isqrt(int(fcap.max()))) + 1):
-        cap = fcap[g - 1 :: g].astype(float)  # shells e = g, 2g, ...
-        disk = np.sqrt(cap) / g + r
-        lines = np.where(cap >= g * g, (math.pi * disk * disk - 1) / 2, 0.0)
-        points = np.where(cap >= g * g, 2 * np.sqrt(cap) * (1 + r) * math.pi * disk, 0.0)
-        total += 2 * float(np.sum(lines + points))
-    return int(math.ceil(total))
+    for a, b in zip(bounds, bounds[1:]):
+        count = count_all[a:b]
+        g = np.repeat(g_all[a:b], count)
+        cap = fcap[g * (_run_offsets(count) + 1) - 1].astype(float)
+        root = np.sqrt(cap)
+        disk = root / g + r
+        # lines (#v) plus points (the chords), 0 where g v lies outside the disk
+        terms = np.where(cap >= g * g, (math.pi * disk * disk - 1) / 2 + 2 * root * (1 + r) * math.pi * disk, 0.0)
+        end = np.cumsum(count).tolist()
+        for s, t in zip([0] + end, end):
+            total += 2 * float(terms[s:t].sum())
+    return total
+
+
+def _run_offsets(count: np.ndarray) -> np.ndarray:
+    """0, 1, .., count[j] - 1 for each run j in turn, concatenated."""
+    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -229,7 +285,7 @@ def _r2_table(n_max: int) -> np.ndarray:
         v_lo = np.where(u2 < lo, _isqrt(np.maximum(lo - 1 - u2, 0)) + 1, 0)
         count = np.maximum(_isqrt(hi - 1 - u2) - v_lo + 1, 0)
         row = np.repeat(np.arange(u.size), count)
-        v = v_lo[row] + np.arange(row.size) - (np.cumsum(count) - count)[row]
+        v = v_lo[row] + _run_offsets(count)
         r2[lo:hi] = np.bincount(u2[row] + v * v - lo, minlength=hi - lo)
     r2 *= 4
     r2[0] = 1
@@ -248,43 +304,72 @@ def _mobius(g: int) -> int:
     return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
-def _census(fcap: np.ndarray, x: float, B: float) -> tuple[int, int, int]:
-    """(count, ties, candidates) under the shell caps fcap: the sums of P,
-    and of Q, over the cells 2e <= F <= F_cap(e), by one pass per
-    squarefree g (module docstring).
+def _census(fcap: np.ndarray, grid: list[float], B: float) -> tuple[list[int], list[int], int]:
+    """(counts, ties, candidates) under the shell caps fcap of grid[-1]:
+    for each x of the strictly increasing grid (all x >= 1) the sums of P
+    over the cells inside at x and over the ties at x, and the sum of Q
+    over the cells 2e <= F <= F_cap(e) (module docstring).
 
-    Pass g walks the cells (e', F'), e' <= len(fcap)/g^2 and
-    2e' <= F' <= F_cap(g^2 e')/g^2, flattened shell by shell with F'
-    ascending, in slices of `_BLOCK` cells."""
-    e_all = np.arange(1, fcap.size + 1, dtype=np.int64)
-    r2 = _r2_table(int((fcap + 2 * e_all).max()))
-    count = ties = candidates = 0
-    for g in range(1, math.isqrt(fcap.size) + 1):
-        mu = _mobius(g)
-        if mu == 0:
-            continue
-        g2 = g * g
-        e = e_all[: fcap.size // g2]
-        size = fcap[g2 - 1 :: g2] // g2 - 2 * e + 1
-        end = np.cumsum(size)
-        start = end - size
-        shift = 2 * e - start  # F' = flat index + shift[e' - 1]
-        for s in range(0, int(end[-1]), _BLOCK):
-            stop = min(s + _BLOCK, int(end[-1]))
-            # shells lo .. hi meet the slice, each in one run of consecutive cells
-            lo, hi = np.searchsorted(end, [s, stop - 1], side="right")
-            run = np.minimum(end[lo : hi + 1], stop) - np.maximum(start[lo : hi + 1], s)
-            owner = np.repeat(np.arange(lo, hi + 1), run)
-            ep, f = e[owner], np.arange(s, stop, dtype=np.int64) + shift[owner]
-            q = _q(r2, ep, f)
-            if g == 1:
-                candidates += int(q.sum())
-            hit = np.flatnonzero(q)
-            q = q[hit]
-            inside, tie = _decide((g2 * ep[hit]).astype(float), (g2 * f[hit]).astype(float), x, B)
-            count += mu * int(q[inside].sum())
-            ties += mu * int(q[tie].sum())
-    return count, ties, candidates
+    The rows (g, e') of every squarefree g, e' = 1 .. len(fcap) // g^2,
+    with g = 1 first, make one flat sequence of cells
+    2e' <= F' <= F_cap(g^2 e') / g^2, row by row with F' ascending, walked
+    in slices of `_BLOCK` cells.  The last x is decided by `_decide`; the
+    others by binning the height into the grid."""
+    n = fcap.size
+    squarefree = [(g * g, mu) for g in range(1, math.isqrt(n) + 1) if (mu := _mobius(g))]
+    rows = [n // g2 for g2, _ in squarefree]
+    e = np.concatenate([np.arange(1, k + 1, dtype=np.int64) for k in rows])
+    g2 = np.repeat(np.array([g2 for g2, _ in squarefree], dtype=np.int64), rows)
+    mu = np.repeat(np.array([mu for _, mu in squarefree], dtype=np.int64), rows)
+    r2 = _r2_table(int((fcap + 2 * e[:n]).max()))
+    size = fcap[g2 * e - 1] // g2 - 2 * e + 1
+    end = np.cumsum(size)
+    start = end - size
+    shift = 2 * e - start  # F' = flat index + shift[row]
+    adet_row = (g2 * e).astype(float)  # |det| = g^2 e'
+    cells, g1_cells = int(end[-1]), int(end[n - 1])
+    x = np.array(grid, dtype=float)
+    below, edge = x[:-1], _ball_edge(x[:-1])
+    # the weight of the cells first inside at x_i, i < last, then the last x's count
+    inside_at = np.zeros(x.size, dtype=np.int64)
+    tie_at = np.zeros(x.size, dtype=np.int64)
+    candidates = 0
+    for s in range(0, cells, _BLOCK):
+        stop = min(s + _BLOCK, cells)
+        # rows lo .. hi meet the slice, each in one run of consecutive cells
+        lo, hi = np.searchsorted(end, [s, stop - 1], side="right")
+        run = np.minimum(end[lo : hi + 1], stop) - np.maximum(start[lo : hi + 1], s)
+        owner = np.repeat(np.arange(lo, hi + 1), run)
+        ep, f = e[owner], np.arange(s, stop, dtype=np.int64) + shift[owner]
+        q = _q(r2, ep, f)
+        if s < g1_cells:
+            candidates += int(q[: g1_cells - s].sum())
+        hit = np.flatnonzero(q)
+        owner = owner[hit]
+        w, adet, f = q[hit], adet_row[owner], f[hit]
+        if hi >= n:  # rows of g > 1 meet the slice
+            w, f = w * mu[owner], g2[owner] * f
+        frob = f.astype(float)
+        inside, tie = _decide(adet, frob, x[-1], B)
+        inside_at[-1] += int(w[inside].sum())
+        tie_at[-1] += int(w[tie].sum())
+        if below.size:
+            h = _height(adet, frob, B)
+            # h <= edge[i] from i = first on; a slice's bins stay far below
+            # 2^53, so the float bincount is exact
+            first = np.searchsorted(edge, h)
+            inside_at[:-1] += np.bincount(first, weights=w, minlength=x.size)[:-1].astype(np.int64)
+            # every x_i with |fl(h - x_i)| <= _TIE_TOL lies in [h - 2 _TIE_TOL, h + 2 _TIE_TOL]
+            t_lo = np.searchsorted(below, h - 2 * _TIE_TOL)
+            t_n = np.searchsorted(below, h + 2 * _TIE_TOL, side="right") - t_lo
+            near = np.flatnonzero(t_n)
+            if near.size:
+                cell = np.repeat(near, t_n[near])
+                i = t_lo[cell] + _run_offsets(t_n[near])  # (cell, x_i) pairs
+                is_tie = np.abs(h[cell] - below[i]) <= _TIE_TOL
+                tie_at += np.bincount(i[is_tie], weights=w[cell[is_tie]], minlength=x.size).astype(np.int64)
+    counts = np.cumsum(inside_at[:-1]).tolist() + [int(inside_at[-1])]
+    return counts, tie_at.tolist(), candidates
 
 
 def _axis_values(bound: int) -> np.ndarray:
@@ -306,12 +391,44 @@ def _x_hi(x: float) -> float:
     return (x + _TIE_TOL) * (1.0 + _BALL_SLACK) + _BALL_SLACK
 
 
+def _checked_caps(x: float, B: float, max_cells: int | None) -> np.ndarray:
+    """The shell caps of x >= 1, once their census passes both limits."""
+    fcap = shell_caps(_x_hi(x), B)
+    check_budget("det-shell candidates", candidate_bound(fcap), max_cells, "max_cells")
+    if int(fcap.max()) >= _FCAP_LIMIT:
+        raise BudgetError(f"shell cap {int(fcap.max())} exceeds the r_2 table limit {_FCAP_LIMIT}")
+    return fcap
+
+
+def _grid_caps(grid: list[float], B: float, max_cells: int | None) -> np.ndarray:
+    """The shell caps of grid[-1] (grid strictly increasing, x >= 1),
+    checked against both limits there only.
+
+    The estimate and the caps grow with x, so when grid[-1] is over a
+    limit, bisection finds the first x that is and raises its error, the
+    one a census per point would meet first."""
+    lo, hi = 0, len(grid) - 1
+    try:
+        return _checked_caps(grid[hi], B, max_cells)
+    except BudgetError as exc:
+        error = exc
+    while lo < hi:  # grid[hi] is over a limit, with `error` its error
+        mid = (lo + hi) // 2
+        try:
+            _checked_caps(grid[mid], B, max_cells)
+            lo = mid + 1
+        except BudgetError as exc:
+            hi, error = mid, exc
+    raise error
+
+
 def pi_count_detail(x: float, B: float, max_cells: int | None = None) -> PiCountDetail:
-    """Exact closed-ball count #{h <= x} by determinant shells.
+    """Exact closed-ball count #{h <= x} by determinant shells: the census
+    of the one-point grid [x].
 
     max_cells (default HEIGHTCOUNT_MAX_CELLS) bounds the a-priori estimate
     `candidate_bound` of the candidates, which also bounds the cells of
-    every pass of `_census` and the length of its r_2 table.
+    `_census` and the length of its r_2 table.
     """
     if not (x >= 0):
         raise DomainError(f"need x >= 0, got {x}")
@@ -319,12 +436,8 @@ def pi_count_detail(x: float, B: float, max_cells: int | None = None) -> PiCount
         raise DomainError(f"need B > 0, got {B}")
     if x < 1:
         return PiCountDetail(x, B, 0, 0, 0, 0)
-    fcap = shell_caps(_x_hi(x), B)
-    check_budget("det-shell candidates", candidate_bound(fcap), max_cells, "max_cells")
-    if int(fcap.max()) >= _FCAP_LIMIT:
-        raise BudgetError(f"shell cap {int(fcap.max())} exceeds the r_2 table limit {_FCAP_LIMIT}")
-    count, ties, candidates = _census(fcap, x, B)
-    return PiCountDetail(x, B, count, ties, entry_bound(x, B), candidates)
+    counts, ties, candidates = _census(_grid_caps([x], B, max_cells), [x], B)
+    return PiCountDetail(x, B, counts[0], ties[0], entry_bound(x, B), candidates)
 
 
 def pi_count(x: float, B: float, max_cells: int | None = None) -> int:
@@ -393,13 +506,15 @@ def compare_report(
     i_high = _mainterm_integral(2.0 * B)
     eps = _SANDWICH_EPS
     b_adelic = adelic_volume_callable(2, B, max(math.log(grid[-1]), 0.0) + eps + 1e-9, max_sieve)
-    pis, ties, low, high, lo_s, hi_s = [], [], [], [], [], []
-    bound_used = 0
+    # pi(x) = 0 below 1; one census at the largest x serves the rest
+    ones = [x for x in grid if x >= 1]
+    pis = ties = [0] * (len(grid) - len(ones))
+    if ones:
+        counts, tie_counts, _ = _census(_grid_caps(ones, B, max_cells), ones, B)
+        pis, ties = pis + counts, ties + tie_counts
+    bound_used = max((entry_bound(x, B) for x in ones), default=0)
+    low, high, lo_s, hi_s = [], [], [], []
     for x in grid:
-        detail = pi_count_detail(x, B, max_cells=max_cells)
-        pis.append(detail.count)
-        ties.append(detail.tie_count)
-        bound_used = max(bound_used, detail.entry_bound_used)
         low.append(coeff * i_low * x**2 / covolume)
         high.append(coeff * i_high * x**2 / covolume)
         t = math.log(x)

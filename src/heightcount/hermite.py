@@ -146,8 +146,13 @@ def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
     for c in range(d):
         col = x[:, c]
         g = np.gcd(col, q)
-        i = g.argmin(axis=0)[None]
-        pv = np.take_along_axis(g, i, axis=0)[0]
+        # the first row of least gcd, by a running minimum over the rows
+        # (argmin over axis 0 would copy the block to make that axis last)
+        pv, i = g[0], np.zeros(g.shape[1], dtype=np.intp)
+        for k in range(1, d):
+            lower = g[k] < pv
+            pv, i = np.where(lower, g[k], pv), np.where(lower, k, i)
+        i = i[None]
         h[c, c] = pv
         if c == d - 1:
             break

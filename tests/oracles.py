@@ -23,6 +23,10 @@ shipped package carries only what it uses.
 - `volume_by_brion`: the radial ball volume as the signed Weyl sum of
   exponential integrals over the simplex, each a divided difference of
   exp in mpmath, against the power series of `ball_volume_numeric`.
+- `entry_bound_by_scan`: the box half-width as the maximum over every
+  1 <= e <= x, against the two-endpoint `entry_bound`.
+- `candidate_total_by_g`: the candidate budget's float sum, one g at a
+  time, against the vectorised `counting._candidate_total`, bit for bit.
 - `_GroupElementQ`, `_enumerate_elements`: the canonical representative
   of one PGL_2(Q) class with its scalar height, and the pure-Python walk
   of the entry box, against the array predicate `counting._classify` and
@@ -36,6 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 from heightcount import BuildingParams, DomainError, LatticeClass, base_class, zeta_em
 from heightcount.building import shell_count, shell_ratio
@@ -329,6 +335,28 @@ def volume_by_brion(d: int, B: float, R: float) -> float:
         det = mpmath.det(mpmath.matrix([[_mp(x) for x in row] for row in gram]))
         jac = mpmath.sqrt(_mp(lam)) ** r * mpmath.sqrt(det)
         return float(jac * _mp(s) ** r * total / 2**n_pairs)
+
+
+def entry_bound_by_scan(x: float, B: float) -> int:
+    """`counting.entry_bound` by the maximum over every 1 <= e <= x."""
+    best = 0.0
+    for e in range(1, int(math.floor(x + 1e-9)) + 1):
+        best = max(best, e ** (1.0 - 2.0 * B) * x ** (2.0 * B))
+    return int(math.floor(math.sqrt(best) + 1e-9))
+
+
+def candidate_total_by_g(fcap: np.ndarray) -> float:
+    """`counting._candidate_total` by one numpy pass per g over its shells
+    e = g, 2g, ..."""
+    r = math.sqrt(0.5)
+    total = 0.0
+    for g in range(1, min(fcap.size, math.isqrt(int(fcap.max()))) + 1):
+        cap = fcap[g - 1 :: g].astype(float)
+        disk = np.sqrt(cap) / g + r
+        lines = np.where(cap >= g * g, (math.pi * disk * disk - 1) / 2, 0.0)
+        points = np.where(cap >= g * g, 2 * np.sqrt(cap) * (1 + r) * math.pi * disk, 0.0)
+        total += 2 * float(np.sum(lines + points))
+    return total
 
 
 @dataclass(frozen=True)

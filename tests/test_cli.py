@@ -226,6 +226,8 @@ def test_dcoeff_output_is_pinned(capsys, d, xmax):
         ),
         ("persistence_T12.json", "persistence --T 12"),
         ("count_x8_B1.csv", "count --xmax 8 --B 1"),
+        ("count_x60_B0.5.csv", "count --xmax 60 --B 0.5"),
+        ("count_x100_B1.csv", "count --xmax 100 --B 1"),
     ],
 )
 def test_adelic_output_is_pinned(capsys, name, argv):

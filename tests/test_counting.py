@@ -27,7 +27,7 @@ from heightcount import (
     pi_count,
     pi_count_detail,
 )
-from oracles import _enumerate_elements, _GroupElementQ
+from oracles import _enumerate_elements, _GroupElementQ, candidate_total_by_g, entry_bound_by_scan
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +95,15 @@ def test_entry_bound_is_sound(a, b, c, d, x):
     g = _GroupElementQ.from_matrix([[a, b], [c, d]])
     if g.height(1.0) <= x:
         assert max(abs(e) for e in g.entries) <= entry_bound(x, 1.0)
+
+
+def test_entry_bound_matches_scan():
+    # the maximum of e^(1 - 2B) x^(2B) over 1 <= e <= x sits at e = 1 or
+    # e = floor(x + 1e-9), also for B within an ulp of 1/2
+    xs = [float(x) for x in range(1, 201)] + [1.5, 2.999999999, 10.0000000005, 99.9, 7 / 3, 1000 / 7]
+    for B in (0.3, 0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 0.4999999, 0.5000001, 0.8, 1.0, 2.0):
+        for x in xs:
+            assert entry_bound(x, B) == entry_bound_by_scan(x, B), (x, B)
 
 
 def test_exactly_four_classes_of_height_one():
@@ -440,6 +449,22 @@ def test_candidate_bound_covers_the_shell_table():
             assert bound >= int((fcap + 2 * e).max()) + 1, (x, B)
 
 
+def test_candidate_total_matches_loop_over_g():
+    # the vectorised sum is the per-g loop's float, bit for bit; at
+    # (70000, 0.3) the pairs are cut into several runs
+    points = [
+        (x, B)
+        for B in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
+        for x in (1.0, 1.5, 2.0, 3.25, 7.3, 13.0, 20.0, 36.75, 64.0, 100.0, 250.0, 402.0, 800.0)
+    ] + [(70000.0, 0.3), (131072.0, 0.5)]
+    for x, B in points:
+        fcap = _shell_caps(x, B)
+        assert counting._candidate_total(fcap).hex() == candidate_total_by_g(fcap).hex(), (x, B)
+    fcap = _shell_caps(70000.0, 0.3)
+    g_max = math.isqrt(int(fcap.max()))
+    assert sum(fcap.size // g for g in range(1, g_max + 1)) > 2 * max(fcap.size, 2**16)
+
+
 @pytest.mark.parametrize(
     "x, B, want", [(800.0, 1.0, (35480816, 96, 37607744)), (1600.0, 0.5, (7764432, 1104, 8396160))]
 )
@@ -602,3 +627,78 @@ def test_compare_report_below_one():
     assert near.pi_values == (0,)
     assert near.lower_sandwich == (0.0,)
     assert near.upper_sandwich[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# one census per grid
+
+
+def _grid_census(grid, B):
+    return counting._census(counting._grid_caps(grid, B, None), grid, B)
+
+
+@pytest.mark.parametrize(
+    "grid, B",
+    [
+        ([float(x) for x in range(1, 101)], 1.0),
+        ([float(x) for x in range(1, 201)], 1.0),
+        ([float(x) for x in range(1, 61)], 0.5),
+        ([1.0 + 0.37 * k for k in range(60)], 1.2),
+        ([1.0 + 0.173 * k for k in range(30)], 2.0),
+    ],
+    ids=["1..100-B1", "1..200-B1", "1..60-B0.5", "fractional-B1.2", "fractional-B2"],
+)
+def test_grid_census_matches_each_point(grid, B):
+    # the binned heights give every point of the grid the count and ties
+    # of its own census, and the candidates are those of the last point
+    counts, ties, candidates = _grid_census(grid, B)
+    want = [(d.count, d.tie_count) for d in (pi_count_detail(x, B) for x in grid)]
+    assert list(zip(counts, ties)) == want
+    assert candidates == pi_count_detail(grid[-1], B).candidates
+    if B == 0.5:
+        assert sum(ties) > 0
+
+
+def test_grid_census_ties_at_close_points():
+    # the cells of h = 4 and h = 9 at B = 1/2 lie 5e-10 from two grid
+    # points each, 1e-9 apart, and are ties at both, but not at 4 + 1.5e-9,
+    # 1e-9 further on; the last point is decided by `_decide`, the others
+    # by the binning
+    grid = [4.0 - 5e-10, 4.0 + 5e-10, 4.0 + 1.5e-9, 9.0 - 5e-10, 9.0 + 5e-10]
+    counts, ties, _ = _grid_census(grid, 0.5)
+    assert [(d.count, d.tie_count) for d in (pi_count_detail(x, 0.5) for x in grid)] == list(zip(counts, ties))
+    assert ties == [8, 8, 0, 40, 40]
+    assert counts == [24, 32, 32, 184, 224]
+
+
+def test_compare_report_runs_one_census(monkeypatch):
+    calls = []
+    census = counting._census
+
+    def spy(fcap, grid, B):
+        calls.append(list(grid))
+        return census(fcap, grid, B)
+
+    monkeypatch.setattr(counting, "_census", spy)
+    rep = compare_report([0.5, 1.0, 2.0, 4.0, 8.0], 1.0)
+    assert calls == [[1.0, 2.0, 4.0, 8.0]]
+    assert rep.pi_values == (0, 4, 24, 160, 952)
+    assert rep.tie_counts == (0, 4, 4, 0, 24)
+    assert rep.entry_bound_used == entry_bound(8.0, 1.0)
+
+
+def test_compare_report_budget_names_the_first_x_over_it():
+    # the limits are checked at the largest x only, but an error names the
+    # first x over them, as a census per point would
+    grid = [float(x) for x in range(1, 61)]
+    for max_cells in (10, 100, 10**4, 10**5):
+        estimates = [counting.candidate_bound(_shell_caps(x, 1.0)) for x in grid]
+        first = next(v for v in estimates if v > max_cells)
+        with pytest.raises(BudgetError, match=f"count {first} exceeds budget {max_cells};"):
+            compare_report(grid, 1.0, max_cells=max_cells)
+    grid = [float(x) for x in range(200, 320)]
+    caps = [int(_shell_caps(x, 1.9).max()) for x in grid]
+    first = next(c for c in caps if c >= counting._FCAP_LIMIT)
+    assert first < caps[-1]
+    with pytest.raises(BudgetError, match=f"shell cap {first} exceeds the r_2 table limit"):
+        compare_report(grid, 1.9, max_cells=10**15)
