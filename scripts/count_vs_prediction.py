@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Exact pi(x) for PGL_2(Q) against the adelic volume predictions.
 
-Prints the exact counts next to the two exponent conventions and the
-sandwich bracket from the global ball volume.  The count works per
-determinant-shell line, each holding a few of the about x^2 log x
-candidates at B = 1, so --xmax in the hundreds is practical.
+Prints the exact counts and their ties next to the two exponent
+conventions and the sandwich bracket from the global ball volume.  One
+census serves the whole x-grid: it weights each (determinant, Frobenius
+norm) cell by a product of sums-of-two-squares counts, about x^2 log x
+cells at B = 1, so --xmax in the hundreds is practical.
 
 Usage:
     python scripts/count_vs_prediction.py --xmax 8 --B 1.0

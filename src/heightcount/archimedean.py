@@ -183,6 +183,13 @@ def _weyl_rates(d: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
     return L, tuple(item for item in signs.items() if item[1])
 
 
+def _check_series_domain(d: int, B: float, R: float) -> None:
+    if d < 2 or d > 6:
+        raise DomainError(f"ball volumes support 2 <= d <= 6, got {d}")
+    if not (B > 0 and R >= 0 and B * R <= _MAX_BR):
+        raise DomainError(f"need B > 0, R >= 0 and B R <= {_MAX_BR}, got B={B}, R={R}")
+
+
 def _series(d: int, B: float, R: float) -> tuple[list[float], float]:
     """Terms alpha_j s^(j + r) of the ball-volume series at s = B R, each
     rounded to float, and their exact sum rounded once; b_inf(R) is jac
@@ -206,10 +213,7 @@ def _series(d: int, B: float, R: float) -> tuple[list[float], float]:
     first such J where that is at most 2^-60 of the partial sum, an exact
     integer comparison.
     """
-    if d < 2 or d > 6:
-        raise DomainError(f"ball volumes support 2 <= d <= 6, got {d}")
-    if not (B > 0 and R >= 0 and B * R <= _MAX_BR):
-        raise DomainError(f"need B > 0, R >= 0 and B R <= {_MAX_BR}, got B={B}, R={R}")
+    _check_series_domain(d, B, R)
     r, (L, groups) = d - 1, _weyl_rates(d)
     (pb, qb), (pr, qr) = float(B).as_integer_ratio(), float(R).as_integer_ratio()
     P, Q = pb * pr, qb * qr
@@ -242,6 +246,22 @@ def ball_volume_numeric(d: int, B: float, R: float) -> float:
     return _sector_jacobian(RootSystemA(d)) * _series(d, B, R)[1]
 
 
+def _table_domain(d: int, B: float, R_max: float) -> tuple[int, float]:
+    """The checks of `ball_volume_table`, in its order: R_max finite and
+    positive, at most _TABLE_MAX_NODES nodes (BudgetError), and the series
+    domain at the top radius R_top.  Returns (n_steps, R_top), the grid
+    having nodes j * _TABLE_STEP for 0 <= j <= n_steps.
+    """
+    if not (0 < R_max < math.inf):
+        raise DomainError(f"need 0 < R_max < inf, got R_max={R_max}")
+    n_steps = int(math.ceil(R_max / _TABLE_STEP - 1e-9))
+    if n_steps + 1 > _TABLE_MAX_NODES:
+        raise BudgetError(f"volume table of {n_steps + 1} nodes exceeds the limit {_TABLE_MAX_NODES} (R_max <= 1000)")
+    R_top = max(R_max, _TABLE_STEP * n_steps)
+    _check_series_domain(d, B, R_top)
+    return n_steps, R_top
+
+
 def ball_volume_table(d: int, B: float, R_max: float):
     """Radial volumes on the grid R_j = j * _TABLE_STEP, returned as an interpolant.
 
@@ -254,13 +274,8 @@ def ball_volume_table(d: int, B: float, R_max: float):
     BudgetError before anything is allocated.  The returned callable
     interpolates linearly and raises DomainError beyond R_max.
     """
-    if not (0 < R_max < math.inf):
-        raise DomainError(f"need 0 < R_max < inf, got R_max={R_max}")
-    n_steps = int(math.ceil(R_max / _TABLE_STEP - 1e-9))
-    if n_steps + 1 > _TABLE_MAX_NODES:
-        raise BudgetError(f"volume table of {n_steps + 1} nodes exceeds the limit {_TABLE_MAX_NODES} (R_max <= 1000)")
+    n_steps, R_top = _table_domain(d, B, R_max)
     r_grid = _TABLE_STEP * np.arange(n_steps + 1)
-    R_top = max(R_max, float(r_grid[-1]))
     terms, _ = _series(d, B, R_top)
     u = r_grid / R_top
     acc = np.zeros_like(u)

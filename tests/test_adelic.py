@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightcount import (
+    BudgetError,
     DomainError,
     MeasurePair,
     adelic_ball_series,
@@ -29,6 +30,7 @@ from heightcount import (
 )
 from heightcount import adelic
 from heightcount.archimedean import ball_volume_numeric
+from oracles import adelic_volume_d2, psi_by_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,108 @@ def test_volume_budget():
 
     with pytest.raises(BudgetError):
         adelic_ball_volume(2, 1.0, 20.0, max_sieve=1000)
+
+
+# ---------------------------------------------------------------------------
+# exact d = 2 volume from prefix sums
+
+# (B, T) points against the term-by-term oracle; B = 40 and 50 reach
+# B T = 350, where sum psi(m) m^(2B) overflows float64 unless it is scaled
+_D2_POINTS = {
+    0.02: (0.01, 0.3, 0.7, 1.1, 2.5, 4.6, 7.3, 9.0),
+    0.5: (0.01, 0.3, 0.9, 2.5, 5.0, 8.2, 12.0),
+    1.0: (0.01, 0.3, math.log(3.0) + 0.1, 2.5, 5.0, 8.2, 11.0, 13.1),
+    1.5: (0.01, 0.3, 0.9, 2.5, 5.0, 8.2, 12.0),
+    1.98: (0.01, 0.3, 0.7, 1.1, 2.5, 4.6, 7.3, 9.0),
+    40.0: (0.05, 1.0, 4.0, 8.75),
+    50.0: (7.0,),
+}
+
+
+@pytest.mark.parametrize("B", sorted(_D2_POINTS))
+def test_d2_volume_matches_exact_oracle(B):
+    T_list = _D2_POINTS[B]
+    b = adelic_volume_callable(2, B, max(T_list), max_sieve=10**6)
+    for T in T_list:
+        assert b(T) == pytest.approx(adelic_volume_d2(B, T), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("B", [0.3, 1.0])
+def test_d2_volume_does_not_depend_on_T_max(B):
+    # no scaling or sum may depend on the length of the sieve prefix read
+    b = adelic_volume_callable(2, B, 9.0)
+    for T in np.linspace(0.5, 9.0, 40).tolist():
+        assert adelic_volume_callable(2, B, T)(T) == b(T)
+
+
+def test_d2_overflow_edge_needs_the_scaled_sum():
+    # at (B, T) = (40, 8.75) the far terms run to k = 6294, and the unscaled
+    # prefix sum of psi(m) m^80 up to k overflows
+    k = int(math.exp(8.75 - adelic._NEAR / 40.0))
+    m = np.arange(1, k + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(psi_by_sieve(k)[1:] * m**80.0))
+    assert math.isfinite(adelic_volume_callable(2, 40.0, 8.75)(8.75))
+
+
+def test_prefix_sums_are_prefix_stable_and_bounded():
+    terms = np.random.default_rng(3).random(5000) * 1e6
+    whole = adelic._prefix_sums(terms)
+    for n in (1, 1023, 1024, 1025, 2048, 4999):
+        assert np.array_equal(adelic._prefix_sums(terms[:n]).view(np.int64), whole[:n].view(np.int64))
+    for j in (0, 1023, 1024, 3000, 4999):
+        exact = math.fsum(terms[: j + 1].tolist())
+        assert abs(whole[j] - exact) <= (min(j, 1024) + j / 1024 + 2) * 2.0**-53 * exact
+    # one running sum loses every term of 2^-54 after a leading 1: relative
+    # error 2^-34 at j = 2^20, far outside the bound of about 2^-42
+    terms = np.full(2**20 + 1, 2.0**-54)
+    terms[0] = 1.0
+    exact = 1.0 + 2.0**-34
+    assert np.cumsum(terms)[-1] == 1.0
+    assert abs(adelic._prefix_sums(terms)[-1] - exact) <= (1024 + 1024 + 2) * 2.0**-53 * exact
+
+
+# (B, T_max, max_sieve), the error and its text, as the 1e-3 volume table
+# path raised them for d = 2 and still raises them for d = 3
+_REFUSED = [
+    ((0.0, 3.0, None), DomainError, "need B > 0, R >= 0 and B R <= 350.0, got B=0.0, R=3.0"),
+    ((-1.0, 3.0, None), DomainError, "need B > 0, R >= 0 and B R <= 350.0, got B=-1.0, R=3.0"),
+    ((50.0, 7.5, None), DomainError, "need B > 0, R >= 0 and B R <= 350.0, got B=50.0, R=7.5"),
+    ((50.0, 7.0001, None), DomainError, "need B > 0, R >= 0 and B R <= 350.0, got B=50.0, R=7.001"),
+    (
+        (1.0, 12.0, 1000),
+        BudgetError,
+        "estimated sieve count 162754 exceeds budget 1000; "
+        "raise the corresponding HEIGHTCOUNT_MAX_* variable to override",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, error, text", _REFUSED)
+def test_d2_callable_refuses_what_the_table_refused(args, error, text):
+    B, T_max, max_sieve = args
+    for d in (2, 3):
+        with pytest.raises(error) as caught:
+            adelic_volume_callable(d, B, T_max, max_sieve)
+        assert str(caught.value) == text
+
+
+def test_d2_callable_rejects_T_outside_its_range():
+    for d in (2, 3):
+        b = adelic_volume_callable(d, 1.0, 3.0)
+        for T in (0.0, -1.0, 3.1, math.nan, 3.0 * (1 + 2e-12)):
+            with pytest.raises(DomainError) as caught:
+                b(T)
+            assert str(caught.value) == f"T={T} outside (0, 3.0]"
+        assert b(3.0 * (1 + 1e-12)) > 0
+
+
+def test_d2_callable_reads_no_volume_table():
+    before = adelic._volume_grid.cache_info()
+    b = adelic_volume_callable(2, 0.7, 6.0)
+    b(5.0)
+    adelic_ball_series(2, 1.3, [1.0, 2.0])
+    assert adelic._volume_grid.cache_info() == before
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,8 @@ def test_ball_adelic_grid_monotone(capsys):
     )
     values = [float(r[1]) for r in rows]
     assert values == sorted(values)
-    assert values[-1] == pytest.approx(30.2497719008, rel=1e-9)
+    # mpmath: 30.24975905682924...
+    assert values[-1] == pytest.approx(30.2497590568, rel=1e-9)
 
 
 def test_csv_flag_writes_file(tmp_path, capsys):
