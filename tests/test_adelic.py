@@ -146,7 +146,7 @@ def test_volume_is_monotone_in_T():
 
 def test_entry_points_agree_bitwise():
     # every entry point builds b through adelic_volume_callable; below
-    # T ~ 1e-12 the volume table has one node and b is 0 from each of them
+    # T ~ 1e-12 the d = 3 volume table has one node and b is 0 from each
     for d in (2, 3):
         for T in (1e-13, 5e-4, 0.7, 3.0, 6.5):
             direct = adelic_ball_volume(d, 1.0, T)

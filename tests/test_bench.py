@@ -1,21 +1,29 @@
-"""Schema of the committed benchmark record `BENCH_d2_prefix.json`, written
-by `scripts/bench.py`.  Its timings are measurements of one machine and are
-not checked; its correctness and accuracy fields are."""
+"""Schema of the committed benchmark records `BENCH_*.json`, written by
+`scripts/bench.py`.  Their timings are measurements of one machine and are
+not checked; their correctness and accuracy fields are."""
 
 import json
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "BENCH_d2_prefix.json"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
 
 
-def test_bench_record_schema():
-    rec = json.loads(BENCH.read_text())
+def test_the_d2_prefix_record_covers_every_workload():
+    rec = json.loads((ROOT / "BENCH_d2_prefix.json").read_text())
+    assert set(rec["workloads"]) == {"scan", "census", "queries"}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_schema(path):
+    rec = json.loads(path.read_text())
     assert rec["schema"] == "heightcount/bench/v1"
-    assert rec["label"] == "d2_prefix"
+    assert path.name == f"BENCH_{rec['label']}.json"
     assert {"cores", "python", "numpy", "platform"} <= set(rec["machine"])
     assert rec["command"].startswith("python3 perfbench/run.py --workload W")
-    assert set(rec["workloads"]) == {"scan", "census", "queries"}
+    assert rec["workloads"] and set(rec["workloads"]) <= {"scan", "census", "queries"}
     for workload in rec["workloads"].values():
         for side in ("parent", "change"):
             summary = workload[side]

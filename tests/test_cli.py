@@ -232,8 +232,8 @@ def test_dcoeff_output_is_pinned(capsys, d, xmax):
     ],
 )
 def test_adelic_output_is_pinned(capsys, name, argv):
-    # stdout of each command, pinned byte for byte; every b(T) and d(T)
-    # behind them goes through the one adelic reduction
+    # stdout of each command, pinned byte for byte; every b(T) behind them
+    # is built by adelic_volume_callable
     code, out = run(capsys, *argv.split())
     assert code == 0
     assert out == (DATA / name).read_text()
