@@ -2,10 +2,10 @@
 """Benchmark the working tree against a parent revision with perfbench.
 
 For each workload, runs `python3 perfbench/run.py --workload W --seed S
---seconds N` as a subprocess on the working tree and on --parent REV,
+--seconds 6` as a subprocess on the working tree and on --parent REV,
 which is unpacked by `git archive` into a temporary directory.  The two
-sides alternate, and the side that goes first alternates from pair to
-pair, so drift in the host's speed hits both alike.  Each run's final
+sides alternate over 10 pairs, and the side that goes first alternates
+from pair to pair, so drift in the host's speed hits both alike.  Each run's final
 JSON line gives its medians, `correct`, `failed` and `attempted`.
 
 Writes BENCH_<label>.json at the repository root with the machine record,
@@ -16,7 +16,7 @@ against the term-by-term oracle `tests/oracles.adelic_volume_d2`, for
 each side.
 
 Usage (from the repository root):
-    python scripts/bench.py --parent HEAD --label d2_prefix --pairs 10 --seconds 6
+    python scripts/bench.py --parent HEAD --label d2_prefix
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+# parent/change pairs per workload, and the length of each perfbench run
+PAIRS = 10
+SECONDS = 6
 
 # (B, T) points of the accuracy column: 2B an integer up to T = 13.1, where
 # the oracle sums in integers, and B = 0.02, 1.98 up to T = 7
@@ -58,10 +61,10 @@ def _unpack(rev: str, target: Path) -> None:
         tar.extractall(target, filter="data")
 
 
-def _perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _perfbench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One perfbench run in `tree`: its machine record and final JSON line."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)],
         cwd=tree,
         capture_output=True,
         text=True,
@@ -116,8 +119,6 @@ def main() -> None:
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--workloads", default="scan,census,queries")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=6.0)
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -137,9 +138,9 @@ def main() -> None:
         machine, workloads = None, {}
         for workload in args.workloads.split(","):
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    machine, final = _perfbench(trees[side], workload, args.seed, args.seconds)
+                    machine, final = _perfbench(trees[side], workload, args.seed)
                     runs[side].append(final)
                     print(f"{workload} pair {i + 1} {side}: wall_s {final['metrics']['wall_s']['value']:.4f}", flush=True)
             wins = {
@@ -162,10 +163,10 @@ def main() -> None:
         "schema": "heightcount/bench/v1",
         "label": args.label,
         "machine": machine,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS}",
         "parent": parent_rev,
         "change": change,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "workloads": workloads,
         "accuracy": accuracy,
     }

@@ -207,8 +207,11 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
     1.9e-13 at (B, T) = (1, 13.1) and 8.0e-13 at (0.5, 13.1).  Their
     largest value over 0.02 <= B <= 1.98 and T <= 13.1 is 3.7e-12, at
     (0.1, 13.1), where A/F = 40: for small B most far x_m stay near c.
-    Against `tests/oracles.adelic_volume_d2` the measured error stays below
-    1e-14 over the same range.
+    Against `tests/oracles.adelic_volume_d2` the measured error is below
+    1e-14 at every point checked: 2B an integer up to T = 13.1, and
+    B = 0.02 and 1.98 up to T = 9.  One running sum in place of
+    `_prefix_sums` drops the terms of S_(-2B) below half an ulp of the sum
+    and measures 5e-12 at (2, 13.1).
     """
     m = np.arange(1, weights.size + 1, dtype=float)
     s_zero = _prefix_sums(weights)

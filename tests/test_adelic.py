@@ -227,13 +227,16 @@ def test_volume_budget():
 # exact d = 2 volume from prefix sums
 
 # (B, T) points against the term-by-term oracle; B = 40 and 50 reach
-# B T = 350, where sum psi(m) m^(2B) overflows float64 unless it is scaled
+# B T = 350, where sum psi(m) m^(2B) overflows float64 unless it is scaled.
+# At B = 2 and T >= 12.8 one running sum of psi(m) m^(-2B) drops the terms
+# below half an ulp of the sum and is off by 3e-12 to 5e-12
 _D2_POINTS = {
     0.02: (0.01, 0.3, 0.7, 1.1, 2.5, 4.6, 7.3, 9.0),
     0.5: (0.01, 0.3, 0.9, 2.5, 5.0, 8.2, 12.0),
     1.0: (0.01, 0.3, math.log(3.0) + 0.1, 2.5, 5.0, 8.2, 11.0, 13.1),
     1.5: (0.01, 0.3, 0.9, 2.5, 5.0, 8.2, 12.0),
     1.98: (0.01, 0.3, 0.7, 1.1, 2.5, 4.6, 7.3, 9.0),
+    2.0: (12.8, 13.1),
     40.0: (0.05, 1.0, 4.0, 8.75),
     50.0: (7.0,),
 }
@@ -273,13 +276,6 @@ def test_prefix_sums_are_prefix_stable_and_bounded():
     for j in (0, 1023, 1024, 3000, 4999):
         exact = math.fsum(terms[: j + 1].tolist())
         assert abs(whole[j] - exact) <= (min(j, 1024) + j / 1024 + 2) * 2.0**-53 * exact
-    # one running sum loses every term of 2^-54 after a leading 1: relative
-    # error 2^-34 at j = 2^20, far outside the bound of about 2^-42
-    terms = np.full(2**20 + 1, 2.0**-54)
-    terms[0] = 1.0
-    exact = 1.0 + 2.0**-34
-    assert np.cumsum(terms)[-1] == 1.0
-    assert abs(adelic._prefix_sums(terms)[-1] - exact) <= (1024 + 1024 + 2) * 2.0**-53 * exact
 
 
 # (B, T_max, max_sieve), the error and its text, as the 1e-3 volume table
