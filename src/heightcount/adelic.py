@@ -154,12 +154,13 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     bit for bit.
     """
     n = terms.size
-    padded = np.zeros(-(-n // _PREFIX_BLOCK) * _PREFIX_BLOCK)
-    padded[:n] = terms
-    inner = np.cumsum(padded.reshape(-1, _PREFIX_BLOCK), axis=1)
+    inner = np.zeros((-(-n // _PREFIX_BLOCK), _PREFIX_BLOCK))
+    inner.ravel()[:n] = terms
+    np.cumsum(inner, axis=1, out=inner)
     before = np.zeros(len(inner))
     np.cumsum(inner[:-1, -1], out=before[1:])
-    return (inner + before[:, None]).ravel()[:n]
+    inner += before[:, None]
+    return inner.ravel()[:n]
 
 
 def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
@@ -213,10 +214,18 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
     `_prefix_sums` drops the terms of S_(-2B) below half an ulp of the sum
     and measures 5e-12 at (2, 13.1).
     """
+    # products in place and m dropped early: this set-up is the peak memory
+    # of a one-shot d = 2 b(T)
     m = np.arange(1, weights.size + 1, dtype=float)
     s_zero = _prefix_sums(weights)
-    s_minus = _prefix_sums(weights * m ** (-2.0 * B))
-    s_plus = _prefix_sums(weights * (m ** (2.0 * B) * 2.0**-_SCALE_BITS))
+    terms = m ** (-2.0 * B)
+    terms *= weights
+    s_minus = _prefix_sums(terms)
+    terms = m ** (2.0 * B)
+    del m
+    terms *= 2.0**-_SCALE_BITS
+    terms *= weights
+    s_plus = _prefix_sums(terms)
     near = _NEAR / B
 
     def b(T: float) -> float:

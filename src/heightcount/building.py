@@ -41,11 +41,13 @@ computed modulo q.  The search expands its frontier in blocks of `_BLOCK`
 products and deduplicates integer keys of the forms.  It returns the
 sorted keys of each shell in a `ClassTable`, which builds `LatticeClass`
 objects a block at a time, only when it is iterated; its shell sizes are
-read from the key arrays.  Arrays are int64 while d q^2 and the keys fit
-in 62 bits and object arrays of Python ints otherwise, with the same
-code.  `LatticeClass.from_matrix` runs the same modular elimination
-(`hermite.hermite_forms`) on a single matrix.  The per-neighbour integer
-Hermite form both replaced is kept as a test oracle.
+read from the key arrays.  The elimination runs in the narrowest of
+int16, int32 and int64 that holds d q^2 with two bits to spare, the keys
+are int64 while they fit in 62 bits, and beyond 62 bits both are object
+arrays of Python ints, with the same code.  `LatticeClass.from_matrix`
+runs the same modular elimination (`hermite.hermite_forms`) on a single
+matrix.  The per-neighbour integer Hermite form both replaced is kept as
+a test oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,9 +182,14 @@ def building_distance(mat, p: int) -> int:
     return exps[-1] - exps[0]
 
 
-@dataclass(frozen=True)
-class LatticeClass:
-    """Homothety class of Z_p-lattices, keyed by its primitive HNF."""
+class LatticeClass(NamedTuple):
+    """Homothety class of Z_p-lattices, keyed by its primitive HNF.
+
+    A named tuple (p, hnf): immutable, hashed as the tuple (p, hnf), and
+    equal to that plain tuple as well as to every class with the same
+    fields.  Classes therefore order as (p, hnf) tuples and unpack as
+    `p, hnf = cls`.
+    """
 
     p: int
     hnf: Mat
@@ -226,11 +234,12 @@ def _classes(forms: np.ndarray, p: int) -> Iterator[LatticeClass]:
     """The classes of a (B, d, d) block of primitive HNFs, in block order.
 
     Each hnf is a tuple of row tuples of Python ints, zipped at C speed from
-    one `tolist` per entry position (r, c), so no Python code runs per form
-    besides `LatticeClass` itself."""
+    one `tolist` per entry position (r, c), and each class is made by
+    `tuple.__new__` from its zipped (p, hnf) pair, so no Python code runs
+    per form."""
     d = forms.shape[1]
     rows = [zip(*(forms[:, r, c].tolist() for c in range(d))) for r in range(d)]
-    return map(LatticeClass, repeat(p), zip(*rows))
+    return map(tuple.__new__, repeat(LatticeClass), zip(repeat(p), zip(*rows)))
 
 
 def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
@@ -324,8 +333,9 @@ def enumerate_classes(
     form is packed into one integer key (`hermite.form_keys`; every entry
     is at most p^k_max), and keys are deduplicated by sorting; a neighbour
     of shell k - 1 lies in shell k - 2, k - 1 or k, so only those two
-    shells are checked.  Arrays are int64 while d q^2 and the keys stay
-    below 2^62, and object arrays of Python ints beyond that.
+    shells are checked.  The elimination runs in int16, int32 or int64 as
+    d q^2 is below 2^14, 2^30 or 2^62, the keys in int64 while they stay
+    below 2^62, and both in object arrays of Python ints beyond that.
     """
     from . import hermite  # here, so `import heightcount` skips compiling it
 

@@ -22,10 +22,12 @@ u prime to p, with q = p^(e + 1).  `form_keys` packs each form into one
 integer whose order is the order of the hnf tuples, so that a block is
 deduplicated by sorting, and `key_forms` unpacks the keys.
 
-Arrays are int64 while every intermediate fits in 62 bits: d q^2 for the
-elimination, and the packed entries for the keys.  Beyond that they are
-object arrays of Python ints and the same code runs on them, as in
-`dirichlet.coeff_array`.
+The elimination runs in the narrowest of int16, int32 and int64 that
+holds d q^2 with two bits to spare (d q^2 < 2^14, 2^30 or 2^62): every
+intermediate, the products S_W h of `neighbour_forms` included, is below
+d q^2 in magnitude.  The keys are int64 while the packed entries fit in
+62 bits.  Beyond 62 bits both are object arrays of Python ints and the
+same code runs on them, as in `dirichlet.coeff_array`.
 
 `building` imports this module inside the functions that use it, so that
 `import heightcount` does not compile it.
@@ -40,7 +42,10 @@ import numpy as np
 
 from .errors import DomainError
 
-# int64 bound for the intermediates and the keys; see `_dtype`
+# the fixed-width dtypes, narrowest first, each with the bits its values may
+# use: two are spare, for the sign and for a sum of two values
+_WIDTHS = ((np.int16, 14), (np.int32, 30), (np.int64, 62))
+# bound on the bits of every fixed-width array; see `_dtype`
 _INT64_BITS = 62
 
 
@@ -63,8 +68,9 @@ def subspace_bases(d: int, j: int, p: int):
 
 
 def _dtype(bits: int):
-    """int64 when every intermediate stays below 2^bits <= 2^62, else object."""
-    return np.int64 if bits <= _INT64_BITS else object
+    """The narrowest of int16, int32 and int64 that holds every value below
+    2^bits with two bits to spare, when bits <= `_INT64_BITS`; else object."""
+    return next((dt for dt, width in _WIDTHS if bits <= min(width, _INT64_BITS)), object)
 
 
 @lru_cache(maxsize=16)
@@ -180,7 +186,8 @@ def form_keys(forms: np.ndarray, bits: int) -> np.ndarray:
     Every entry must be below 2^bits.  Keys order like the hnf tuples.
     """
     iu = np.triu_indices(forms.shape[1])
-    dt = _dtype(len(iu[0]) * bits)
+    # int64 at least: narrower keys sort no measurably faster
+    dt = np.promote_types(_dtype(len(iu[0]) * bits), np.int64)
     key = np.zeros(len(forms), dtype=dt)
     for entry in forms.transpose(1, 2, 0)[iu].astype(dt, copy=False):
         key = key << bits | entry

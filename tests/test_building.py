@@ -355,6 +355,60 @@ def test_neighbors_match_oracle_in_subspace_order():
         assert neighbors(cls, 2) == neighbors_by_hnf(cls, 2)
 
 
+@pytest.mark.parametrize(
+    "d, p, e, dtype",
+    [
+        (2, 3, 3, np.int16),
+        (2, 3, 4, np.int32),
+        (2, 3, 8, np.int32),
+        (2, 3, 9, np.int64),
+        (3, 2, 5, np.int16),
+        (3, 2, 6, np.int32),
+        (3, 2, 13, np.int32),
+        (3, 2, 14, np.int64),
+    ],
+)
+def test_kernel_at_the_narrow_dtype_limits(monkeypatch, d, p, e, dtype):
+    # q = p^(e + 1) on both sides of d q^2 < 2^14 (int16 or int32) and of
+    # d q^2 < 2^30 (int32 or int64), against the integer oracles and the
+    # object path
+    q = p ** (e + 1)
+    assert hermite._dtype((d * q * q).bit_length()) is dtype
+    rows = [[int(i == j) for j in range(d - 1)] + [p**e - 1 - i] for i in range(d - 1)]
+    rows.append([0] * (d - 1) + [p**e])
+    cls = LatticeClass.from_matrix(rows, p)
+    assert cls == _class_by_euclid(rows, p)
+    nbs = neighbors(cls, d)
+    assert nbs == neighbors_by_hnf(cls, d)
+    block = np.random.default_rng(e).integers(-q, q, size=(40, d, d))
+    forms = hermite.hermite_forms(block, p, e + 1)
+    assert forms.dtype == dtype
+    monkeypatch.setattr(hermite, "_INT64_BITS", 0)
+    assert hermite.hermite_forms(block, p, e + 1).tolist() == forms.tolist()
+    assert neighbors(cls, d) == nbs
+
+
+def test_lattice_class_is_a_named_tuple():
+    cls = LatticeClass(2, ((1, 0), (0, 1)))
+    with pytest.raises(AttributeError):
+        cls.p = 3
+    assert not hasattr(cls, "__dict__")
+    assert hash(cls) == hash((cls.p, cls.hnf))
+    assert repr(cls) == "LatticeClass(p=2, hnf=((1, 0), (0, 1)))"
+    assert LatticeClass.from_matrix([[2, 0], [6, 12]], 2) == LatticeClass(2, ((1, 0), (0, 2)))
+    assert LatticeClass.from_matrix([[4, 0], [0, 4]], 2) == cls == (2, ((1, 0), (0, 1)))
+    p, hnf = cls
+    assert (p, hnf) == (2, ((1, 0), (0, 1)))
+    assert sorted([LatticeClass(3, ((1, 0), (0, 1))), LatticeClass(2, ((1, 0), (0, 2))), cls])[0] is cls
+    # a dict keyed by classes, as verify's counting/snf-vs-bfs-distance
+    # check builds, resolves classes made elsewhere and plain tuples alike
+    distances = dict(enumerate_classes(BuildingParams(2, 3), 2))
+    assert {type(c) for c in distances} == {LatticeClass}
+    assert distances[LatticeClass.from_matrix([[1, 0], [0, 9]], 3)] == 2
+    assert distances[(3, ((3, 1), (0, 3)))] == 2
+    assert distances[base_class(BuildingParams(2, 3))] == 0
+
+
 def test_base_class_not_self_adjacent():
     params = BuildingParams(2, 3)
     assert not is_adjacent(base_class(params), base_class(params))
