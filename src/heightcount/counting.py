@@ -79,8 +79,18 @@ bins.  It is a tie at x_i when |fl(h - x_i)| <= 1e-9, the predicate of
 (h - x_i is exact by Sterbenz's lemma when it could be that small), so
 the predicate is applied to the few (cell, x_i) pairs found there, also
 when grid points lie closer together than 2e-9.  `pi_count_detail` is the
-census of the one-point grid [x].  The candidate budget and the r_2 table
-limit grow with x, so they are checked once per grid, at its largest x.
+census of the one-point grid [x].
+
+Work limits.  A grid's census walks the cells of its largest x, so the
+limits are checked once per grid, there.  max_cells bounds the cells
+walked, exactly: their count `end[-1]` is read from the row arrays of the
+walk before the r_2 table is built.  Caps of _FCAP_LIMIT or more are
+refused before their int64 cast.  Before any O(x) array, F_cap(1) is
+checked against that limit and the lower bound floor(x_hi) + F_cap(1) - 2
+on the cells (a cell on every g = 1 row, F = 2 .. F_cap(1) on e = 1)
+against max_cells; an error from it names that bound.  At small B it
+misses huge x: at (5e8, 0.1) about eight arrays of 1.64 floor(x) rows are
+built before the exact count refuses.
 
 Box search (test oracle).  Every class with h <= x has its canonical
 entries in [-N, N]^4 when N >= entry_bound(x, B):
@@ -191,70 +201,21 @@ def _classify(a, b, c, d, x: float, B: float) -> tuple[int, int]:
     return int(np.count_nonzero(inside)), int(np.count_nonzero(ties))
 
 
-def shell_caps(x_hi: float, B: float) -> np.ndarray:
+def shell_caps(x_hi: float, B: float, n: int) -> np.ndarray:
     """F_cap(e) = floor(e (t + 1/t)), t = (x_hi/e)^(2B), at index e - 1 for
-    e = 1 .. floor(x_hi).
+    e = 1 .. n, int64, once every one is below _FCAP_LIMIT.
 
-    t + 1/t is evaluated as 2 + 4 sinh^2(B log(x_hi/e)) with the 2e added
-    in integers, so F = 2e (h = e) stays under the cap when x_hi/e is 1 up
-    to rounding."""
-    e = np.arange(1, int(math.floor(x_hi)) + 1, dtype=np.int64)
-    s = np.sinh(B * np.log(x_hi / e))
-    return 2 * e + np.floor(4.0 * e * s * s).astype(np.int64)
-
-
-def candidate_bound(fcap: np.ndarray) -> int:
-    """A-priori upper bound on the det-shell candidates under the caps fcap.
-
-    On shell e with sign s, a first row g v (v canonical, g | e) with
-    |g v|^2 < F_cap(e) gives a line of spacing |v| whose chord in the disk
-    c^2 + d^2 <= F_cap(e) is at most 2 sqrt(F_cap(e)) long, so at most
-    1 + 2 sqrt(F_cap(e)) / |v| candidates.  Over v with |v|^2 <= R,
-
-        #v <= (pi (sqrt(R) + r)^2 - 1) / 2,  sum 1/|v| <= (1 + r) pi (sqrt(R) + r),
-
-    with r = sqrt(2)/2: the unit square around each v lies in the disk of
-    radius sqrt(R) + r, and 1/|v| <= (1 + r)/|u| for u in it when |v| >= 1.
-
-    It also bounds the census work and memory.  Its g term alone exceeds
-    pi F_cap(e) / g^2 on each shell e = g, 2g, ..., among them the shells
-    e = g^2 e', so it exceeds the sum of F_cap(g^2 e')/g^2 - 2e' + 1, the
-    cells of the rows of g in `_census`.  Its g = 1 term also exceeds the
-    r_2 table length max (F_cap(e) + 2e) + 1, at most 2 max F_cap(e) + 1
-    as F_cap(e) >= 2e.
-    """
-    return int(math.ceil(_candidate_total(fcap)))
-
-
-def _candidate_total(fcap: np.ndarray) -> float:
-    """The float sum behind `candidate_bound`: twice each g's sum over its
-    shells e = g, 2g, ..., added up in g order.
-
-    The terms of all (g, e) pairs are evaluated together, in runs of whole
-    g cut where the pair count passes a multiple of step = max(len(fcap),
-    2^16), so a run holds fewer than 2 step pairs.  Each g's sum is its own
-    `.sum()`, whose pairwise order depends only on that g's terms."""
-    r = math.sqrt(0.5)
-    g_max = min(fcap.size, math.isqrt(int(fcap.max())))
-    g_all = np.arange(1, g_max + 1)
-    count_all = fcap.size // g_all
-    end_all = np.cumsum(count_all)
-    step = max(fcap.size, 1 << 16)
-    cuts = np.searchsorted(end_all, np.arange(step, int(end_all[-1]), step), side="right")
-    bounds = sorted({0, g_max, *cuts.tolist()})
-    total = 0.0
-    for a, b in zip(bounds, bounds[1:]):
-        count = count_all[a:b]
-        g = np.repeat(g_all[a:b], count)
-        cap = fcap[g * (_run_offsets(count) + 1) - 1].astype(float)
-        root = np.sqrt(cap)
-        disk = root / g + r
-        # lines (#v) plus points (the chords), 0 where g v lies outside the disk
-        terms = np.where(cap >= g * g, (math.pi * disk * disk - 1) / 2 + 2 * root * (1 + r) * math.pi * disk, 0.0)
-        end = np.cumsum(count).tolist()
-        for s, t in zip([0] + end, end):
-            total += 2 * float(terms[s:t].sum())
-    return total
+    t + 1/t is evaluated as 2 + 4 sinh^2(B log(x_hi/e)) with the 2e added to
+    the floor, so F = 2e (h = e) stays under the cap when x_hi/e is 1 up to
+    rounding.  The limit is checked on the floats, inf where they overflow,
+    as the int64 cast would wrap past 2^63."""
+    e = np.arange(1, n + 1, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        s = np.sinh(B * np.log(x_hi / e))
+        caps = 2 * e + np.floor(4.0 * e * s * s)
+    if not caps.max() < _FCAP_LIMIT:
+        raise BudgetError(f"shell cap {caps.max():.17g} exceeds the r_2 table limit {_FCAP_LIMIT}")
+    return caps.astype(np.int64)
 
 
 def _run_offsets(count: np.ndarray) -> np.ndarray:
@@ -304,30 +265,38 @@ def _mobius(g: int) -> int:
     return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
-def _census(fcap: np.ndarray, grid: list[float], B: float) -> tuple[list[int], list[int], int]:
-    """(counts, ties, candidates) under the shell caps fcap of grid[-1]:
-    for each x of the strictly increasing grid (all x >= 1) the sums of P
-    over the cells inside at x and over the ties at x, and the sum of Q
-    over the cells 2e <= F <= F_cap(e) (module docstring).
+def _census(grid: list[float], B: float, max_cells: int | None) -> tuple[list[int], list[int], int]:
+    """(counts, ties, candidates) under the shell caps of grid[-1]: for each
+    x of the strictly increasing grid (all x >= 1) the sums of P over the
+    cells inside at x and over the ties at x, and the sum of Q over the
+    cells 2e <= F <= F_cap(e) (module docstring).
 
-    The rows (g, e') of every squarefree g, e' = 1 .. len(fcap) // g^2,
+    The rows (g, e') of every squarefree g, e' = 1 .. floor(x_hi) // g^2,
     with g = 1 first, make one flat sequence of cells
     2e' <= F' <= F_cap(g^2 e') / g^2, row by row with F' ascending, walked
-    in slices of `_BLOCK` cells.  The last x is decided by `_decide`; the
-    others by binning the height into the grid."""
-    n = fcap.size
+    in slices of `_BLOCK` cells.  Their count is checked against max_cells
+    (default HEIGHTCOUNT_MAX_CELLS) before the r_2 table is built, after
+    its O(1) lower bound (module docstring).  The last x is decided by
+    `_decide`; the others by binning the height into the grid."""
+    x_hi = _x_hi(grid[-1])
+    n = math.floor(x_hi)
+    check_budget("census cell", n + int(shell_caps(x_hi, B, 1)[0]) - 2, max_cells, "max_cells")
+    fcap = shell_caps(x_hi, B, n)
     squarefree = [(g * g, mu) for g in range(1, math.isqrt(n) + 1) if (mu := _mobius(g))]
     rows = [n // g2 for g2, _ in squarefree]
     e = np.concatenate([np.arange(1, k + 1, dtype=np.int64) for k in rows])
     g2 = np.repeat(np.array([g2 for g2, _ in squarefree], dtype=np.int64), rows)
     mu = np.repeat(np.array([mu for _, mu in squarefree], dtype=np.int64), rows)
-    r2 = _r2_table(int((fcap + 2 * e[:n]).max()))
     size = fcap[g2 * e - 1] // g2 - 2 * e + 1
+    # below 2^62: fewer than 2^31 cells a row, as the caps are, in fewer
+    # than 2^31 rows, as 2 floor(x_hi) <= F_cap(floor(x_hi)) < 2^31
     end = np.cumsum(size)
+    cells, g1_cells = int(end[-1]), int(end[n - 1])
+    check_budget("census cell", cells, max_cells, "max_cells")
+    r2 = _r2_table(int((fcap + 2 * e[:n]).max()))
     start = end - size
     shift = 2 * e - start  # F' = flat index + shift[row]
     adet_row = (g2 * e).astype(float)  # |det| = g^2 e'
-    cells, g1_cells = int(end[-1]), int(end[n - 1])
     x = np.array(grid, dtype=float)
     below, edge = x[:-1], _ball_edge(x[:-1])
     # the weight of the cells first inside at x_i, i < last, then the last x's count
@@ -391,44 +360,12 @@ def _x_hi(x: float) -> float:
     return (x + _TIE_TOL) * (1.0 + _BALL_SLACK) + _BALL_SLACK
 
 
-def _checked_caps(x: float, B: float, max_cells: int | None) -> np.ndarray:
-    """The shell caps of x >= 1, once their census passes both limits."""
-    fcap = shell_caps(_x_hi(x), B)
-    check_budget("det-shell candidates", candidate_bound(fcap), max_cells, "max_cells")
-    if int(fcap.max()) >= _FCAP_LIMIT:
-        raise BudgetError(f"shell cap {int(fcap.max())} exceeds the r_2 table limit {_FCAP_LIMIT}")
-    return fcap
-
-
-def _grid_caps(grid: list[float], B: float, max_cells: int | None) -> np.ndarray:
-    """The shell caps of grid[-1] (grid strictly increasing, x >= 1),
-    checked against both limits there only.
-
-    The estimate and the caps grow with x, so when grid[-1] is over a
-    limit, bisection finds the first x that is and raises its error, the
-    one a census per point would meet first."""
-    lo, hi = 0, len(grid) - 1
-    try:
-        return _checked_caps(grid[hi], B, max_cells)
-    except BudgetError as exc:
-        error = exc
-    while lo < hi:  # grid[hi] is over a limit, with `error` its error
-        mid = (lo + hi) // 2
-        try:
-            _checked_caps(grid[mid], B, max_cells)
-            lo = mid + 1
-        except BudgetError as exc:
-            hi, error = mid, exc
-    raise error
-
-
 def pi_count_detail(x: float, B: float, max_cells: int | None = None) -> PiCountDetail:
     """Exact closed-ball count #{h <= x} by determinant shells: the census
     of the one-point grid [x].
 
-    max_cells (default HEIGHTCOUNT_MAX_CELLS) bounds the a-priori estimate
-    `candidate_bound` of the candidates, which also bounds the cells of
-    `_census` and the length of its r_2 table.
+    max_cells (default HEIGHTCOUNT_MAX_CELLS) bounds the (e, F) cells the
+    census walks, exactly (module docstring, "Work limits").
     """
     if not (x >= 0):
         raise DomainError(f"need x >= 0, got {x}")
@@ -436,7 +373,7 @@ def pi_count_detail(x: float, B: float, max_cells: int | None = None) -> PiCount
         raise DomainError(f"need B > 0, got {B}")
     if x < 1:
         return PiCountDetail(x, B, 0, 0, 0, 0)
-    counts, ties, candidates = _census(_grid_caps([x], B, max_cells), [x], B)
+    counts, ties, candidates = _census([x], B, max_cells)
     return PiCountDetail(x, B, counts[0], ties[0], entry_bound(x, B), candidates)
 
 
@@ -489,6 +426,10 @@ def compare_report(
     instead of asserting pointwise bounds.  A sandwich side whose radius
     log x -+ eps is not positive is 0, the volume of an empty ball, so
     every x > 0 is accepted.
+
+    One census at the largest x >= 1 serves the grid, so max_cells
+    (default HEIGHTCOUNT_MAX_CELLS) bounds its cells, exactly, and a budget
+    error names that census's cell count (module docstring, "Work limits").
     """
     from .adelic import adelic_volume_callable
 
@@ -510,7 +451,7 @@ def compare_report(
     ones = [x for x in grid if x >= 1]
     pis = ties = [0] * (len(grid) - len(ones))
     if ones:
-        counts, tie_counts, _ = _census(_grid_caps(ones, B, max_cells), ones, B)
+        counts, tie_counts, _ = _census(ones, B, max_cells)
         pis, ties = pis + counts, ties + tie_counts
     bound_used = max((entry_bound(x, B) for x in ones), default=0)
     low, high, lo_s, hi_s = [], [], [], []

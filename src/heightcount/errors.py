@@ -1,15 +1,15 @@
 """Shared exception types and resource budgets.
 
 Every long-running operation takes an explicit budget (class count, sieve
-length, matrix candidates).  Defaults can be raised through environment
+length, census cells).  Defaults can be raised through environment
 variables without touching call sites:
 
     HEIGHTCOUNT_MAX_CLASSES   lattice classes per enumeration   (default 10^7)
     HEIGHTCOUNT_MAX_SIEVE     coefficient sieve length          (default 10^6)
-    HEIGHTCOUNT_MAX_CELLS     integer matrix candidates         (default 10^9)
+    HEIGHTCOUNT_MAX_CELLS     (e, F) cells the census walks     (default 10^9)
 
 Exceeding a budget raises :class:`BudgetError` before the work starts, from
-an a-priori size estimate, never from a timeout.
+an a-priori size estimate or an exact count, never from a timeout.
 """
 
 from __future__ import annotations

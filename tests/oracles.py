@@ -29,8 +29,9 @@ shipped package carries only what it uses.
   `adelic_volume_callable`.
 - `entry_bound_by_scan`: the box half-width as the maximum over every
   1 <= e <= x, against the two-endpoint `entry_bound`.
-- `candidate_total_by_g`: the candidate budget's float sum, one g at a
-  time, against the vectorised `counting._candidate_total`, bit for bit.
+- `census_cells_by_loop`: the (e, F) cells of the census counted one at a
+  time over squarefree g, e' and F', against the exact budget count of
+  `counting._census`.
 - `_GroupElementQ`, `_enumerate_elements`: the canonical representative
   of one PGL_2(Q) class with its scalar height, and the pure-Python walk
   of the entry box, against the array predicate `counting._classify` and
@@ -389,18 +390,17 @@ def entry_bound_by_scan(x: float, B: float) -> int:
     return int(math.floor(math.sqrt(best) + 1e-9))
 
 
-def candidate_total_by_g(fcap: np.ndarray) -> float:
-    """`counting._candidate_total` by one numpy pass per g over its shells
-    e = g, 2g, ..."""
-    r = math.sqrt(0.5)
-    total = 0.0
-    for g in range(1, min(fcap.size, math.isqrt(int(fcap.max()))) + 1):
-        cap = fcap[g - 1 :: g].astype(float)
-        disk = np.sqrt(cap) / g + r
-        lines = np.where(cap >= g * g, (math.pi * disk * disk - 1) / 2, 0.0)
-        points = np.where(cap >= g * g, 2 * np.sqrt(cap) * (1 + r) * math.pi * disk, 0.0)
-        total += 2 * float(np.sum(lines + points))
-    return total
+def census_cells_by_loop(fcap) -> int:
+    """The cells 2e' <= F' <= F_cap(g^2 e') // g^2 of every squarefree g and
+    1 <= e' <= len(fcap) // g^2, counted one by one."""
+    cells = 0
+    for g in range(1, math.isqrt(len(fcap)) + 1):
+        if any(g % (p * p) == 0 for p in range(2, g + 1)):
+            continue
+        for e in range(1, len(fcap) // (g * g) + 1):
+            for _ in range(2 * e, int(fcap[g * g * e - 1]) // (g * g) + 1):
+                cells += 1
+    return cells
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ def test_budget_error_exits_two(capsys):
         ("HEIGHTCOUNT_MAX_SIEVE", ["dcoeff", "--d", "2", "--xmax", "100"], "sieve count 100"),
         ("HEIGHTCOUNT_MAX_SIEVE", ["ball-adelic", "--d", "2", "--B", "1", "--Tmax", "5"], "sieve count 148"),
         ("HEIGHTCOUNT_MAX_CLASSES", ["classes", "--d", "2", "--p", "2", "--kmax", "3"], "lattice class count 22"),
-        ("HEIGHTCOUNT_MAX_CELLS", ["count", "--xmax", "8", "--B", "1"], "det-shell candidates count 78"),
+        ("HEIGHTCOUNT_MAX_CELLS", ["count", "--xmax", "8", "--B", "1"], "census cell count 70"),
     ],
 )
 def test_budget_defaults_come_from_the_environment(capsys, monkeypatch, variable, argv, kind):
@@ -393,17 +393,25 @@ def _src_env():
     return env
 
 
+# the stdout of each README script line, pinned byte for byte
+_SCRIPT_PINS = {
+    "scripts/scan_ball_volumes.py": "scan_ball_volumes_d3_B1_rmax8.txt",
+    "scripts/regularity_scan.py": "regularity_scan_T13.txt",
+}
+
+
 def test_readme_script_lines_run():
-    # scan_ball_volumes.py reads the volume table, the other two the adelic b(T)
+    # scan_ball_volumes.py reads the volume table, regularity_scan.py the adelic b(T)
     lines = [shlex.split(line) for line in _readme_block("## Scripts") if line.startswith("python ")]
-    assert len(lines) == 3
+    assert len(lines) == 2
+    assert sorted(argv[1] for argv in lines) == sorted(_SCRIPT_PINS)
     env = _src_env()
     for argv in lines:
         proc = subprocess.run(
             [sys.executable, *argv[1:]], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, (argv, proc.stderr)
-        assert proc.stdout.strip(), argv
+        assert proc.stdout == (DATA / _SCRIPT_PINS[argv[1]]).read_text(), argv
 
 
 def test_import_leaves_kernels_and_verify_unimported():

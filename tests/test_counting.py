@@ -9,6 +9,7 @@ regressions in the box bound, the weights or the census show up here.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from heightcount import (
     pi_count,
     pi_count_detail,
 )
-from oracles import _enumerate_elements, _GroupElementQ, candidate_total_by_g, entry_bound_by_scan
+from oracles import _enumerate_elements, _GroupElementQ, census_cells_by_loop, entry_bound_by_scan
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,8 @@ def test_pi_count_pinned_box_values():
 
 
 def _shell_caps(x, B):
-    return counting.shell_caps(counting._x_hi(x), B)
+    x_hi = counting._x_hi(x)
+    return counting.shell_caps(x_hi, B, math.floor(x_hi))
 
 
 def _box_candidates(a_values, bound, fcap):
@@ -331,13 +333,6 @@ def test_block_boundaries_do_not_change_counts(monkeypatch, x, B):
     assert pi_count_detail(x, B) == whole
 
 
-def test_candidate_bound_covers_candidates():
-    for B in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
-        for x in (1.0, 1.5, 2.0, 3.25, 5.0, 8.0, 13.0, 20.0):
-            estimate = counting.candidate_bound(_shell_caps(x, B))
-            assert estimate >= pi_count_detail(x, B).candidates, (x, B)
-
-
 _LINE_GRID = [
     (x, B)
     for B, xs in [
@@ -436,33 +431,42 @@ def test_line_count_follows_any_interval_table(monkeypatch, x, B):
     assert det.count < real.count and det.tie_count > 0
 
 
-def test_candidate_bound_covers_the_shell_table():
-    # the g = 1 term of the bound alone exceeds pi F_cap(e) on each shell,
-    # so the budget also bounds the cells of the census, sum (F_cap(e) -
-    # 2e + 1), and the length of its r_2 table, max (F_cap(e) + 2e) + 1
-    for B in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0):
-        for x in (1.0, 1.5, 3.25, 8.0, 20.0, 64.0):
-            fcap = _shell_caps(x, B)
-            e = np.arange(1, fcap.size + 1)
-            bound = counting.candidate_bound(fcap)
-            assert bound >= int((fcap - 2 * e + 1).sum()), (x, B)
-            assert bound >= int((fcap + 2 * e).max()) + 1, (x, B)
+@pytest.mark.parametrize(
+    "x, B, cells", [(8.0, 1.0, 132), (36.0, 1.0, 4638), (36.0, 0.5, 477), (400.0, 1.0, 983904), (1600.0, 0.5, 919970)]
+)
+def test_budget_is_the_exact_census_cell_count(x, B, cells):
+    # the budget bounds the cells the census walks, exactly: `cells` runs and
+    # one fewer refuses, naming the count
+    assert census_cells_by_loop(_shell_caps(x, B).tolist()) == cells
+    pi_count_detail(x, B, max_cells=cells)
+    with pytest.raises(BudgetError, match=f"census cell count {cells} exceeds budget {cells - 1};"):
+        pi_count_detail(x, B, max_cells=cells - 1)
 
 
-def test_candidate_total_matches_loop_over_g():
-    # the vectorised sum is the per-g loop's float, bit for bit; at
-    # (70000, 0.3) the pairs are cut into several runs
-    points = [
-        (x, B)
-        for B in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
-        for x in (1.0, 1.5, 2.0, 3.25, 7.3, 13.0, 20.0, 36.75, 64.0, 100.0, 250.0, 402.0, 800.0)
-    ] + [(70000.0, 0.3), (131072.0, 0.5)]
-    for x, B in points:
-        fcap = _shell_caps(x, B)
-        assert counting._candidate_total(fcap).hex() == candidate_total_by_g(fcap).hex(), (x, B)
-    fcap = _shell_caps(70000.0, 0.3)
-    g_max = math.isqrt(int(fcap.max()))
-    assert sum(fcap.size // g for g in range(1, g_max + 1)) > 2 * max(fcap.size, 2**16)
+@pytest.mark.parametrize("x, B", [(3.0, 25.0), (40.0, 8.0), (1000.0, 20.0)])
+def test_caps_are_refused_before_they_wrap(x, B):
+    # these caps pass 2^63, where the int64 cast would wrap with a warning;
+    # they are refused on the floats, whatever the budget
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for max_cells in (None, 10**30):
+            with pytest.raises(BudgetError, match="r_2 table limit"):
+                pi_count_detail(x, B, max_cells=max_cells)
+        with pytest.raises(BudgetError, match="r_2 table limit"):
+            _shell_caps(x, B)
+
+
+@pytest.mark.parametrize("x", [1e9, 1e12])
+def test_huge_x_is_refused_before_any_row_array(x):
+    # the O(1) lower bound refuses before the O(x) arrays of the census
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            pi_count_detail(x, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -634,7 +638,7 @@ def test_compare_report_below_one():
 
 
 def _grid_census(grid, B):
-    return counting._census(counting._grid_caps(grid, B, None), grid, B)
+    return counting._census(grid, B, None)
 
 
 @pytest.mark.parametrize(
@@ -675,9 +679,9 @@ def test_compare_report_runs_one_census(monkeypatch):
     calls = []
     census = counting._census
 
-    def spy(fcap, grid, B):
+    def spy(grid, B, max_cells):
         calls.append(list(grid))
-        return census(fcap, grid, B)
+        return census(grid, B, max_cells)
 
     monkeypatch.setattr(counting, "_census", spy)
     rep = compare_report([0.5, 1.0, 2.0, 4.0, 8.0], 1.0)
@@ -687,18 +691,20 @@ def test_compare_report_runs_one_census(monkeypatch):
     assert rep.entry_bound_used == entry_bound(8.0, 1.0)
 
 
-def test_compare_report_budget_names_the_first_x_over_it():
-    # the limits are checked at the largest x only, but an error names the
-    # first x over them, as a census per point would
+def test_compare_report_budget_names_the_last_x_count():
+    # one census serves the grid, so the limits are checked at its largest x
+    # only, and an error names that census's cells, or its lower bound
+    # floor(x_hi) + F_cap(1) - 2 when that is already over
     grid = [float(x) for x in range(1, 61)]
-    for max_cells in (10, 100, 10**4, 10**5):
-        estimates = [counting.candidate_bound(_shell_caps(x, 1.0)) for x in grid]
-        first = next(v for v in estimates if v > max_cells)
-        with pytest.raises(BudgetError, match=f"count {first} exceeds budget {max_cells};"):
+    fcap = _shell_caps(60.0, 1.0)
+    cells, lower = census_cells_by_loop(fcap.tolist()), fcap.size + int(fcap[0]) - 2
+    assert lower < 10**4 < cells
+    for max_cells, named in ((10, lower), (lower - 1, lower), (10**4, cells), (cells - 1, cells)):
+        with pytest.raises(BudgetError, match=f"census cell count {named} exceeds budget {max_cells};"):
             compare_report(grid, 1.0, max_cells=max_cells)
+    assert compare_report(grid, 1.0, max_cells=cells).pi_values[-1] == pi_count(60.0, 1.0)
+    # F_cap(1) is the largest cap at B = 1.9, over the limit from x = 286 on
     grid = [float(x) for x in range(200, 320)]
-    caps = [int(_shell_caps(x, 1.9).max()) for x in grid]
-    first = next(c for c in caps if c >= counting._FCAP_LIMIT)
-    assert first < caps[-1]
-    with pytest.raises(BudgetError, match=f"shell cap {first} exceeds the r_2 table limit"):
+    cap = 2 + math.floor(4 * math.sinh(1.9 * math.log(counting._x_hi(319.0))) ** 2)
+    with pytest.raises(BudgetError, match=f"shell cap {cap} exceeds the r_2 table limit"):
         compare_report(grid, 1.9, max_cells=10**15)
