@@ -17,8 +17,9 @@ sums of psi(m) m^beta over the sieve, plus the few terms near the ball's
 edge summed directly: exact up to the rounding `_d2_volume` bounds, with
 no table.  At d >= 3 one reduction, `_convolve`, sums point masses
 against a linearly interpolated cumulative function: b_inf on a memoized
-1e-3 volume grid, and the persistence check's d(T) alike.  One sieve per
-d is held and shorter requests read its prefix.
+1e-3 volume grid, and the persistence check's d(T) alike.  The weights
+D(m) are read from the coefficient store of `dirichlet` (`coeff_array`),
+with no float copy held; each b(T) computes its own locations log m.
 
 The module also provides the empirical checks used around b: regularity,
 the persistence of the dominant exponential term under measure
@@ -42,7 +43,7 @@ from .archimedean import (
     simplex_area,
 )
 from .dirichlet import L_euler, coeff_array, pole_abscissas
-from .errors import DomainError, check_budget
+from .errors import DomainError
 from .intmat import as_mat, content, det_int, elementary_divisors, valuation
 from .primes import factorize
 
@@ -98,24 +99,21 @@ def _volume_grid(d: int, B: float, R_max: float):
     return ball_volume_table(d, B, R_max)
 
 
-_SIEVES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _sieve(d: int, T_max: float, max_sieve: int | None):
-    """Weights D(m) as floats and locations log m for every m <= e^T_max.
+    """Weights D(m) and locations log m for every m <= e^T_max.
 
     The length x_max = floor(e^T_max (1 + 1e-12)) is checked against the
-    sieve budget before any work.  The longest arrays sieved for d are held:
-    a shorter request is served as a prefix view of them, which is bit for
-    bit the fresh sieve, and a longer one replaces them.
+    sieve budget before any work (`coeff_array`).  The weights are the
+    read-only int64 view of the held coefficients, or their float64
+    roundings once a value reaches 2^62: a product or quotient with float64
+    rounds an int64 weight as the float64 copy would hold it, so either
+    gives the same bits.  The locations are the caller's own.
     """
     x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
-    check_budget("sieve", x_max, max_sieve, "max_sieve")
-    held = _SIEVES.get(d)
-    if held is None or held[0].size < x_max:
-        weights = coeff_array(d, x_max, max_sieve=x_max)[1:].astype(float)
-        held = _SIEVES[d] = (weights, np.log(np.arange(1, x_max + 1, dtype=float)))
-    return held[0][:x_max], held[1][:x_max]
+    weights = coeff_array(d, x_max, max_sieve)[1:]
+    if weights.dtype == object:
+        weights = weights.astype(float)
+    return weights, np.log(np.arange(1, x_max + 1, dtype=float))
 
 
 def _convolve(T: float, locs, masses, grid, values) -> float:
@@ -129,7 +127,8 @@ def _convolve(T: float, locs, masses, grid, values) -> float:
     each is reproducible bit for bit.
     """
     count = int(np.searchsorted(locs, T + 1e-12, side="right"))
-    terms = masses[:count] * np.interp(T - locs[:count], grid, values)
+    terms = np.interp(T - locs[:count], grid, values)
+    terms *= masses[:count]
     edges = [round(i * count / _N_CHUNKS) for i in range(_N_CHUNKS + 1)]
     return math.fsum(float(terms[a:b].sum()) for a, b in zip(edges, edges[1:]) if b > a)
 
@@ -142,8 +141,15 @@ _SCALE_BITS = 200
 _PREFIX_BLOCK = 1 << 10
 
 
-def _prefix_sums(terms: np.ndarray) -> np.ndarray:
-    """S[j] = terms[0] + ... + terms[j] for nonnegative float terms.
+def _prefix_buffer(n: int) -> np.ndarray:
+    """Zeros for n terms in blocks of _PREFIX_BLOCK: fill the first n
+    entries of its flat view, then take `_prefix_sums` of it in place."""
+    return np.zeros((-(-n // _PREFIX_BLOCK), _PREFIX_BLOCK))
+
+
+def _prefix_sums(inner: np.ndarray, n: int) -> np.ndarray:
+    """S[j] = terms[0] + ... + terms[j] for the n nonnegative float terms
+    written to the flat view of `inner`, a `_prefix_buffer(n)`, in place.
 
     Each block of _PREFIX_BLOCK terms is summed left to right, and each S[j]
     adds its block's running sum to the left-to-right sum of the earlier
@@ -153,9 +159,6 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     terms[:j + 1] only: a prefix of the terms gives a prefix of the sums,
     bit for bit.
     """
-    n = terms.size
-    inner = np.zeros((-(-n // _PREFIX_BLOCK), _PREFIX_BLOCK))
-    inner.ravel()[:n] = terms
     np.cumsum(inner, axis=1, out=inner)
     before = np.zeros(len(inner))
     np.cumsum(inner[:-1, -1], out=before[1:])
@@ -214,18 +217,27 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
     `_prefix_sums` drops the terms of S_(-2B) below half an ulp of the sum
     and measures 5e-12 at (2, 13.1).
     """
-    # products in place and m dropped early: this set-up is the peak memory
-    # of a one-shot d = 2 b(T)
-    m = np.arange(1, weights.size + 1, dtype=float)
-    s_zero = _prefix_sums(weights)
-    terms = m ** (-2.0 * B)
+    # each sum's terms are formed in its own buffer, m in that of S_(2B),
+    # with in-place products (`**=` takes the scalar fast paths of `**`, so
+    # the bits are those of m ** beta): this set-up is the peak memory of a
+    # d = 2 b(T)
+    n = weights.size
+    zero = _prefix_buffer(n)
+    zero.ravel()[:n] = weights
+    s_zero = _prefix_sums(zero, n)
+    plus = _prefix_buffer(n)
+    m = plus.ravel()[:n]
+    m[:] = np.arange(1, n + 1)
+    minus = _prefix_buffer(n)
+    terms = minus.ravel()[:n]
+    terms[:] = m
+    terms **= -2.0 * B
     terms *= weights
-    s_minus = _prefix_sums(terms)
-    terms = m ** (2.0 * B)
-    del m
-    terms *= 2.0**-_SCALE_BITS
-    terms *= weights
-    s_plus = _prefix_sums(terms)
+    s_minus = _prefix_sums(minus, n)
+    m **= 2.0 * B
+    m *= 2.0**-_SCALE_BITS
+    m *= weights
+    s_plus = _prefix_sums(plus, n)
     near = _NEAR / B
 
     def b(T: float) -> float:
@@ -244,9 +256,9 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
 def adelic_volume_callable(d: int, B: float, T_max: float, max_sieve: int | None = None):
     """b(T) = sum_{m <= e^T} D(m) * b_inf(T - log m) as a callable on (0, T_max].
 
-    The weights come from the held sieve for d.  At d = 2, b(T) is the
-    exact formula of `_d2_volume`: three prefix sums over the sieve and
-    the few terms with B (T - log m) < 0.1, exact up to a rounding error
+    The weights are read from the coefficient store of d.  At d = 2, b(T)
+    is the exact formula of `_d2_volume`: three prefix sums over the sieve
+    and the few terms with B (T - log m) < 0.1, exact up to a rounding error
     bounded there.  At d >= 3, b_inf is interpolated on the memoized
     volume grid (step 1e-3, linear) up to T_max.  Both take the grid's
     domain checks, so d = 2 refuses what the table would.  Every b(T) in

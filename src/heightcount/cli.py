@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import adelic, archimedean, building, counting, dirichlet
-from .errors import BudgetError, DomainError, HeightCountError
+from .errors import BudgetError, DomainError, HeightCountError, check_budget
 from .verify import _FMT, format_report, run_checks
 
 
@@ -206,9 +206,16 @@ def _cmd_predict(args, out):
 
 
 def _cmd_count(args, out):
-    x_grid = [float(x) for x in range(1, int(math.floor(args.xmax)) + 1)]
-    if not x_grid:
+    top = int(math.floor(args.xmax))
+    if top < 1:
         raise DomainError(f"need xmax >= 1, got {args.xmax}")
+    if 0 < args.B < 2:  # compare_report refuses any other B
+        # compare_report's first two refusals, asked at x = top before the
+        # grid holds `top` floats: its sandwich sieve runs past top, and the
+        # census of top has an O(1) lower bound on its cells
+        check_budget("sieve", top, args.max_sieve, "max_sieve")
+        counting._check_cell_floor(float(top), args.B, args.max_cells)
+    x_grid = [float(x) for x in range(1, top + 1)]
     report = counting.compare_report(
         x_grid,
         args.B,

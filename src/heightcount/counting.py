@@ -265,6 +265,14 @@ def _mobius(g: int) -> int:
     return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
+def _check_cell_floor(x: float, B: float, max_cells: int | None) -> None:
+    """The checks of the census of x made before any O(x) array: F_cap(1)
+    against _FCAP_LIMIT, then the lower bound floor(x_hi) + F_cap(1) - 2 on
+    its cells against max_cells (module docstring, "Work limits")."""
+    x_hi = _x_hi(x)
+    check_budget("census cell", math.floor(x_hi) + int(shell_caps(x_hi, B, 1)[0]) - 2, max_cells, "max_cells")
+
+
 def _census(grid: list[float], B: float, max_cells: int | None) -> tuple[list[int], list[int], int]:
     """(counts, ties, candidates) under the shell caps of grid[-1]: for each
     x of the strictly increasing grid (all x >= 1) the sums of P over the
@@ -280,7 +288,7 @@ def _census(grid: list[float], B: float, max_cells: int | None) -> tuple[list[in
     `_decide`; the others by binning the height into the grid."""
     x_hi = _x_hi(grid[-1])
     n = math.floor(x_hi)
-    check_budget("census cell", n + int(shell_caps(x_hi, B, 1)[0]) - 2, max_cells, "max_cells")
+    _check_cell_floor(grid[-1], B, max_cells)
     fcap = shell_caps(x_hi, B, n)
     squarefree = [(g * g, mu) for g in range(1, math.isqrt(n) + 1) if (mu := _mobius(g))]
     rows = [n // g2 for g2, _ in squarefree]

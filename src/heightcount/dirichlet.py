@@ -10,12 +10,20 @@ Re(s) = s_p = log c(p)/log p, and for d = 2 collapses to the closed form
 zeta(s) zeta(s-1)/zeta(2s).  The determinant-one (even-shell) variant at
 d = 2 has closed form zeta(2s-2) zeta(2s-1)/zeta(4s-2).
 
-The coefficients D(0..x) come from one numpy kernel, `coeff_array`,
-which feeds the `dcoeff` command, `partial_sum` and the adelic weights:
-strided int64 products over the prime powers p^k <= x with p <= sqrt(x),
-then the factor D(q) of the single prime q above sqrt(x) that an index
-can have.  Both steps run one segment of `_SEGMENT` indices at a time, so
-each segment's arrays stay in cache.
+The coefficients D(0..x) come from one numpy kernel, read through
+`coeff_array`, which feeds the `dcoeff` command, `partial_sum`, `verify`
+and the adelic weights: strided int64 products over the prime powers
+p^k <= x with p <= sqrt(x), then the factor D(q) of the single prime q
+above sqrt(x) that an index can have.  Both steps run one segment of
+`_SEGMENT` indices at a time, from any first index, so each segment's
+arrays stay in cache.
+
+One store of the exact coefficients is held per d (`_STORE`): D(0..n) in
+int64, with the values of 2^63 or more kept apart as Python ints.  A
+request up to n reads a read-only prefix of it; a longer one copies the
+store into a longer array and runs the kernel on the new indices only.
+Every held value is exact, so the store, and every result read from it,
+depends on d and its length alone, never on the order of the requests.
 
 D(p) and c(p) are at most p^alpha, alpha = log2 D(2), for every prime p,
 so D(m) <= m^alpha, and D(m) < 2^62 for every m below `_safe_prefix(d)`
@@ -114,17 +122,18 @@ def _safe_prefix(d: int) -> int:
     return 2**t
 
 
-def _coeff_int64(d: int, x: int, primes: list[int]):
-    """D(0..x) in int64 (D(0) = 1 here), the indices whose float64 shadow
-    reaches _INT64_SAFE, and the large prime factor q of each of those
-    (q = 1 when there is none).
+def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
+    """Write D(first..x), x = first + vals.size - 1, into vals in int64
+    (D(0) = 1 here); return the indices whose float64 shadow reaches
+    _INT64_SAFE and the large prime factor q of each of those (q = 1 when
+    there is none).  primes are those up to sqrt(x).
 
     Each p <= sqrt(x) multiplies its multiples by D(p) and the multiples
     of each higher power p^k <= x by c(p), so index m collects
     D(p) c(p)^(k-1) for p^k || m.  What is left of m after its small
     primes is 1 or one prime q > sqrt(x), multiplied in as D(q).  The
     strides and D(q) run over one segment of _SEGMENT indices at a time,
-    with a segment-local smooth part.
+    from `first` on, with a segment-local smooth part.
 
     The int64 products are exact mod 2^64.  Below _safe_prefix(d) they are
     exact, as every value there is below 2^62; from the prefix on, a
@@ -133,6 +142,7 @@ def _coeff_int64(d: int, x: int, primes: list[int]):
     d = 2 the prefix is 2^39, past any sieve the budget admits, so no
     shadow is formed.
     """
+    x = first + vals.size - 1
     small = np.array(primes, dtype=np.int64)
     factors = zip(
         primes,
@@ -147,11 +157,11 @@ def _coeff_int64(d: int, x: int, primes: list[int]):
         for pk in _prime_powers(p, x)
     ]
     prefix = _safe_prefix(d)
-    vals = np.ones(x + 1, dtype=np.int64)
+    vals[:] = 1
     over, over_q = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, x + 1, _SEGMENT):
+    for lo in range(first, x + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, x + 1)
-        seg = vals[lo:hi]
+        seg = vals[lo - first : hi - first]
         smooth = np.ones(hi - lo, dtype=np.int64)
         for pk, p, f, _ in strides:
             start = -lo % pk
@@ -173,54 +183,100 @@ def _coeff_int64(d: int, x: int, primes: list[int]):
         flagged = np.flatnonzero(shadow >= _INT64_SAFE)
         over.append(flagged + tail)
         over_q.append(q[flagged])
-    return vals, np.concatenate(over), np.concatenate(over_q)
+    return np.concatenate(over), np.concatenate(over_q)
 
 
-def _coeff_exact(d: int, x: int, primes: list[int], vals, over, q) -> np.ndarray:
-    """vals as Python ints, with the entries at `over` recomputed exactly.
+def _coeff_exact(d: int, first: int, x: int, primes: list[int], over, q) -> np.ndarray:
+    """D at the indices `over`, all in [first, x], as Python ints.
 
     q holds the large prime factor of each index in `over` (1 when there
-    is none).  A flagged index without a large prime factor is rebuilt
-    from the same prime-power strides as _coeff_int64, each stride
-    multiplying only the flagged entries it meets; any other flagged index
-    m = s q then takes D(s) D(q), its smooth part s being exact by then.
+    is none).  An index without a large prime factor is rebuilt from the
+    same prime-power strides as _coeff_int64, each stride multiplying only
+    the indices of `over` it meets.  Any other index m = s q has
+    s < sqrt(x) and takes D(s) D(q), D(s) from the same strides run over
+    0..isqrt(x) on Python ints.
     """
-    out = vals.astype(object)
     rough = q > 1
     smooth = over[~rough]
-    slot = np.full(x + 1, -1, dtype=np.int64)
-    slot[smooth] = np.arange(smooth.size)
+    slot = np.full(x + 1 - first, -1, dtype=np.int64)
+    slot[smooth - first] = np.arange(smooth.size)
     exact = np.ones(smooth.size, dtype=object)
+    root = np.ones(math.isqrt(x) + 1, dtype=object)  # D(s) for s <= sqrt(x)
     for p in primes:
         Dp, cp = shell_count(d, p), shell_ratio(d, p)
         for pk in _prime_powers(p, x):
-            hit = slot[pk::pk]
-            exact[hit[hit >= 0]] *= Dp if pk == p else cp
-    out[smooth] = exact
-    m, q = over[rough], q[rough]
-    primes_q, at = np.unique(q, return_inverse=True)
-    out[m] = out[m // q] * shell_count(d, primes_q.astype(object))[at]
+            f = Dp if pk == p else cp
+            hit = slot[-first % pk :: pk]
+            exact[hit[hit >= 0]] *= f
+            root[pk::pk] *= f
+    out = np.empty(over.size, dtype=object)
+    out[~rough] = exact
+    primes_q, at = np.unique(q[rough], return_inverse=True)
+    out[rough] = root[over[rough] // q[rough]] * shell_count(d, primes_q.astype(object))[at]
     return out
 
 
+# The held coefficients of each d, (vals, over, exact), all read-only:
+# vals holds D(0..n) in int64, exact wherever D(m) < 2^63, and _OVER at
+# the increasing indices `over` with D(m) >= 2^63, whose values `exact`
+# holds as Python ints.  A longer request sieves only the indices past n.
+_STORE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object))
+_OVER = np.iinfo(np.int64).max
+
+
+def _held(d: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The store of d, sieved on to x first when it is shorter.
+
+    The held values are copied into the longer array and the kernel runs
+    on the new indices only, which hold the values of a fresh sieve: each
+    index is exact whatever the sieve length, so the store depends on
+    d and its length alone.
+    """
+    vals, over, exact = held = _STORE.get(d, _EMPTY)
+    first = vals.size
+    if x < first:
+        return held
+    primes = primes_up_to(math.isqrt(x))
+    grown = np.empty(x + 1, dtype=np.int64)
+    grown[:first] = vals
+    new, q = _coeff_int64(d, first, grown[first:], primes)
+    if new.size:
+        new_exact = _coeff_exact(d, first, x, primes, new, q)
+        fits = new_exact < 2**63
+        grown[new[fits]] = new_exact[fits]
+        grown[new[~fits]] = _OVER
+        over = np.concatenate((over, new[~fits]))
+        exact = np.concatenate((exact, new_exact[~fits]))
+    grown[0] = 0
+    grown.flags.writeable = False
+    held = _STORE[d] = (grown, over, exact)
+    return held
+
+
 def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
-    """D(0..x_max) exactly, with D(0) = 0.
+    """D(0..x_max) exactly, with D(0) = 0, as a read-only array.
 
     int64 when every value is below 2^62, and otherwise an object array
-    of Python ints: the entries past _safe_prefix(d) whose shadow reaches
-    2^62 are recomputed exactly, the rest are the int64 values.
+    of Python ints.  The budget is checked first; the values are then
+    read from the held store of d (sieved on to x_max when it is
+    shorter), and the int64 result is a view of it.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
     check_budget("sieve", x_max, max_sieve, "max_sieve")
-    primes = primes_up_to(math.isqrt(x_max))
-    vals, over, q = _coeff_int64(d, x_max, primes)
-    if over.size:
-        vals = _coeff_exact(d, x_max, primes, vals, over, q)
-    vals[0] = 0
-    return vals
+    vals, over, exact = _held(d, x_max)
+    head = vals[: x_max + 1]
+    prefix = _safe_prefix(d)  # every value below it is below 2^62
+    if x_max < prefix or head[prefix:].max() < 2**62:
+        return head
+    out = head.astype(object)
+    k = int(np.searchsorted(over, x_max, side="right"))
+    out[over[:k]] = exact[:k]
+    out.flags.writeable = False
+    return out
 
 
 def zeta_em(s: complex) -> complex:
@@ -472,8 +528,13 @@ def partial_sum(d: int, B: float, x: float, max_sieve: int | None = None) -> flo
         raise DomainError(f"need B >= 0, got {B}")
     vals = coeff_array(d, int(x), max_sieve)
     if B == 0:
-        # high and low 32 bits apart: with x < 2^31 neither int64 sum wraps
-        return float((int((vals >> 32).sum()) << 32) + int((vals & 0xFFFFFFFF).sum()))
+        # high and low 32 bits apart, a segment at a time: with x < 2^31
+        # neither int64 sum wraps
+        total = 0
+        for lo in range(0, vals.size, _SEGMENT):
+            seg = vals[lo : lo + _SEGMENT]
+            total += (int((seg >> 32).sum()) << 32) + int((seg & 0xFFFFFFFF).sum())
+        return float(total)
     weights = vals[1:].astype(float).tolist()
     return math.fsum(w * m ** (-B) for m, w in enumerate(weights, start=1))
 

@@ -28,7 +28,7 @@ from heightcount import (
     regularity_report,
     tree_ball,
 )
-from heightcount import adelic
+from heightcount import adelic, dirichlet
 from heightcount.archimedean import ball_volume_numeric
 from oracles import adelic_volume_d2, psi_by_sieve
 
@@ -156,27 +156,28 @@ def test_entry_points_agree_bitwise():
 
 @pytest.mark.parametrize("T_max", [-1.0, 0.0, math.nan])
 def test_callable_rejects_T_max_before_sieving(monkeypatch, T_max):
-    monkeypatch.setattr(adelic, "_SIEVES", {})
+    monkeypatch.setattr(dirichlet, "_STORE", {})
     with pytest.raises(DomainError, match="T_max"):
         adelic_volume_callable(2, 1.0, T_max)
-    assert adelic._SIEVES == {}
+    assert dirichlet._STORE == {}
 
 
 @pytest.mark.parametrize("d, lengths", [(2, (1, 7, 162_754, 488_942)), (3, (1, 1000, 2**19 - 1, 2**19, 2**19 + 7))])
 def test_sieve_prefix_is_the_fresh_sieve(monkeypatch, d, lengths):
-    # at d = 3 the sieve is int64 below 2^19 and an object array from there
+    # at d = 3 the weights are int64 below 2^19 and floats from there
     fresh = {}
     for n in lengths:
-        monkeypatch.setattr(adelic, "_SIEVES", {})
+        monkeypatch.setattr(dirichlet, "_STORE", {})
         fresh[n] = adelic._sieve(d, math.log(n), None)
-    monkeypatch.setattr(adelic, "_SIEVES", {})
+    monkeypatch.setattr(dirichlet, "_STORE", {})
     adelic._sieve(d, math.log(max(lengths)), None)
     for n in lengths:
         weights, logs = adelic._sieve(d, math.log(n), None)
         assert weights.size == logs.size == n
+        assert weights.dtype == fresh[n][0].dtype == (np.int64 if n < 2**19 or d == 2 else float)
         assert np.array_equal(weights.view(np.int64), fresh[n][0].view(np.int64))
         assert np.array_equal(logs.view(np.int64), fresh[n][1].view(np.int64))
-    assert adelic._SIEVES[d][0].size == max(lengths)
+    assert dirichlet._STORE[d][0].size == max(lengths) + 1
 
 
 def test_b_does_not_depend_on_the_held_sieve(monkeypatch):
@@ -188,11 +189,38 @@ def test_b_does_not_depend_on_the_held_sieve(monkeypatch):
         d_T, ratio = persistence_check(pair, 12.0)
         return [b(T).hex() for T in (0.5, 3.0, 9.7, 12.0)] + [pair.C.hex(), d_T.hex(), ratio.hex()]
 
-    monkeypatch.setattr(adelic, "_SIEVES", {})
+    monkeypatch.setattr(dirichlet, "_STORE", {})
     adelic_volume_callable(2, 1.0, 13.1)
     held = values()
-    monkeypatch.setattr(adelic, "_SIEVES", {})
+    monkeypatch.setattr(dirichlet, "_STORE", {})
     assert values() == held
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        # four float arrays of 488,942 terms (15.6 MB): the locations and
+        # three prefix sums, each formed in its own buffer; the held
+        # weights are read, not copied
+        ((adelic_volume_callable, 2, 1.0, 13.1), 17e6),
+        # the store grown to 10^6 int64 in place (8 MB) and one segment's
+        # temporaries; the B = 0 sum adds no full-length array
+        ((partial_sum, 2, 0.0, 1e6), 15e6),
+    ],
+    ids=["d2-callable", "partial-sum"],
+)
+def test_d2_set_up_memory_with_the_store_held(monkeypatch, call, bound):
+    # in scan's order the regularity callable holds d = 2 to 488,942 first
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    dirichlet.coeff_array(2, 488_942)
+    f, *args = call
+    tracemalloc.start()
+    try:
+        f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_measure_pair_sorts_rows_out_of_order():
@@ -268,11 +296,17 @@ def test_d2_overflow_edge_needs_the_scaled_sum():
     assert math.isfinite(adelic_volume_callable(2, 40.0, 8.75)(8.75))
 
 
+def _prefix_sums(terms):
+    inner = adelic._prefix_buffer(terms.size)
+    inner.ravel()[: terms.size] = terms
+    return adelic._prefix_sums(inner, terms.size)
+
+
 def test_prefix_sums_are_prefix_stable_and_bounded():
     terms = np.random.default_rng(3).random(5000) * 1e6
-    whole = adelic._prefix_sums(terms)
+    whole = _prefix_sums(terms)
     for n in (1, 1023, 1024, 1025, 2048, 4999):
-        assert np.array_equal(adelic._prefix_sums(terms[:n]).view(np.int64), whole[:n].view(np.int64))
+        assert np.array_equal(_prefix_sums(terms[:n]).view(np.int64), whole[:n].view(np.int64))
     for j in (0, 1023, 1024, 3000, 4999):
         exact = math.fsum(terms[: j + 1].tolist())
         assert abs(whole[j] - exact) <= (min(j, 1024) + j / 1024 + 2) * 2.0**-53 * exact

@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -312,6 +313,31 @@ def test_budget_error_exits_two(capsys):
         assert code == 2, argv
         assert "budget" in err.lower()
         assert "HEIGHTCOUNT_MAX_" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--B", "1"], "estimated sieve count 1000000000 exceeds budget 1000000;"),
+        (["--B", "0.1", "--max-sieve", "2000000000"], "estimated census cell count 1000000061 exceeds budget 1000000000;"),
+        (["--B", "1", "--max-sieve", "2000000000"], "shell cap 1.0000000000020022e+18 exceeds the r_2 table limit"),
+    ],
+)
+def test_count_refuses_huge_xmax_before_its_grid(capsys, monkeypatch, argv, message):
+    # the sandwich sieve runs past xmax = 1e9, and the census of 1e9 has an
+    # O(1) lower bound on its cells: either refuses before the grid of
+    # floor(xmax) floats, 32 GB as a list, is built
+    monkeypatch.delenv("HEIGHTCOUNT_MAX_SIEVE", raising=False)
+    monkeypatch.delenv("HEIGHTCOUNT_MAX_CELLS", raising=False)
+    tracemalloc.start()
+    try:
+        code = main(["count", "--xmax", "1e9", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightcount import (
+    BudgetError,
     DomainError,
     L_closed_pgl2,
     L_closed_sl2,
@@ -25,6 +26,7 @@ from heightcount import (
     residue_estimate,
     zeta_em,
 )
+from heightcount import dirichlet
 from heightcount.adelic import _sieve
 from heightcount.building import shell_count, shell_ratio
 from heightcount.dirichlet import _SEGMENT, _safe_prefix, coeff_array
@@ -149,7 +151,7 @@ def test_adelic_weights_are_rounded_exact_coefficients(d, x_max):
     weights, _ = _sieve(d, math.log(x_max), None)
     assert weights.size == x_max
     exact = np.array([float(v) for v in coeff_array(d, x_max).tolist()[1:]])
-    assert np.array_equal(weights.view(np.int64), exact.view(np.int64))
+    assert np.array_equal(weights.astype(float).view(np.int64), exact.view(np.int64))
 
 
 @given(st.integers(1, 400), st.integers(1, 400), st.sampled_from([2, 3]))
@@ -203,9 +205,10 @@ def test_safe_prefix_bound_holds(d):
         assert coeff_array(d, prefix - 1).dtype == np.int64
 
 
-def test_coeff_sieve_peak_memory():
+def test_coeff_sieve_peak_memory(monkeypatch):
     # below three full int64 arrays of 10^6 entries (24 MB): the smooth
     # part is segment-local and d = 2 forms no float64 shadow
+    monkeypatch.setattr(dirichlet, "_STORE", {})
     tracemalloc.start()
     try:
         coeff_array(2, 10**6)
@@ -213,6 +216,50 @@ def test_coeff_sieve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 24e6
+
+
+@pytest.mark.parametrize(
+    "d, lengths",
+    [(2, (1000, 300, 5000, 2 * _SEGMENT + 7)), (3, (1000, 2**19 + 7, 2**19 - 1, 2**19)), (6, (2000, 3 * 10**5))],
+)
+def test_store_growth_sieves_only_the_new_range(monkeypatch, d, lengths):
+    # every request reads the held store, sieved on from its end when it is
+    # shorter; values and dtype equal a fresh sieve's, also when a d = 3
+    # store grown past 2^19 (an object result) serves an int64 prefix, and
+    # at d = 6, where new indices s q take D(s) > 2^63 from s < 2000
+    fresh = {}
+    for n in lengths:
+        monkeypatch.setattr(dirichlet, "_STORE", {})
+        fresh[n] = coeff_array(d, n)
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    ranges = []
+    kernel = dirichlet._coeff_int64
+
+    def counted(d, first, vals, primes):
+        ranges.append((first, first + vals.size - 1))
+        return kernel(d, first, vals, primes)
+
+    monkeypatch.setattr(dirichlet, "_coeff_int64", counted)
+    for n in lengths:
+        got = coeff_array(d, n)
+        assert got.dtype == fresh[n].dtype
+        assert got.tolist() == fresh[n].tolist()
+    ends = [n for i, n in enumerate(lengths) if n > max(lengths[:i], default=-1)]
+    assert ranges == [(a + 1, b) for a, b in zip([-1] + ends, ends)]
+
+
+def test_coeff_array_results_are_read_only():
+    for d, x_max in ((2, 100), (3, 2**19), (5, 3000)):
+        array = coeff_array(d, x_max)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[1] = 0
+
+
+def test_store_budget_is_checked_before_any_read():
+    coeff_array(2, 5000)
+    with pytest.raises(BudgetError, match="sieve count 5000 exceeds budget 4999"):
+        coeff_array(2, 5000, max_sieve=4999)
 
 
 # ---------------------------------------------------------------------------
