@@ -16,8 +16,8 @@ radial archimedean volume.  At d = 2, D = psi and b_inf(R) = sinh^2(B R)
 sums of psi(m) m^beta over the sieve, plus the few terms near the ball's
 edge summed directly: exact up to the rounding `_d2_volume` bounds, with
 no table.  At d >= 3 one reduction, `_convolve`, sums point masses
-against a linearly interpolated cumulative function: b_inf on a memoized
-1e-3 volume grid, and the persistence check's d(T) alike.  The weights
+against a linearly interpolated cumulative function: b_inf on a 1e-3
+volume grid, and the persistence check's d(T) alike.  The weights
 D(m) are read from the coefficient store of `dirichlet` (`coeff_array`),
 with no float copy held; each b(T) computes its own locations log m.
 
@@ -29,9 +29,10 @@ convolution, and box-norm covering numbers.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .intmat import as_mat, content, det_int, elementary_divisors, valuation
 from .primes import factorize
 
 _N_CHUNKS = 64
+# the largest T with a finite e^T
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -94,22 +97,19 @@ def global_height(mat, B: float) -> HeightProfile:
 # adelic ball volume
 
 
-@lru_cache(maxsize=8)
-def _volume_grid(d: int, B: float, R_max: float):
-    return ball_volume_table(d, B, R_max)
-
-
 def _sieve(d: int, T_max: float, max_sieve: int | None):
     """Weights D(m) and locations log m for every m <= e^T_max.
 
     The length x_max = floor(e^T_max (1 + 1e-12)) is checked against the
-    sieve budget before any work (`coeff_array`).  The weights are the
+    sieve budget before any work (`coeff_array`); a length past float
+    range is inf there, which every budget refuses.  The weights are the
     read-only int64 view of the held coefficients, or their float64
     roundings once a value reaches 2^62: a product or quotient with float64
     rounds an int64 weight as the float64 copy would hold it, so either
     gives the same bits.  The locations are the caller's own.
     """
-    x_max = int(math.floor(math.exp(T_max) * (1 + 1e-12)))
+    length = math.exp(T_max) * (1 + 1e-12) if T_max <= _LOG_FLOAT_MAX else math.inf
+    x_max = int(length) if length < math.inf else length
     weights = coeff_array(d, x_max, max_sieve)[1:]
     if weights.dtype == object:
         weights = weights.astype(float)
@@ -259,19 +259,20 @@ def adelic_volume_callable(d: int, B: float, T_max: float, max_sieve: int | None
     The weights are read from the coefficient store of d.  At d = 2, b(T)
     is the exact formula of `_d2_volume`: three prefix sums over the sieve
     and the few terms with B (T - log m) < 0.1, exact up to a rounding error
-    bounded there.  At d >= 3, b_inf is interpolated on the memoized
-    volume grid (step 1e-3, linear) up to T_max.  Both take the grid's
-    domain checks, so d = 2 refuses what the table would.  Every b(T) in
-    the package is built here.
+    bounded there.  At d >= 3, b_inf is interpolated on a volume table
+    (step 1e-3, linear) up to T_max, built for this callable.  For every d
+    the table's domain and then the sieve budget are checked, in that
+    order, before any work, so d = 2 refuses what the table would.  Every
+    b(T) in the package is built here.
     """
     if not (T_max > 0):
         raise DomainError(f"need T_max > 0, got T_max={T_max}")
+    _table_domain(d, B, T_max)
     weights, logs = _sieve(d, T_max, max_sieve)
     if d == 2:
-        _table_domain(d, B, T_max)
         volume = _d2_volume(B, weights, logs)
     else:
-        table = _volume_grid(d, B, T_max)
+        table = ball_volume_table(d, B, T_max)
 
         def volume(T: float) -> float:
             return _convolve(T, logs, weights, table.r_grid, table.values)
@@ -286,8 +287,6 @@ def adelic_volume_callable(d: int, B: float, T_max: float, max_sieve: int | None
 
 def adelic_ball_volume(d: int, B: float, T: float, max_sieve: int | None = None) -> float:
     """Global ball volume b(T), from a callable built up to T."""
-    if not (T > 0):
-        raise DomainError(f"need T > 0, got {T}")
     return adelic_volume_callable(d, B, T, max_sieve)(T)
 
 
@@ -370,7 +369,8 @@ def prediction_N(d: int, B: float, T: float, covolume: float = 1.0) -> Predictio
     C = L_euler(d, complex(B)).value.real
     rank = d - 1
     radii = np.linspace(2.0 / B, 2.0 / B + 4.0, 9)
-    vols = [_volume_grid(d, B, float(radii[-1]))(float(r)) for r in radii]
+    table = ball_volume_table(d, B, float(radii[-1]))
+    vols = [table(float(r)) for r in radii]
     measured = growth_exponent_fit(radii, vols).slope
 
     def value(E: float) -> float:

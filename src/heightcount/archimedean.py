@@ -291,7 +291,6 @@ def ball_volume_table(d: int, B: float, R_max: float):
 
     interpolate.r_grid = r_grid
     interpolate.values = values
-    interpolate.R_max = R_max
     return interpolate
 
 

@@ -19,7 +19,7 @@ above sqrt(x) that an index can have.  Both steps run one segment of
 arrays stay in cache.
 
 One store of the exact coefficients is held per d (`_STORE`): D(0..n) in
-int64, with the values of 2^63 or more kept apart as Python ints.  A
+int64, with the values of 2^62 or more kept apart as Python ints.  A
 request up to n reads a read-only prefix of it; a longer one copies the
 store into a longer array and runs the kernel on the new indices only.
 Every held value is exact, so the store, and every result read from it,
@@ -51,9 +51,11 @@ _MARGIN = 1e-6
 
 # The float64 shadow of D(m) rounds once per Horner step and once per
 # product (2d roundings per factor, at most log2(m) + 1 factors), a
-# relative error far below 2^-40 at any size the sieve budget admits, so a
-# shadow below 2^62 puts the exact value below 2^63.
-_INT64_SAFE = 2.0**62
+# relative error eps far below 2^-40 at any size the sieve budget admits.
+# So a shadow below this bound puts the exact value below
+# (2^62 - 2^32) / (1 - eps) < 2^62 - 2^32 + 2^23 < 2^62: every unflagged
+# value is below 2^62, and exact in int64.
+_INT64_SAFE = 2.0**62 - 2.0**32
 
 # Indices per segment of the coefficient sieve: the int64 slice, its
 # smooth part and their temporaries (2 MB each) stay in cache.
@@ -111,9 +113,7 @@ def _safe_prefix(d: int) -> int:
 
     that is max(D(p), c(p)) <= p^alpha for every prime p.  Hence
     D(p^k) = D(p) c(p)^(k-1) <= p^(alpha k) and, D being multiplicative,
-    D(m) <= m^alpha < 2^(alpha t) = D(2)^t <= 2^62 for m < 2^t.  The bound
-    even gives D(m) <= 2^62 (1 - 2^-t) with t <= 39, so a float64 shadow
-    of a prefix entry would stay below 2^62 as well.
+    D(m) <= m^alpha < 2^(alpha t) = D(2)^t <= 2^62 for m < 2^t.
     """
     base = shell_count(d, 2)
     t = 0
@@ -217,8 +217,8 @@ def _coeff_exact(d: int, first: int, x: int, primes: list[int], over, q) -> np.n
 
 
 # The held coefficients of each d, (vals, over, exact), all read-only:
-# vals holds D(0..n) in int64, exact wherever D(m) < 2^63, and _OVER at
-# the increasing indices `over` with D(m) >= 2^63, whose values `exact`
+# vals holds D(0..n) in int64, exact wherever D(m) < 2^62, and _OVER at
+# the increasing indices `over` with D(m) >= 2^62, whose values `exact`
 # holds as Python ints.  A longer request sieves only the indices past n.
 _STORE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object))
@@ -243,7 +243,7 @@ def _held(d: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     new, q = _coeff_int64(d, first, grown[first:], primes)
     if new.size:
         new_exact = _coeff_exact(d, first, x, primes, new, q)
-        fits = new_exact < 2**63
+        fits = new_exact < 2**62
         grown[new[fits]] = new_exact[fits]
         grown[new[~fits]] = _OVER
         over = np.concatenate((over, new[~fits]))
@@ -269,11 +269,10 @@ def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
     check_budget("sieve", x_max, max_sieve, "max_sieve")
     vals, over, exact = _held(d, x_max)
     head = vals[: x_max + 1]
-    prefix = _safe_prefix(d)  # every value below it is below 2^62
-    if x_max < prefix or head[prefix:].max() < 2**62:
+    k = int(np.searchsorted(over, x_max, side="right"))  # the values >= 2^62
+    if k == 0:
         return head
     out = head.astype(object)
-    k = int(np.searchsorted(over, x_max, side="right"))
     out[over[:k]] = exact[:k]
     out.flags.writeable = False
     return out

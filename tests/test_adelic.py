@@ -347,12 +347,46 @@ def test_d2_callable_rejects_T_outside_its_range():
         assert b(3.0 * (1 + 1e-12)) > 0
 
 
-def test_d2_callable_reads_no_volume_table():
-    before = adelic._volume_grid.cache_info()
+_REFUSED_DOMAIN = [(args, text) for args, error, text in _REFUSED if error is DomainError]
+
+
+@pytest.mark.parametrize("args, text", _REFUSED_DOMAIN, ids=[f"B={B}-T_max={T}" for (B, T, _), _ in _REFUSED_DOMAIN])
+def test_refused_domain_sieves_nothing(monkeypatch, args, text):
+    # the table's domain is checked before the sieve, at every d
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    for d in (2, 3):
+        with pytest.raises(DomainError) as caught:
+            adelic_volume_callable(d, *args)
+        assert str(caught.value) == text
+        assert dirichlet._STORE == {}
+
+
+def _count_tables(monkeypatch):
+    built = []
+    build = adelic.ball_volume_table
+
+    def spy(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(adelic, "ball_volume_table", spy)
+    return built
+
+
+def test_d2_callable_reads_no_volume_table(monkeypatch):
+    built = _count_tables(monkeypatch)
     b = adelic_volume_callable(2, 0.7, 6.0)
     b(5.0)
     adelic_ball_series(2, 1.3, [1.0, 2.0])
-    assert adelic._volume_grid.cache_info() == before
+    assert built == []
+
+
+def test_prediction_builds_one_table(monkeypatch):
+    built = _count_tables(monkeypatch)
+    rep = prediction_N(3, 4.5, 10.0)
+    assert rep.measured_exponent.hex() == "0x1.1ec905f04607dp+3"
+    assert rep.value_measured.hex() == "0x1.6234b47b0fca5p+136"
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

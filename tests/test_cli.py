@@ -340,6 +340,31 @@ def test_count_refuses_huge_xmax_before_its_grid(capsys, monkeypatch, argv, mess
     assert peak < 2**20
 
 
+_SIEVE_PAST_FLOAT_RANGE = (
+    "heightcount: budget error: estimated sieve count inf exceeds budget 1000000; "
+    "raise the corresponding HEIGHTCOUNT_MAX_* variable to override\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ("ball-adelic --d 2 --B 0.1 --Tmax 800 --step 400", 2, _SIEVE_PAST_FLOAT_RANGE),
+        ("ball-adelic --d 3 --B 0.1 --Tmax 720 --step 360", 2, _SIEVE_PAST_FLOAT_RANGE),
+        ("persistence --T 5 --Tmax 800", 2, _SIEVE_PAST_FLOAT_RANGE),
+        # the table's domain is checked before the sieve budget
+        ("regularity --d 2 --B 1 --Tmin 8 --Tmax inf", 1, "heightcount: error: need 0 < R_max < inf, got R_max=inf\n"),
+    ],
+    ids=["ball-adelic-d2", "ball-adelic-d3", "persistence", "regularity-inf"],
+)
+def test_sieve_length_past_float_range_is_refused(capsys, monkeypatch, argv, code, err):
+    # e^T_max past float range has no finite sieve length: refused with
+    # one message line on stderr, no traceback
+    monkeypatch.delenv("HEIGHTCOUNT_MAX_SIEVE", raising=False)
+    assert main(argv.split()) == code
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize(
     "variable, argv, kind",
     [
