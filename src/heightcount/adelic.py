@@ -29,7 +29,6 @@ convolution, and box-norm covering numbers.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +49,7 @@ from .primes import factorize
 
 _N_CHUNKS = 64
 # the largest T with a finite e^T
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)

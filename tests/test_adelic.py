@@ -329,12 +329,15 @@ _REFUSED = [
 
 
 @pytest.mark.parametrize("args, error, text", _REFUSED)
-def test_d2_callable_refuses_what_the_table_refused(args, error, text):
+def test_d2_callable_refuses_what_the_table_refused(monkeypatch, args, error, text):
+    # the domain, then the budget, are checked before anything is sieved
     B, T_max, max_sieve = args
+    monkeypatch.setattr(dirichlet, "_STORE", {})
     for d in (2, 3):
         with pytest.raises(error) as caught:
             adelic_volume_callable(d, B, T_max, max_sieve)
         assert str(caught.value) == text
+        assert dirichlet._STORE == {}
 
 
 def test_d2_callable_rejects_T_outside_its_range():
@@ -345,20 +348,6 @@ def test_d2_callable_rejects_T_outside_its_range():
                 b(T)
             assert str(caught.value) == f"T={T} outside (0, 3.0]"
         assert b(3.0 * (1 + 1e-12)) > 0
-
-
-_REFUSED_DOMAIN = [(args, text) for args, error, text in _REFUSED if error is DomainError]
-
-
-@pytest.mark.parametrize("args, text", _REFUSED_DOMAIN, ids=[f"B={B}-T_max={T}" for (B, T, _), _ in _REFUSED_DOMAIN])
-def test_refused_domain_sieves_nothing(monkeypatch, args, text):
-    # the table's domain is checked before the sieve, at every d
-    monkeypatch.setattr(dirichlet, "_STORE", {})
-    for d in (2, 3):
-        with pytest.raises(DomainError) as caught:
-            adelic_volume_callable(d, *args)
-        assert str(caught.value) == text
-        assert dirichlet._STORE == {}
 
 
 def _count_tables(monkeypatch):
