@@ -351,7 +351,9 @@ def prediction_N(d: int, B: float, T: float, covolume: float = 1.0) -> Predictio
         raise DomainError(f"need covolume > 0, got {covolume}")
     if not (T >= 0):
         raise DomainError(f"need T >= 0, got {T}")
-    if B <= float(d):
+    if math.inf in (covolume, T):
+        raise DomainError(f"need a finite covolume and T, got {covolume}, {T}")
+    if not (B > float(d)):
         raise DomainError(
             f"B={B} is at or below the aggregate abscissa {d}; "
             "the series constant diverges there"
@@ -412,6 +414,15 @@ REGULAR_TOL = 0.02
 NON_REGULAR_GAP = 0.1
 
 
+def _shifts(eps_list) -> list[float]:
+    """The distinct shifts of a regularity report, largest first; each
+    must be finite and positive."""
+    eps = {float(e) for e in eps_list}
+    if not eps or not all(0 < e < math.inf for e in eps):
+        raise DomainError("eps_list must contain positive shifts")
+    return sorted(eps, reverse=True)
+
+
 def regularity_report(b, eps_list, T_list) -> RegularityReport:
     """Estimate liminf_T b(T-eps)/b(T) and limsup_T b(T+eps)/b(T).
 
@@ -421,9 +432,7 @@ def regularity_report(b, eps_list, T_list) -> RegularityReport:
     between.  The trend fields extrapolate the
     two smallest shifts linearly to eps = 0.
     """
-    eps = sorted({float(e) for e in eps_list}, reverse=True)
-    if not eps or eps[-1] <= 0:
-        raise DomainError("eps_list must contain positive shifts")
+    eps = _shifts(eps_list)
     T = sorted(float(t) for t in T_list)
     if len(T) < 4:
         raise DomainError(f"need at least 4 T samples, got {len(T)}")
@@ -468,8 +477,10 @@ def tree_ball(q: int, T: float) -> int:
     """
     if not isinstance(q, int) or q < 2:
         raise DomainError(f"need integer q >= 2, got {q!r}")
-    if T < 0:
+    if not (T >= 0):
         raise DomainError(f"need T >= 0, got {T}")
+    if T == math.inf:
+        raise DomainError(f"need a finite T, got {T}")
     k = int(math.floor(T + 1e-12))
     return 1 + (q + 1) * (q**k - 1) // (q - 1)
 
@@ -566,6 +577,8 @@ def pgl2_measure_pair(
     """
     if not (T_max > 0):
         raise DomainError(f"need T_max > 0, got {T_max}")
+    if not (0 < B < math.inf):
+        raise DomainError(f"need 0 < B < inf, got B={B}")
     weights, logs = _sieve(2, T_max, max_sieve)
     m = np.arange(1, weights.size + 1, dtype=float)
     grid = np.linspace(0.0, T_max, int(T_max * 1000) + 1)
@@ -585,6 +598,8 @@ def covering_number_box(n: int, T: float, delta: float) -> tuple[int, float]:
         raise DomainError(f"need integer n >= 1, got {n!r}")
     if not (0 < delta < T):
         raise DomainError(f"need 0 < delta < T, got delta={delta}, T={T}")
+    if T == math.inf:
+        raise DomainError(f"need a finite T, got {T}")
     q = T / delta
     if abs(q - round(q)) < 1e-9 * max(1.0, abs(q)):
         q = round(q)

@@ -334,6 +334,8 @@ def growth_exponent_fit(radii, volumes) -> FitResult:
         raise DomainError("radii and volumes must be 1-d arrays of equal length")
     if r.size < 5:
         raise DomainError(f"need at least 5 samples, got {r.size}")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        raise DomainError("radii and volumes must be finite")
     if np.any(np.diff(r) <= 0):
         raise DomainError("radii must be strictly increasing")
     if np.any(v <= 0):

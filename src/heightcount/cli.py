@@ -164,6 +164,8 @@ def _cmd_ball_volume(args, out):
 def _cmd_ball_adelic(args, out):
     if not (args.step > 0 and args.Tmax >= args.step):
         raise DomainError(f"need 0 < step <= Tmax, got step={args.step}, Tmax={args.Tmax}")
+    if args.Tmax == math.inf:
+        raise DomainError(f"need a finite Tmax, got {args.Tmax}")
     grid = np.arange(args.step, args.Tmax + args.step / 2, args.step)
     series = adelic.adelic_ball_series(args.d, args.B, grid, max_sieve=args.max_sieve)
     rows = list(zip((float(t) for t in series.T_grid), series.values))
@@ -206,9 +208,11 @@ def _cmd_predict(args, out):
 
 
 def _cmd_count(args, out):
-    top = int(math.floor(args.xmax))
-    if top < 1:
+    if not (args.xmax >= 1):
         raise DomainError(f"need xmax >= 1, got {args.xmax}")
+    if args.xmax == math.inf:
+        raise DomainError(f"need a finite xmax, got {args.xmax}")
+    top = int(math.floor(args.xmax))
     if 0 < args.B < 2:  # compare_report refuses any other B
         # compare_report's first two refusals, asked at x = top before the
         # grid holds `top` floats: its sandwich sieve runs past top, and the
@@ -243,10 +247,9 @@ def _cmd_count(args, out):
 
 
 def _cmd_regularity(args, out):
-    b = adelic.adelic_volume_callable(
-        args.d, args.B, args.Tmax + max(args.eps) + 0.01, max_sieve=args.max_sieve
-    )
-    report = adelic.regularity_report(b, args.eps, np.linspace(args.Tmin, args.Tmax, args.points))
+    eps = adelic._shifts(_parse_eps(args.eps))  # before the callable sieves
+    b = adelic.adelic_volume_callable(args.d, args.B, args.Tmax + max(eps) + 0.01, max_sieve=args.max_sieve)
+    report = adelic.regularity_report(b, eps, np.linspace(args.Tmin, args.Tmax, args.points))
     _emit_json(
         "regularity",
         {
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         Tmin=float_req,
         Tmax=float_req,
         points={"type": int, "default": 25},
-        eps={"type": _parse_eps, "default": (0.02, 0.01, 0.005)},
+        eps={"default": "0.02,0.01,0.005"},
         **{"max-sieve": {"type": int, "default": None, "dest": "max_sieve"}},
     )
     add(

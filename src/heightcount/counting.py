@@ -134,6 +134,8 @@ def entry_bound(x: float, B: float) -> int:
     """Box half-width N so that every class with h <= x has entries <= N."""
     if not (x >= 1):
         raise DomainError(f"need x >= 1, got {x}")
+    if x == math.inf:
+        raise DomainError(f"need a finite x, got {x}")
     if not (B > 0):
         raise DomainError(f"need B > 0, got {B}")
     # the maximum over 1 <= e <= x is at an end (module docstring)
@@ -450,6 +452,8 @@ def compare_report(
         raise DomainError(f"the d = 2 counting regime needs 0 < B < 2, got {B}")
     if not (covolume > 0):
         raise DomainError(f"need covolume > 0, got {covolume}")
+    if covolume == math.inf:
+        raise DomainError(f"need a finite covolume, got {covolume}")
     coeff = 30.0 / math.pi**2
     i_low = _mainterm_integral(B)
     i_high = _mainterm_integral(2.0 * B)

@@ -287,8 +287,10 @@ def zeta_em(s: complex) -> complex:
     the test suite.
     """
     s = complex(s)
-    if s.real <= 1 + _MARGIN:
+    if not (s.real > 1 + _MARGIN):
         raise DomainError(f"zeta_em needs Re(s) > 1 + {_MARGIN}, got {s}")
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise DomainError(f"zeta_em needs a finite s, got {s}")
     n_cut = max(20, int(abs(s)) + 1)
     total = 0.0 + 0.0j
     for n in range(n_cut - 1, 0, -1):  # small terms first
@@ -425,7 +427,7 @@ def L_euler(d: int, s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
     s = complex(s)
-    if s.real <= d + _MARGIN:
+    if not (s.real > d + _MARGIN):
         raise DomainError(f"L_euler needs Re(s) > {d} + {_MARGIN}, got {s}")
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
@@ -462,7 +464,7 @@ def L_euler_sl2(s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     omitted tail decays like p^(2-4 Re s).
     """
     s = complex(s)
-    if s.real <= 1.5 + _MARGIN:
+    if not (s.real > 1.5 + _MARGIN):
         raise DomainError(f"L_euler_sl2 needs Re(s) > 1.5 + {_MARGIN}, got {s}")
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
@@ -479,7 +481,7 @@ def L_euler_sl2(s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
 def L_closed_pgl2(s: complex) -> complex:
     """zeta(s) zeta(s-1) / zeta(2s) for Re(s) > 2."""
     s = complex(s)
-    if s.real <= 2 + _MARGIN:
+    if not (s.real > 2 + _MARGIN):
         raise DomainError(f"closed form needs Re(s) > 2 + {_MARGIN}, got {s}")
     return zeta_em(s) * zeta_em(s - 1) / zeta_em(2 * s)
 
@@ -487,7 +489,7 @@ def L_closed_pgl2(s: complex) -> complex:
 def L_closed_sl2(s: complex) -> complex:
     """zeta(2s-2) zeta(2s-1) / zeta(4s-2) for Re(s) > 3/2 (even shells, d=2)."""
     s = complex(s)
-    if s.real <= 1.5 + _MARGIN:
+    if not (s.real > 1.5 + _MARGIN):
         raise DomainError(f"closed form needs Re(s) > 1.5 + {_MARGIN}, got {s}")
     return zeta_em(2 * s - 2) * zeta_em(2 * s - 1) / zeta_em(4 * s - 2)
 
@@ -521,11 +523,12 @@ def pole_abscissas(d: int, p_max: int = 100) -> AbscissaTable:
 
 def partial_sum(d: int, B: float, x: float, max_sieve: int | None = None) -> float:
     """sum_{m <= x} D(m) / m^B (compensated; exact integer sum for B = 0)."""
-    if x < 1:
+    if not (x >= 1):
         raise DomainError(f"need x >= 1, got {x}")
-    if B < 0:
+    if not (B >= 0):
         raise DomainError(f"need B >= 0, got {B}")
-    vals = coeff_array(d, int(x), max_sieve)
+    # an infinite x goes to the budget as inf, which every budget refuses
+    vals = coeff_array(d, int(x) if x < math.inf else x, max_sieve)
     if B == 0:
         # high and low 32 bits apart, a segment at a time: with x < 2^31
         # neither int64 sum wraps

@@ -13,20 +13,28 @@ from hypothesis import strategies as st
 from heightcount import (
     BudgetError,
     DomainError,
+    L_closed_pgl2,
+    L_closed_sl2,
+    L_euler,
+    L_euler_sl2,
     MeasurePair,
     adelic_ball_series,
     adelic_ball_volume,
     adelic_volume_callable,
     archimedean_height,
     coeff_D,
+    compare_report,
     covering_number_box,
+    entry_bound,
     global_height,
+    growth_exponent_fit,
     partial_sum,
     persistence_check,
     pgl2_measure_pair,
     prediction_N,
     regularity_report,
     tree_ball,
+    zeta_em,
 )
 from heightcount import adelic, dirichlet
 from heightcount.archimedean import ball_volume_numeric
@@ -424,6 +432,57 @@ def test_regularity_validation():
         regularity_report(lambda x: math.exp(x), [], [5.0, 6.0])
     with pytest.raises(DomainError):
         regularity_report(lambda x: math.exp(x), [0.1, -0.01], [5.0, 6.0])
+
+
+_SIEVE_INF = (
+    "estimated sieve count inf exceeds budget 1000000; "
+    "raise the corresponding HEIGHTCOUNT_MAX_* variable to override"
+)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        ((zeta_em, math.nan), DomainError, "zeta_em needs Re(s) > 1 + 1e-06, got (nan+0j)"),
+        ((zeta_em, math.inf), DomainError, "zeta_em needs a finite s, got (inf+0j)"),
+        ((zeta_em, complex(3.0, math.nan)), DomainError, "zeta_em needs a finite s, got (3+nanj)"),
+        ((L_euler, 2, math.nan), DomainError, "L_euler needs Re(s) > 2 + 1e-06, got (nan+0j)"),
+        ((L_euler, 2, math.inf), DomainError, "zeta_em needs a finite s, got (inf+0j)"),
+        ((L_closed_pgl2, math.nan), DomainError, "closed form needs Re(s) > 2 + 1e-06, got (nan+0j)"),
+        ((L_closed_sl2, math.nan), DomainError, "closed form needs Re(s) > 1.5 + 1e-06, got (nan+0j)"),
+        ((L_euler_sl2, math.nan), DomainError, "L_euler_sl2 needs Re(s) > 1.5 + 1e-06, got (nan+0j)"),
+        ((tree_ball, 2, math.nan), DomainError, "need T >= 0, got nan"),
+        ((tree_ball, 2, math.inf), DomainError, "need a finite T, got inf"),
+        ((covering_number_box, 2, math.inf, 0.1), DomainError, "need a finite T, got inf"),
+        ((entry_bound, math.inf, 1.0), DomainError, "need a finite x, got inf"),
+        ((partial_sum, 2, 1.0, math.nan), DomainError, "need x >= 1, got nan"),
+        ((partial_sum, 2, math.nan, 10.0), DomainError, "need B >= 0, got nan"),
+        ((partial_sum, 2, 0.0, math.inf), BudgetError, _SIEVE_INF),
+        ((pgl2_measure_pair, 5.0, math.nan), DomainError, "need 0 < B < inf, got B=nan"),
+        ((pgl2_measure_pair, 5.0, math.inf), DomainError, "need 0 < B < inf, got B=inf"),
+        ((pgl2_measure_pair, 5.0, 0.0), DomainError, "need 0 < B < inf, got B=0.0"),
+        ((prediction_N, 3, math.nan, 3.0), DomainError, "B=nan is at or below the aggregate abscissa 3; the series constant diverges there"),
+        ((prediction_N, 3, 4.5, math.inf), DomainError, "need a finite covolume and T, got 1.0, inf"),
+        ((prediction_N, 3, 4.5, 3.0, math.inf), DomainError, "need a finite covolume and T, got inf, 3.0"),
+        ((compare_report, [2.0], 1.0, math.inf), DomainError, "need a finite covolume, got inf"),
+        ((regularity_report, math.exp, [0.01, math.nan], range(5)), DomainError, "eps_list must contain positive shifts"),
+        ((regularity_report, math.exp, [math.inf], range(5)), DomainError, "eps_list must contain positive shifts"),
+        ((growth_exponent_fit, [1.0, math.nan, 3.0, 4.0, 5.0], [1.0] * 5), DomainError, "radii and volumes must be finite"),
+        ((growth_exponent_fit, [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, math.inf, 3.0, 4.0, 5.0]), DomainError, "radii and volumes must be finite"),
+    ],
+    ids=lambda v: v[0].__name__ if isinstance(v, tuple) else None,
+)
+def test_non_finite_input_is_refused(monkeypatch, call, error, text):
+    # NaN fails every domain check, and a non-finite value is refused where
+    # the domain is finite, before any sieve: not a ValueError or
+    # OverflowError from int(), a LinAlgError, or a NaN result
+    monkeypatch.delenv("HEIGHTCOUNT_MAX_SIEVE", raising=False)
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    f, *args = call
+    with pytest.raises(error) as caught:
+        f(*args)
+    assert str(caught.value) == text
+    assert dirichlet._STORE == {}
 
 
 @pytest.mark.slow

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from heightcount import dirichlet
 from heightcount.cli import main
 from heightcount.verify import REGISTRY, format_report
 
@@ -366,6 +367,45 @@ def test_sieve_length_past_float_range_is_refused(capsys, monkeypatch, argv, cod
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("count --xmax nan --B 1", "need xmax >= 1, got nan"),
+        ("count --xmax inf --B 1", "need a finite xmax, got inf"),
+        ("count --xmax 3 --B 1 --covolume inf", "need a finite covolume, got inf"),
+        ("lseries --d 2 --s nan", "L_euler needs Re(s) > 2 + 1e-06, got (nan+0j)"),
+        ("lseries --d 2 --s inf", "zeta_em needs a finite s, got (inf+0j)"),
+        ("lseries --d 2 --s nan --variant sl2", "L_euler_sl2 needs Re(s) > 1.5 + 1e-06, got (nan+0j)"),
+        ("predict --d 3 --B nan --T 3", "B=nan is at or below the aggregate abscissa 3; the series constant diverges there"),
+        ("predict --d 3 --B 4.5 --T inf", "need a finite covolume and T, got 1.0, inf"),
+        ("persistence --T 5 --B nan", "need 0 < B < inf, got B=nan"),
+        ("ball-adelic --d 2 --B 1 --Tmax inf", "need a finite Tmax, got inf"),
+    ],
+)
+def test_non_finite_flag_is_refused(capsys, argv, err):
+    # one message line on stderr and nothing on stdout: no traceback from
+    # int() or np.arange, and no NaN printed
+    assert main(argv.split()) == 1
+    assert capsys.readouterr() == ("", f"heightcount: error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "eps, err",
+    [
+        ("-0.1,0.01", "eps_list must contain positive shifts"),
+        ("0,0.01", "eps_list must contain positive shifts"),
+        ("0.01,nan", "eps_list must contain positive shifts"),
+        ("inf", "eps_list must contain positive shifts"),
+        ("0.01,abc", "could not parse eps list '0.01,abc'"),
+    ],
+)
+def test_regularity_refuses_a_bad_shift_before_sieving(capsys, monkeypatch, eps, err):
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    assert main(["regularity", "--d", "2", "--B", "1", "--Tmin", "4", "--Tmax", "5", f"--eps={eps}"]) == 1
+    assert capsys.readouterr() == ("", f"heightcount: error: {err}\n")
+    assert dirichlet._STORE == {}
+
+
+@pytest.mark.parametrize(
     "variable, argv, kind",
     [
         ("HEIGHTCOUNT_MAX_SIEVE", ["dcoeff", "--d", "2", "--xmax", "100"], "sieve count 100"),
@@ -447,14 +487,13 @@ def _src_env():
 # the stdout of each README script line, pinned byte for byte
 _SCRIPT_PINS = {
     "scripts/scan_ball_volumes.py": "scan_ball_volumes_d3_B1_rmax8.txt",
-    "scripts/regularity_scan.py": "regularity_scan_T13.txt",
 }
 
 
 def test_readme_script_lines_run():
-    # scan_ball_volumes.py reads the volume table, regularity_scan.py the adelic b(T)
+    # scan_ball_volumes.py reads the volume table
     lines = [shlex.split(line) for line in _readme_block("## Scripts") if line.startswith("python ")]
-    assert len(lines) == 2
+    assert len(lines) == 1
     assert sorted(argv[1] for argv in lines) == sorted(_SCRIPT_PINS)
     env = _src_env()
     for argv in lines:
