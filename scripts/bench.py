@@ -10,10 +10,13 @@ JSON line gives its medians, `correct`, `failed` and `attempted`.
 
 Writes BENCH_<label>.json at the repository root with the machine record,
 the median and quartiles over the runs of each end-to-end metric for each
-side and workload, how many pairs the working tree won, and an accuracy
-column: the largest relative error of the d = 2 adelic ball volume b(T)
-against the term-by-term oracle `tests/oracles.adelic_volume_d2`, for
-each side.
+side and workload, how many pairs the working tree won, a traced peak, and
+an accuracy column.  The traced peak, `traced_peak_mb`, is the tracemalloc
+peak (MB of 2^20 bytes, as `peak_rss_mb`) of the workload's jobs from
+`perfbench/jobs.py` run once in one process with the seed's inputs: unlike
+the RSS, it does not move with the heap's layout.  The accuracy column is
+the largest relative error of the d = 2 adelic ball volume b(T) against
+the term-by-term oracle `tests/oracles.adelic_volume_d2`, for each side.
 
 Usage (from the repository root):
     python scripts/bench.py --parent HEAD --label d2_prefix
@@ -46,6 +49,19 @@ ACCURACY_POINTS = [
     for T in (0.05, 0.3, 0.7, 1.1, 2.0, 3.5, 5.0, 7.0, 9.0, 11.0, 13.1)
 ] + [(B, T) for B in (0.02, 1.98) for T in (0.05, 0.3, 0.7, 1.1, 2.0, 3.5, 5.0, 7.0)]
 
+# runs the workload's jobs once under tracemalloc, after the imports, with
+# the package and perfbench on PYTHONPATH; prints the peak in MB
+_TRACED_PEAK = """
+import sys, tracemalloc
+import jobs
+from spans import NullTracer
+todo = jobs.build(sys.argv[1], int(sys.argv[2]))
+tracemalloc.start()
+for job in todo:
+    job.run(NullTracer())
+print(tracemalloc.get_traced_memory()[1] / 2**20)
+"""
+
 # evaluates b(T) at each point with the package on PYTHONPATH
 _EVALUATE = """
 import json, sys
@@ -74,6 +90,27 @@ def _perfbench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
         raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
     machine = next(json.loads(line[len("machine ") :]) for line in lines if line.startswith("machine "))
     return machine, json.loads(lines[-1])
+
+
+def _traced_peak(tree: Path, workload: str, seed: int) -> float:
+    """The tracemalloc peak of one in-process run of the workload's jobs."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join((str(tree / "src"), str(tree / "perfbench"))),
+        PYTHONHASHSEED="0",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_PEAK, workload, str(seed)],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return float(proc.stdout)
 
 
 def _summary(runs: list[dict]) -> dict:
@@ -151,6 +188,8 @@ def main() -> None:
                 for name in END_TO_END
             }
             workloads[workload] = {side: _summary(runs[side]) for side in runs}
+            for side, tree in trees.items():
+                workloads[workload][side]["traced_peak_mb"] = _traced_peak(tree, workload, args.seed)
             workloads[workload]["change_lower_in_pairs"] = wins
         oracle = [adelic_volume_d2(B, T) for B, T in ACCURACY_POINTS]
         accuracy = {

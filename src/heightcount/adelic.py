@@ -28,6 +28,7 @@ convolution, and box-norm covering numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ from .intmat import as_mat, content, det_int, elementary_divisors, valuation
 from .primes import factorize
 
 _N_CHUNKS = 64
+# rows of a MeasurePair per chunk of the sum C
+_C_CHUNK = 1 << 12
 # the largest T with a finite e^T
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -112,7 +115,8 @@ def _sieve(d: int, T_max: float, max_sieve: int | None):
     weights = coeff_array(d, x_max, max_sieve)[1:]
     if weights.dtype == object:
         weights = weights.astype(float)
-    return weights, np.log(np.arange(1, x_max + 1, dtype=float))
+    logs = np.arange(1, x_max + 1, dtype=float)
+    return weights, np.log(logs, out=logs)
 
 
 def _convolve(T: float, locs, masses, grid, values) -> float:
@@ -136,33 +140,51 @@ def _convolve(T: float, locs, masses, grid, values) -> float:
 _NEAR = 0.1
 # sum psi(m) m^(2B) is held times 2^-_SCALE_BITS, which keeps it finite (see _d2_volume)
 _SCALE_BITS = 200
-# _prefix_sums: terms per block
+# _blocked_sums: terms per block, and blocks per set-up pass
 _PREFIX_BLOCK = 1 << 10
+_SET_UP_BLOCKS = 1 << 6
 
 
-def _prefix_buffer(n: int) -> np.ndarray:
-    """Zeros for n terms in blocks of _PREFIX_BLOCK: fill the first n
-    entries of its flat view, then take `_prefix_sums` of it in place."""
-    return np.zeros((-(-n // _PREFIX_BLOCK), _PREFIX_BLOCK))
+def _blocked_sums(form, n: int):
+    """S(j) = terms[0] + ... + terms[j] for n nonnegative float terms, as a
+    callable; form(lo, out) writes terms[lo : lo + out.size] into out.
 
-
-def _prefix_sums(inner: np.ndarray, n: int) -> np.ndarray:
-    """S[j] = terms[0] + ... + terms[j] for the n nonnegative float terms
-    written to the flat view of `inner`, a `_prefix_buffer(n)`, in place.
-
-    Each block of _PREFIX_BLOCK terms is summed left to right, and each S[j]
+    Each block of _PREFIX_BLOCK terms is summed left to right, and S(j)
     adds its block's running sum to the left-to-right sum of the earlier
-    blocks' totals.  So S[j] has relative error at most
+    blocks' totals.  So S(j) has relative error at most
     (min(j, _PREFIX_BLOCK) + j / _PREFIX_BLOCK + 1) u to first order,
     u = 2^-53, against j u for one running sum, and it depends on
     terms[:j + 1] only: a prefix of the terms gives a prefix of the sums,
     bit for bit.
+
+    Only the running sums of the block totals are held, n / _PREFIX_BLOCK
+    floats.  The set-up forms the terms _SET_UP_BLOCKS blocks at a time in
+    one buffer; each call forms the terms of j's block up to j again, at
+    most _PREFIX_BLOCK, and sums them left to right as the set-up did.
     """
-    np.cumsum(inner, axis=1, out=inner)
-    before = np.zeros(len(inner))
-    np.cumsum(inner[:-1, -1], out=before[1:])
-    inner += before[:, None]
-    return inner.ravel()[:n]
+    blocks = -(-n // _PREFIX_BLOCK)
+    totals = np.empty(blocks)
+    buf = np.empty((min(blocks, _SET_UP_BLOCKS), _PREFIX_BLOCK))
+    for first in range(0, blocks, _SET_UP_BLOCKS):
+        rows = buf[: blocks - first]
+        lo = first * _PREFIX_BLOCK
+        flat = rows.ravel()
+        form(lo, flat[: n - lo])
+        flat[n - lo :] = 0.0  # the last block's padding
+        np.add.accumulate(rows, axis=1, out=rows)
+        totals[first : first + len(rows)] = rows[:, -1]
+    del buf
+    before = np.zeros(blocks)
+    np.add.accumulate(totals[:-1], out=before[1:])
+
+    def S(j: int) -> float:
+        i, r = divmod(j, _PREFIX_BLOCK)
+        run = np.empty(r + 1)
+        form(j - r, run)
+        np.add.accumulate(run, out=run)
+        return float(before[i] + run[-1])
+
+    return S
 
 
 def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
@@ -174,9 +196,12 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
                + sum_{k < m <= e^T} psi(m) sinh^2(x_m),
 
     S_beta(k) = sum_{m <= k} psi(m) m^beta, and k the last m with
-    x_m >= c = _NEAR.  The three S are `_prefix_sums` over the sieve; the
-    near terms m > k, about a tenth of all at B = 1, are summed directly by
-    numpy's pairwise sum, whose cost grows with their number.
+    x_m >= c = _NEAR.  The three S are `_blocked_sums` over the sieve: each
+    holds n / 2^10 block totals, and a call forms and sums again the terms
+    of k's own block up to k, at most 2^10 per sum, so its cost does not
+    grow with n.  The near terms m > k, about a tenth of all at B = 1, are
+    summed directly by numpy's pairwise sum, whose cost grows with their
+    number.
 
     Range.  The callable's checks give B T <= 350, so e^(+-2BT) and every
     m^(+-2B), m <= e^T_max, lie within e^(+-701), inside the normal
@@ -192,7 +217,7 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
         relative to A = sum_{m <= k} psi(m) cosh^2 x_m = F + S_0(k), reaches
         F scaled by A/F <= coth^2 c (about 100).  Relative to A it is at
         most (min(k, 2^10) + k / 2^10 + 4) u from each psi(m) m^beta and
-        `_prefix_sums`, plus (2BT + 5) u from exp of the rounded 2BT (the
+        `_blocked_sums`, plus (2BT + 5) u from exp of the rounded 2BT (the
         conditioning of e^(2BT) at a float T), the products and the two
         additions.
       - Near.  Here x_m < c, so x coth x <= 1.004.  Each term is within 10u
@@ -213,30 +238,28 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
     Against `tests/oracles.adelic_volume_d2` the measured error is below
     1e-14 at every point checked: 2B an integer up to T = 13.1, and
     B = 0.02 and 1.98 up to T = 9.  One running sum in place of
-    `_prefix_sums` drops the terms of S_(-2B) below half an ulp of the sum
+    `_blocked_sums` drops the terms of S_(-2B) below half an ulp of the sum
     and measures 5e-12 at (2, 13.1).
     """
-    # each sum's terms are formed in its own buffer, m in that of S_(2B),
-    # with in-place products (`**=` takes the scalar fast paths of `**`, so
-    # the bits are those of m ** beta): this set-up is the peak memory of a
-    # d = 2 b(T)
+    # psi(m) m^beta 2^-scale, formed by in-place products in the set-up and
+    # in each call alike (`**=` takes the scalar fast paths of `**`, so the
+    # bits are those of m ** beta)
+    def powers(beta: float, scale: float):
+        def form(lo: int, out: np.ndarray) -> None:
+            out[:] = np.arange(lo + 1, lo + 1 + out.size)
+            out **= beta
+            out *= scale
+            out *= weights[lo : lo + out.size]
+
+        return form
+
+    def psi(lo: int, out: np.ndarray) -> None:
+        out[:] = weights[lo : lo + out.size]
+
     n = weights.size
-    zero = _prefix_buffer(n)
-    zero.ravel()[:n] = weights
-    s_zero = _prefix_sums(zero, n)
-    plus = _prefix_buffer(n)
-    m = plus.ravel()[:n]
-    m[:] = np.arange(1, n + 1)
-    minus = _prefix_buffer(n)
-    terms = minus.ravel()[:n]
-    terms[:] = m
-    terms **= -2.0 * B
-    terms *= weights
-    s_minus = _prefix_sums(minus, n)
-    m **= 2.0 * B
-    m *= 2.0**-_SCALE_BITS
-    m *= weights
-    s_plus = _prefix_sums(plus, n)
+    s_zero = _blocked_sums(psi, n)
+    s_minus = _blocked_sums(powers(-2.0 * B, 1.0), n)
+    s_plus = _blocked_sums(powers(2.0 * B, 2.0**-_SCALE_BITS), n)
     near = _NEAR / B
 
     def b(T: float) -> float:
@@ -246,7 +269,7 @@ def _d2_volume(B: float, weights: np.ndarray, logs: np.ndarray):
         if k:
             grow = 0.25 * math.exp(2.0 * B * T)
             decay = 0.25 * math.ldexp(math.exp(-2.0 * B * T), _SCALE_BITS)
-            far = grow * float(s_minus[k - 1]) + decay * float(s_plus[k - 1]) - 0.5 * float(s_zero[k - 1])
+            far = grow * s_minus(k - 1) + decay * s_plus(k - 1) - 0.5 * s_zero(k - 1)
         return far + float(np.sum(weights[k:n] * np.sinh(B * (T - logs[k:n])) ** 2))
 
     return b
@@ -531,10 +554,17 @@ class MeasurePair:
 
     @cached_property
     def C(self) -> float:
-        # math.exp per location, since numpy's float64 exp can differ in the last bit
-        locs, mass = self.masses.T
-        decay = np.fromiter(map(math.exp, (-self.beta * locs).tolist()), float, count=locs.size)
-        return math.fsum((mass * decay).tolist())
+        # math.exp per location, since numpy's float64 exp can differ in the
+        # last bit; the products go to fsum a chunk of rows at a time
+        def chunk(rows: np.ndarray) -> list[float]:
+            locs, mass = rows.T
+            decay = np.fromiter(map(math.exp, (-self.beta * locs).tolist()), float, count=locs.size)
+            return (mass * decay).tolist()
+
+        rows = self.masses
+        return math.fsum(
+            itertools.chain.from_iterable(chunk(rows[a : a + _C_CHUNK]) for a in range(0, len(rows), _C_CHUNK))
+        )
 
 
 def persistence_check(pair: MeasurePair, T: float) -> tuple[float, float]:

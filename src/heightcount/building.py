@@ -87,12 +87,15 @@ def shell_count(d: int, p):
     D(p) = (d-1)(p^d - 1)/(p - 1), evaluated by Horner as
     (d-1)(1 + p + ... + p^(d-1)) so that it also applies elementwise to a
     numpy array of primes: no partial value exceeds the result, so an
-    int64 array wraps only where D(p) itself does.
+    int64 array wraps only where D(p) itself does.  On an array every
+    step after p + 1 works in place, so one buffer holds the result.
     """
     h = p + 1
     for _ in range(d - 2):
-        h = h * p + 1
-    return (d - 1) * h
+        h *= p
+        h += 1
+    h *= d - 1
+    return h
 
 
 def shell_ratio(d: int, p):

@@ -247,7 +247,12 @@ def _cmd_count(args, out):
 
 
 def _cmd_regularity(args, out):
-    eps = adelic._shifts(_parse_eps(args.eps))  # before the callable sieves
+    # every flag the callable does not check is checked before it sieves
+    eps = adelic._shifts(_parse_eps(args.eps))
+    if args.points < 4:
+        raise DomainError(f"need at least 4 T samples, got {args.points}")
+    if not math.isfinite(args.Tmin):
+        raise DomainError(f"need a finite Tmin, got {args.Tmin}")
     b = adelic.adelic_volume_callable(args.d, args.B, args.Tmax + max(eps) + 0.01, max_sieve=args.max_sieve)
     report = adelic.regularity_report(b, eps, np.linspace(args.Tmin, args.Tmax, args.points))
     _emit_json(

@@ -11,19 +11,22 @@ zeta(s) zeta(s-1)/zeta(2s).  The determinant-one (even-shell) variant at
 d = 2 has closed form zeta(2s-2) zeta(2s-1)/zeta(4s-2).
 
 The coefficients D(0..x) come from one numpy kernel, read through
-`coeff_array`, which feeds the `dcoeff` command, `partial_sum`, `verify`
-and the adelic weights: strided int64 products over the prime powers
-p^k <= x with p <= sqrt(x), then the factor D(q) of the single prime q
-above sqrt(x) that an index can have.  Both steps run one segment of
+`coeff_array`, which feeds the `dcoeff` command, `verify` and the adelic
+weights, or a segment at a time by `partial_sum`: strided int64 products
+over the prime powers p^k <= x with p <= sqrt(x), then the factor D(q) of
+the single prime q above sqrt(x) that an index can have.  Both steps run one segment of
 `_SEGMENT` indices at a time, from any first index, so each segment's
 arrays stay in cache.
 
 One store of the exact coefficients is held per d (`_STORE`): D(0..n) in
-int64, with the values of 2^62 or more kept apart as Python ints.  A
-request up to n reads a read-only prefix of it; a longer one copies the
-store into a longer array and runs the kernel on the new indices only.
-Every held value is exact, so the store, and every result read from it,
-depends on d and its length alone, never on the order of the requests.
+int64, with the values of 2^62 or more kept apart as Python ints.  The
+b(T) callables of `adelic` and `coeff_array` grow it: a request up to n
+reads a read-only prefix, a longer one copies the store into a longer
+array and runs the kernel on the new indices only.  A one-pass sum,
+`partial_sum`, only reads it: past its end the kernel runs one segment at
+a time into one buffer, and nothing is kept.  Every held value is exact,
+so the store, and every result read from it, depends on d and its length
+alone, never on the order of the requests.
 
 D(p) and c(p) are at most p^alpha, alpha = log2 D(2), for every prime p,
 so D(m) <= m^alpha, and D(m) < 2^62 for every m below `_safe_prefix(d)`
@@ -37,7 +40,9 @@ oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +65,8 @@ _INT64_SAFE = 2.0**62 - 2.0**32
 # Indices per segment of the coefficient sieve: the int64 slice, its
 # smooth part and their temporaries (2 MB each) stay in cache.
 _SEGMENT = 2**18
+# Terms per list of Python floats in the weighted `partial_sum`
+_FLOAT_RUN = 2**12
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -171,18 +178,20 @@ def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
         q //= smooth
         del smooth
         large = q > 1
-        seg *= np.where(large, shell_count(d, q), 1)
-        if hi <= prefix:
-            continue
-        tail = max(lo, prefix)  # the shadow covers [tail, hi)
-        shadow = np.ones(hi - tail)
-        for pk, _, _, f_float in strides:
-            shadow[-tail % pk :: pk] *= f_float
-        q = q[tail - lo :]
-        shadow *= np.where(large[tail - lo :], shell_count(d, q.astype(float)), 1.0)
-        flagged = np.flatnonzero(shadow >= _INT64_SAFE)
-        over.append(flagged + tail)
-        over_q.append(q[flagged])
+        np.multiply(seg, shell_count(d, q), out=seg, where=large)
+        if hi > prefix:
+            tail = max(lo, prefix)  # the shadow covers [tail, hi)
+            shadow = np.ones(hi - tail)
+            for pk, _, _, f_float in strides:
+                shadow[-tail % pk :: pk] *= f_float
+            q_tail = q[tail - lo :]
+            np.multiply(shadow, shell_count(d, q_tail.astype(float)), out=shadow, where=large[tail - lo :])
+            flagged = np.flatnonzero(shadow >= _INT64_SAFE)
+            over.append(flagged + tail)
+            over_q.append(q_tail[flagged])
+            del shadow, q_tail
+        # the next segment's strides run without this one's temporaries
+        del q, large
     return np.concatenate(over), np.concatenate(over_q)
 
 
@@ -225,6 +234,39 @@ _EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, 
 _OVER = np.iinfo(np.int64).max
 
 
+def _check_sieve(d: int, x_max: int, max_sieve: int | None) -> None:
+    """The checks before any read of D(0..x_max): d, x_max, then the budget."""
+    if d < 2:
+        raise DomainError(f"need d >= 2, got {d}")
+    if x_max < 1:
+        raise DomainError(f"need x_max >= 1, got {x_max}")
+    check_budget("sieve", x_max, max_sieve, "max_sieve")
+
+
+def _segments(d: int, x: int):
+    """D(1..x) in consecutive pieces (first, vals, at, exact) of at most
+    _SEGMENT indices, without growing the store.
+
+    vals holds D(first..) in int64, exact except at the offsets `at`,
+    whose values `exact` holds as Python ints.  The held prefix is read
+    from the store; past its end the kernel runs on one segment at a time
+    in one reused buffer, so a piece is valid only until the next one.
+    """
+    vals, over, exact = _STORE.get(d, _EMPTY)
+    held = min(vals.size - 1, x)  # the last index read from the store
+    for lo in range(1, held + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, held + 1)
+        a, b = np.searchsorted(over, (lo, hi))
+        yield lo, vals[lo:hi], over[a:b] - lo, exact[a:b]
+    buf = np.empty(min(_SEGMENT, x - held), dtype=np.int64)
+    for lo in range(max(held + 1, 1), x + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, x + 1)
+        seg = buf[: hi - lo]
+        primes = primes_up_to(math.isqrt(hi - 1))
+        new, q = _coeff_int64(d, lo, seg, primes)
+        yield lo, seg, new - lo, _coeff_exact(d, lo, hi - 1, primes, new, q) if new.size else new
+
+
 def _held(d: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The store of d, sieved on to x first when it is shorter.
 
@@ -262,11 +304,7 @@ def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
     read from the held store of d (sieved on to x_max when it is
     shorter), and the int64 result is a view of it.
     """
-    if d < 2:
-        raise DomainError(f"need d >= 2, got {d}")
-    if x_max < 1:
-        raise DomainError(f"need x_max >= 1, got {x_max}")
-    check_budget("sieve", x_max, max_sieve, "max_sieve")
+    _check_sieve(d, x_max, max_sieve)
     vals, over, exact = _held(d, x_max)
     head = vals[: x_max + 1]
     k = int(np.searchsorted(over, x_max, side="right"))  # the values >= 2^62
@@ -522,23 +560,41 @@ def pole_abscissas(d: int, p_max: int = 100) -> AbscissaTable:
 
 
 def partial_sum(d: int, B: float, x: float, max_sieve: int | None = None) -> float:
-    """sum_{m <= x} D(m) / m^B (compensated; exact integer sum for B = 0)."""
+    """sum_{m <= x} D(m) / m^B (compensated; exact integer sum for B = 0).
+
+    The coefficients are read a segment at a time (`_segments`): the held
+    store is read, not grown, and no array as long as the sum is formed.
+    """
     if not (x >= 1):
         raise DomainError(f"need x >= 1, got {x}")
     if not (B >= 0):
         raise DomainError(f"need B >= 0, got {B}")
     # an infinite x goes to the budget as inf, which every budget refuses
-    vals = coeff_array(d, int(x) if x < math.inf else x, max_sieve)
+    x_max = int(x) if x < math.inf else x
+    _check_sieve(d, x_max, max_sieve)
+    pieces = _segments(d, x_max)
     if B == 0:
-        # high and low 32 bits apart, a segment at a time: with x < 2^31
-        # neither int64 sum wraps
+        # high and low 32 bits apart: over one segment neither int64 sum
+        # wraps, whatever the int64 values; those at `at` are then swapped
+        # for their exact values
         total = 0
-        for lo in range(0, vals.size, _SEGMENT):
-            seg = vals[lo : lo + _SEGMENT]
-            total += (int((seg >> 32).sum()) << 32) + int((seg & 0xFFFFFFFF).sum())
+        for _, vals, at, exact in pieces:
+            total += (int((vals >> 32).sum()) << 32) + int((vals & 0xFFFFFFFF).sum())
+            total += sum(exact.tolist()) - sum(vals[at].tolist())
         return float(total)
-    weights = vals[1:].astype(float).tolist()
-    return math.fsum(w * m ** (-B) for m, w in enumerate(weights, start=1))
+
+    def terms():
+        # each D(m) rounded once to float, times Python's m ** (-B), passed
+        # on as Python floats a few thousand at a time
+        for first, vals, at, exact in pieces:
+            weights = vals.astype(float)
+            weights[at] = exact
+            for lo in range(0, weights.size, _FLOAT_RUN):
+                run = weights[lo : lo + _FLOAT_RUN].tolist()
+                m = range(first + lo, first + lo + len(run))
+                yield map(operator.mul, run, map(pow, m, itertools.repeat(-B)))
+
+    return math.fsum(itertools.chain.from_iterable(terms()))
 
 
 @dataclass(frozen=True)

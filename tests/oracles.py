@@ -27,6 +27,10 @@ shipped package carries only what it uses.
   the exact d = 2 adelic ball volume as a term-by-term sum of
   psi(m) sinh^2(B (T - log m)) in mpmath, against the prefix-sum b(T) of
   `adelic_volume_callable`.
+- `prefix_sums_by_blocks`, `d2_volume_by_full_prefix_sums`: every
+  blocked prefix sum as one full-length array, and the d = 2 b(T) built
+  on three such arrays, against the block totals and per-call partial
+  block of `adelic._blocked_sums`, bit for bit.
 - `entry_bound_by_scan`: the box half-width as the maximum over every
   1 <= e <= x, against the two-endpoint `entry_bound`.
 - `census_cells_by_loop`: the (e, F) cells of the census counted one at a
@@ -380,6 +384,54 @@ def adelic_volume_d2(B: float, T: float) -> float:
     with mpmath.workdps(40):
         B_, T_ = mpmath.mpf(B), mpmath.mpf(T)
         return float(mpmath.fsum(psi[m] * mpmath.sinh(B_ * (T_ - mpmath.log(m))) ** 2 for m in range(1, n + 1)))
+
+
+def prefix_sums_by_blocks(terms: np.ndarray, block: int = 1 << 10) -> np.ndarray:
+    """Every S[j] = terms[0] + ... + terms[j] as `adelic._blocked_sums`
+    defines it, in full-length arrays: each block of `block` terms summed
+    left to right by one cumsum over all blocks, plus the left-to-right
+    sum of the earlier blocks' totals."""
+    n = terms.size
+    inner = np.zeros((-(-n // block), block))
+    inner.ravel()[:n] = terms
+    np.cumsum(inner, axis=1, out=inner)
+    before = np.zeros(len(inner))
+    np.cumsum(inner[:-1, -1], out=before[1:])
+    inner += before[:, None]
+    return inner.ravel()[:n]
+
+
+def d2_volume_by_full_prefix_sums(B: float, T_max: float):
+    """The d = 2 b(T) on (0, T_max] of `adelic._d2_volume`, with its three
+    prefix sums held as full-length `prefix_sums_by_blocks` arrays and its
+    terms formed by the same in-place numpy steps over the whole sieve."""
+    n = int(math.exp(T_max) * (1 + 1e-12))
+    weights = psi_by_sieve(n)[1:]
+    logs = np.log(np.arange(1, n + 1, dtype=float))
+
+    def sums(beta: float, scale: float) -> np.ndarray:
+        terms = np.arange(1, n + 1, dtype=float)
+        terms **= beta
+        terms *= scale
+        terms *= weights
+        return prefix_sums_by_blocks(terms)
+
+    s_zero = prefix_sums_by_blocks(weights.astype(float))
+    s_minus = sums(-2.0 * B, 1.0)
+    s_plus = sums(2.0 * B, 2.0**-200)
+    near = 0.1 / B
+
+    def b(T: float) -> float:
+        end = int(np.searchsorted(logs, T, side="right"))
+        k = int(np.searchsorted(logs, T - near, side="right"))
+        far = 0.0
+        if k:
+            grow = 0.25 * math.exp(2.0 * B * T)
+            decay = 0.25 * math.ldexp(math.exp(-2.0 * B * T), 200)
+            far = grow * float(s_minus[k - 1]) + decay * float(s_plus[k - 1]) - 0.5 * float(s_zero[k - 1])
+        return far + float(np.sum(weights[k:end] * np.sinh(B * (T - logs[k:end])) ** 2))
+
+    return b
 
 
 def entry_bound_by_scan(x: float, B: float) -> int:

@@ -38,7 +38,7 @@ from heightcount import (
 )
 from heightcount import adelic, dirichlet
 from heightcount.archimedean import ball_volume_numeric
-from oracles import adelic_volume_d2, psi_by_sieve
+from oracles import adelic_volume_d2, d2_volume_by_full_prefix_sums, prefix_sums_by_blocks, psi_by_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +207,18 @@ def test_b_does_not_depend_on_the_held_sieve(monkeypatch):
 @pytest.mark.parametrize(
     "call, bound",
     [
-        # four float arrays of 488,942 terms (15.6 MB): the locations and
-        # three prefix sums, each formed in its own buffer; the held
-        # weights are read, not copied
-        ((adelic_volume_callable, 2, 1.0, 13.1), 17e6),
-        # the store grown to 10^6 int64 in place (8 MB) and one segment's
-        # temporaries; the B = 0 sum adds no full-length array
-        ((partial_sum, 2, 0.0, 1e6), 15e6),
+        # the locations, one float array of 488,942 terms (3.9 MB), and a
+        # set-up pass of 2^16 terms; the three sums hold block totals and
+        # the held weights are read, not copied (5.0 MB traced)
+        ((adelic_volume_callable, 2, 1.0, 13.1), 8e6),
+        # the held store is read, not grown: past its end one 2 MB segment
+        # buffer and the kernel's segment temporaries (6.6 MB traced)
+        ((partial_sum, 2, 0.0, 1e6), 9e6),
+        # the same pieces, each weighted in floats, then passed to fsum a
+        # few thousand Python floats at a time (8.6 MB traced)
+        ((partial_sum, 2, 3.0, 1e6), 11e6),
     ],
-    ids=["d2-callable", "partial-sum"],
+    ids=["d2-callable", "partial-sum", "partial-sum-weighted"],
 )
 def test_d2_set_up_memory_with_the_store_held(monkeypatch, call, bound):
     # in scan's order the regularity callable holds d = 2 to 488,942 first
@@ -305,20 +308,45 @@ def test_d2_overflow_edge_needs_the_scaled_sum():
 
 
 def _prefix_sums(terms):
-    inner = adelic._prefix_buffer(terms.size)
-    inner.ravel()[: terms.size] = terms
-    return adelic._prefix_sums(inner, terms.size)
+    def form(lo, out):
+        out[:] = terms[lo : lo + out.size]
+
+    S = adelic._blocked_sums(form, terms.size)
+    return np.array([S(j) for j in range(terms.size)])
 
 
 def test_prefix_sums_are_prefix_stable_and_bounded():
     terms = np.random.default_rng(3).random(5000) * 1e6
     whole = _prefix_sums(terms)
+    assert np.array_equal(whole.view(np.int64), prefix_sums_by_blocks(terms).view(np.int64))
     for n in (1, 1023, 1024, 1025, 2048, 4999):
         assert np.array_equal(_prefix_sums(terms[:n]).view(np.int64), whole[:n].view(np.int64))
     for j in (0, 1023, 1024, 3000, 4999):
         exact = math.fsum(terms[: j + 1].tolist())
         assert abs(whole[j] - exact) <= (min(j, 1024) + j / 1024 + 2) * 2.0**-53 * exact
 
+
+
+def _block_edge_points(B):
+    # T with k - 1 = 1024 i + r, k the count of far terms: r next to both
+    # ends of a block, i next to a set-up pass edge and a sieve segment edge
+    passes = adelic._SET_UP_BLOCKS
+    segment = dirichlet._SEGMENT // adelic._PREFIX_BLOCK
+    for i in (0, 1, passes - 1, passes, passes + 1, segment - 1, segment, segment + 1):
+        for r in (0, 1, 2, 1021, 1022, 1023):
+            yield math.log(1024 * i + r + 1.5) + adelic._NEAR / B
+
+
+@pytest.mark.parametrize("B", [0.3, 1.0, 1.5])
+def test_d2_block_totals_match_the_full_prefix_sums(B):
+    # the blocked sums hold block totals and redo one partial block per
+    # call; b(T) must equal, bit for bit, the same formula on full-length
+    # prefix sums, at every block residue near both ends and across the
+    # set-up pass and sieve segment edges
+    b = adelic_volume_callable(2, B, 13.1)
+    oracle = d2_volume_by_full_prefix_sums(B, 13.1)
+    T_list = [*_block_edge_points(B), 0.05, 4.0, 13.1]
+    assert [b(T).hex() for T in T_list] == [oracle(T).hex() for T in T_list]
 
 # (B, T_max, max_sieve), the error and its text, as the 1e-3 volume table
 # path raised them for d = 2 and still raises them for d = 3
@@ -643,17 +671,20 @@ def test_pgl2_persistence_bit_pins(T, want):
 
 
 def test_pgl2_persistence_peak_memory():
-    # the sieve is warm, so this traces the pair and the check alone; as
-    # tuples of Python floats they peaked near 25 MB
+    # the sieve is warm, so this traces the pair, the check and C alone:
+    # float arrays of 162,754 rows (the pair's own 2.6 MB and a few 1.3 MB
+    # temporaries) and C's products passed to fsum a chunk of rows at a
+    # time (6.6 MB traced); as tuples of Python floats they peaked near 25 MB
     pgl2_measure_pair(12.0)
     tracemalloc.start()
     try:
         pair = pgl2_measure_pair(12.0)
         persistence_check(pair, 12.0)
+        pair.C
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    assert peak < 9e6
 
 
 def test_pgl2_persistence_at_moderate_T():

@@ -3,6 +3,7 @@
 not checked; their correctness and accuracy fields are."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,9 @@ def test_bench_record_schema(path):
                 assert metric["unit"] == unit
                 assert len(metric["values"]) == summary["runs"]
                 assert min(metric["values"]) <= metric["q1"] <= metric["median"] <= metric["q3"] <= max(metric["values"])
+            # the tracemalloc peak of one in-process run; older records lack it
+            if "traced_peak_mb" in summary:
+                assert 0 < summary["traced_peak_mb"] < math.inf
         wins = workload["change_lower_in_pairs"]
         assert set(wins) == set(END_TO_END)
         assert all(0 <= n <= rec["pairs"] for n in wins.values())

@@ -405,6 +405,34 @@ def test_regularity_refuses_a_bad_shift_before_sieving(capsys, monkeypatch, eps,
     assert dirichlet._STORE == {}
 
 
+@pytest.mark.parametrize("points", ["3", "0", "-2"])
+def test_regularity_refuses_too_few_points_before_sieving(capsys, monkeypatch, points):
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    assert main(["regularity", "--d", "2", "--B", "1", "--Tmin", "4", "--Tmax", "5", f"--points={points}"]) == 1
+    assert capsys.readouterr() == ("", f"heightcount: error: need at least 4 T samples, got {points}\n")
+    assert dirichlet._STORE == {}
+
+
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        ("--Tmin=inf --Tmax=5", "need a finite Tmin, got inf"),
+        ("--Tmin=-inf --Tmax=5", "need a finite Tmin, got -inf"),
+        ("--Tmin=nan --Tmax=5", "need a finite Tmin, got nan"),
+        ("--Tmin=4 --Tmax=nan", "need T_max > 0, got T_max=nan"),
+        ("--Tmin=4 --Tmax=-inf", "need T_max > 0, got T_max=-inf"),
+    ],
+)
+def test_regularity_refuses_a_non_finite_T_before_sampling(capsys, monkeypatch, flags, err):
+    # one error line, and no numpy warning from np.linspace on the way
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["regularity", "--d", "2", "--B", "1", *flags.split()]) == 1
+    assert capsys.readouterr() == ("", f"heightcount: error: {err}\n")
+    assert dirichlet._STORE == {}
+
+
 @pytest.mark.parametrize(
     "variable, argv, kind",
     [

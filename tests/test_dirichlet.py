@@ -206,8 +206,9 @@ def test_safe_prefix_bound_holds(d):
 
 
 def test_coeff_sieve_peak_memory(monkeypatch):
-    # below three full int64 arrays of 10^6 entries (24 MB): the smooth
-    # part is segment-local and d = 2 forms no float64 shadow
+    # the store of 10^6 int64 entries (8 MB) and one segment's temporaries
+    # (12.5 MB traced): the smooth part, the large prime factor and D(q)
+    # are segment-local, one buffer each, and d = 2 forms no float64 shadow
     monkeypatch.setattr(dirichlet, "_STORE", {})
     tracemalloc.start()
     try:
@@ -215,7 +216,7 @@ def test_coeff_sieve_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    assert peak < 15e6
 
 
 @pytest.mark.parametrize(
@@ -504,6 +505,25 @@ def test_partial_sum_weighted_matches_term_by_term():
     for d, B in ((2, 3.0), (3, 4.5), (5, 6.0)):
         want = math.fsum(coeff_D(d, m) * m ** (-B) for m in range(1, x + 1))
         assert partial_sum(d, B, float(x)).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "d, x, B", [(2, 2 * _SEGMENT + 7, 1.3), (3, 2**19 + 7, 4.5), (6, 3 * 10**5, 6.0)], ids=["d2", "d3", "d6"]
+)
+@pytest.mark.parametrize("held", [0, 1000, 2 * _SEGMENT + 100], ids=["empty", "short", "long"])
+def test_partial_sum_reads_the_store_without_growing_it(monkeypatch, d, x, B, held):
+    # past the end of the store the kernel streams one segment at a time;
+    # at d = 3 and 6 the flagged values past 2^62 come from _coeff_exact
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    values = coeff_array(d, x).tolist()
+    assert (max(values) >= 2**62) == (d > 2)
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    if held:
+        coeff_array(d, held)
+    assert partial_sum(d, 0.0, float(x)) == float(sum(values))
+    want = math.fsum(float(v) * m ** (-B) for m, v in enumerate(values[1:], start=1))
+    assert partial_sum(d, B, float(x)).hex() == want.hex()
+    assert dirichlet._STORE.get(d, (np.zeros(0),))[0].size == (held + 1 if held else 0)
 
 
 def test_partial_sum_validation():
