@@ -173,7 +173,6 @@ def _blocked_sums(form, n: int):
         flat[n - lo :] = 0.0  # the last block's padding
         np.add.accumulate(rows, axis=1, out=rows)
         totals[first : first + len(rows)] = rows[:, -1]
-    del buf
     before = np.zeros(blocks)
     np.add.accumulate(totals[:-1], out=before[1:])
 
