@@ -10,13 +10,17 @@ JSON line gives its medians, `correct`, `failed` and `attempted`.
 
 Writes BENCH_<label>.json at the repository root with the machine record,
 the median and quartiles over the runs of each end-to-end metric for each
-side and workload, how many pairs the working tree won, a traced peak, and
-an accuracy column.  The traced peak, `traced_peak_mb`, is the tracemalloc
-peak (MB of 2^20 bytes, as `peak_rss_mb`) of the workload's jobs from
-`perfbench/jobs.py` run once in one process with the seed's inputs: unlike
-the RSS, it does not move with the heap's layout.  The accuracy column is
-the largest relative error of the d = 2 adelic ball volume b(T) against
-the term-by-term oracle `tests/oracles.adelic_volume_d2`, for each side.
+side and workload, how many pairs the working tree won, two more peaks, and
+an accuracy column.  Each peak is read from one child that runs the
+workload's jobs from `perfbench/jobs.py` once with the seed's inputs, in
+MB of 2^20 bytes as `peak_rss_mb`.  The traced peak, `traced_peak_mb`, is
+the tracemalloc peak: unlike the RSS, it does not move with the heap's
+layout.  The own peak, `own_peak_rss_mb`, is the child's VmHWM from
+/proc/self/status: unlike perfbench's ru_maxrss, which Linux raises at exec
+to the resident peak of the process that starts the child, it counts the
+child's own pages alone.  The accuracy column is the largest relative
+error of the d = 2 adelic ball volume b(T) against the term-by-term
+oracle `tests/oracles.adelic_volume_d2`, for each side.
 
 Usage (from the repository root):
     python scripts/bench.py --parent HEAD --label d2_prefix
@@ -62,6 +66,17 @@ for job in todo:
 print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
 
+# runs the workload's jobs once untraced, as above; prints VmHWM in MB
+_OWN_PEAK = """
+import sys
+import jobs
+from spans import NullTracer
+for job in jobs.build(sys.argv[1], int(sys.argv[2])):
+    job.run(NullTracer())
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
+"""
+
 # evaluates b(T) at each point with the package on PYTHONPATH
 _EVALUATE = """
 import json, sys
@@ -92,8 +107,8 @@ def _perfbench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return machine, json.loads(lines[-1])
 
 
-def _traced_peak(tree: Path, workload: str, seed: int) -> float:
-    """The tracemalloc peak of one in-process run of the workload's jobs."""
+def _peak(tree: Path, script: str, workload: str, seed: int) -> float:
+    """The peak `script` prints after one run of the workload's jobs."""
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join((str(tree / "src"), str(tree / "perfbench"))),
@@ -103,7 +118,7 @@ def _traced_peak(tree: Path, workload: str, seed: int) -> float:
         MKL_NUM_THREADS="1",
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_PEAK, workload, str(seed)],
+        [sys.executable, "-c", script, workload, str(seed)],
         cwd=tree,
         env=env,
         capture_output=True,
@@ -189,7 +204,9 @@ def main() -> None:
             }
             workloads[workload] = {side: _summary(runs[side]) for side in runs}
             for side, tree in trees.items():
-                workloads[workload][side]["traced_peak_mb"] = _traced_peak(tree, workload, args.seed)
+                summary = workloads[workload][side]
+                summary["traced_peak_mb"] = _peak(tree, _TRACED_PEAK, workload, args.seed)
+                summary["own_peak_rss_mb"] = _peak(tree, _OWN_PEAK, workload, args.seed)
             workloads[workload]["change_lower_in_pairs"] = wins
         oracle = [adelic_volume_d2(B, T) for B, T in ACCURACY_POINTS]
         accuracy = {

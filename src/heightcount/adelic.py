@@ -43,7 +43,7 @@ from .archimedean import (
     growth_exponent_fit,
     simplex_area,
 )
-from .dirichlet import L_euler, coeff_array, pole_abscissas
+from .dirichlet import L_euler, _exp, coeff_array, pole_abscissas
 from .errors import DomainError
 from .intmat import as_mat, content, det_int, elementary_divisors, valuation
 from .primes import factorize
@@ -553,12 +553,11 @@ class MeasurePair:
 
     @cached_property
     def C(self) -> float:
-        # math.exp per location, since numpy's float64 exp can differ in the
-        # last bit; the products go to fsum a chunk of rows at a time
+        # libm exp via `_exp`, math.exp's bits at -beta * loc <= 0 (numpy's
+        # float64 exp can differ in the last bit); fsum takes a chunk at a time
         def chunk(rows: np.ndarray) -> list[float]:
             locs, mass = rows.T
-            decay = np.fromiter(map(math.exp, (-self.beta * locs).tolist()), float, count=locs.size)
-            return (mass * decay).tolist()
+            return (mass * _exp((-self.beta * locs, np.zeros_like(locs)))[0]).tolist()
 
         rows = self.masses
         return math.fsum(

@@ -253,6 +253,9 @@ def _cmd_regularity(args, out):
         raise DomainError(f"need at least 4 T samples, got {args.points}")
     if not math.isfinite(args.Tmin):
         raise DomainError(f"need a finite Tmin, got {args.Tmin}")
+    # nan and -inf reach the callable, which refuses them before it sieves
+    if args.Tmax == math.inf:
+        raise DomainError(f"need a finite Tmax, got {args.Tmax}")
     b = adelic.adelic_volume_callable(args.d, args.B, args.Tmax + max(eps) + 0.01, max_sieve=args.max_sieve)
     report = adelic.regularity_report(b, eps, np.linspace(args.Tmin, args.Tmax, args.points))
     _emit_json(

@@ -14,9 +14,8 @@ The coefficients D(0..x) come from one numpy kernel, read through
 `coeff_array`, which feeds the `dcoeff` command, `verify` and the adelic
 weights, or a segment at a time by `partial_sum`: strided int64 products
 over the prime powers p^k <= x with p <= sqrt(x), then the factor D(q) of
-the single prime q above sqrt(x) that an index can have.  Both steps run one segment of
-`_SEGMENT` indices at a time, from any first index, so each segment's
-arrays stay in cache.
+the single prime q above sqrt(x) that an index can have, both one
+segment of `_SEGMENT` indices at a time.
 
 One store of the exact coefficients is held per d (`_STORE`): D(0..n) in
 int64, with the values of 2^62 or more kept apart as Python ints.  The
@@ -28,14 +27,12 @@ a time into one buffer, and nothing is kept.  Every held value is exact,
 so the store, and every result read from it, depends on d and its length
 alone, never on the order of the requests.
 
-D(p) and c(p) are at most p^alpha, alpha = log2 D(2), for every prime p,
-so D(m) <= m^alpha, and D(m) < 2^62 for every m below `_safe_prefix(d)`
-= 2^t, the largest power with D(2)^t <= 2^62 (proof at `_safe_prefix`;
-2^39 at d = 2, past any sieve the budget admits, and 2^16 at d = 3).
-Past the prefix a segment-local float64 shadow of the same products flags
-the values that may not fit; only those are recomputed on Python ints,
-so the result is always exact.  `coeff_D` (factorization) is its test
-oracle.
+D(m) < 2^62 for every m below `_safe_prefix(d)`, the largest 2^t with
+D(2)^t <= 2^62 (2^39 at d = 2, past any sieve the budget admits, and
+2^16 at d = 3).  Past the prefix a segment-local float64 shadow of the
+same products flags the values that may not fit; only those are
+recomputed on Python ints, so the result is always exact.  `coeff_D`
+(factorization) is its test oracle.
 """
 
 from __future__ import annotations
@@ -69,16 +66,7 @@ _SEGMENT = 2**18
 _FLOAT_RUN = 2**12
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
-_BERNOULLI = (
-    1 / 6,
-    -1 / 30,
-    1 / 42,
-    -1 / 30,
-    5 / 66,
-    -691 / 2730,
-    7 / 6,
-    -3617 / 510,
-)
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
 @dataclass(frozen=True)
@@ -122,11 +110,7 @@ def _safe_prefix(d: int) -> int:
     D(p^k) = D(p) c(p)^(k-1) <= p^(alpha k) and, D being multiplicative,
     D(m) <= m^alpha < 2^(alpha t) = D(2)^t <= 2^62 for m < 2^t.
     """
-    base = shell_count(d, 2)
-    t = 0
-    while base ** (t + 1) <= 2**62:
-        t += 1
-    return 2**t
+    return 2 ** max(t for t in range(63) if shell_count(d, 2) ** t <= 2**62)
 
 
 def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
@@ -145,9 +129,8 @@ def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
     The int64 products are exact mod 2^64.  Below _safe_prefix(d) they are
     exact, as every value there is below 2^62; from the prefix on, a
     segment-local float64 shadow repeats the same products and flags the
-    entries whose shadow reaches _INT64_SAFE, the others being exact.  At
-    d = 2 the prefix is 2^39, past any sieve the budget admits, so no
-    shadow is formed.
+    entries whose shadow reaches _INT64_SAFE, the others being exact (at
+    d = 2 none is formed: the prefix is past any sieve the budget admits).
     """
     x = first + vals.size - 1
     small = np.array(primes, dtype=np.int64)
@@ -319,26 +302,29 @@ def coeff_array(d: int, x_max: int, max_sieve: int | None = None) -> np.ndarray:
 def zeta_em(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin, for Re(s) > 1.
 
-    Truncation point N = max(20, |s|) and eight Bernoulli correction
-    terms give ~1e-13 absolute accuracy on the region this package uses
-    (Re(s) >= 1 + 1e-6, |Im s| modest); cross-checked against mpmath in
-    the test suite.
+    N - 1 terms, N = max(20, |Im s| + 1), and eight Bernoulli terms: the
+    remainder is about N^(1 - Re s) prod_{i <= 16} |s + i| / (2 pi N), so N
+    need not grow with Re s.  About 1e-13 absolute accuracy where the
+    package uses it; cross-checked against mpmath in the test suite.
     """
     s = complex(s)
     if not (s.real > 1 + _MARGIN):
         raise DomainError(f"zeta_em needs Re(s) > 1 + {_MARGIN}, got {s}")
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"zeta_em needs a finite s, got {s}")
-    n_cut = max(20, int(abs(s)) + 1)
+    n_cut = max(20, int(abs(s.imag)) + 1)
     total = 0.0 + 0.0j
     for n in range(n_cut - 1, 0, -1):  # small terms first
         total += n ** (-s) if s.imag else n ** (-s.real)
     total += n_cut ** (1 - s) / (s - 1) + 0.5 * n_cut ** (-s)
-    # sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(-s-2j+1)
+    # sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(-s-2j+1) until N^(...) underflows
     rising = s
     fact = 2.0
     for j, b in enumerate(_BERNOULLI, start=1):
-        total += b / fact * rising * n_cut ** (-s - 2 * j + 1)
+        power = n_cut ** (-s - 2 * j + 1)
+        if not power:
+            break
+        total += b / fact * rising * power
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
     return total
@@ -355,13 +341,21 @@ def _tail_log_bound(d: int, sigma: float, cutoff: int) -> float:
     q = cutoff + 1
     u = 2 * (d - 1) * q ** (d - 1 - sigma)
     if u > 0.5:
-        raise DomainError(
-            f"cutoff {cutoff} too small for a tail bound at Re(s)={sigma}"
-        )
+        raise DomainError(f"cutoff {cutoff} too small for a tail bound at Re(s)={sigma}")
     const = 16 * (d - 1) ** 2 + 2 * d * (d - 1)
     decay = 2 * (sigma - d + 1) - 1  # integral exponent, > 0 for sigma > d - 1/2
     # sum over integers n > cutoff of n^(-decay-1)-type terms <= integral from cutoff
     return const * cutoff ** (-decay) / decay
+
+
+@lru_cache(maxsize=8)
+def _euler_primes(prime_cutoff: int):
+    """(primes, log p) for p <= prime_cutoff, shared by every d; log p is
+    `math.log`, whose bits numpy's log need not match."""
+    primes = primes_up_to(prime_cutoff)
+    logs = np.array(list(map(math.log, primes)))
+    logs.flags.writeable = False
+    return tuple(primes), logs
 
 
 @lru_cache(maxsize=8)
@@ -372,22 +366,20 @@ def _euler_table(d: int, prime_cutoff: int):
     four as read-only float arrays, p^j of shape (d, n).  The counts and
     powers are exact integers rounded once to float, as CPython rounds an
     int operand of complex arithmetic: int64 while D(p) < 2^62 (the cast
-    rounds to nearest, as int -> float does) and Python ints past that;
-    log p is `math.log`, whose bits numpy's own log need not match.
+    rounds to nearest, as int -> float does) and Python ints past that.
     """
-    primes = primes_up_to(prime_cutoff)
+    primes, logs = _euler_primes(prime_cutoff)
     fits = shell_count(d, primes[-1]) < 2**62  # then c(p), D(p), p^j all fit
     exact = np.array(primes, dtype=np.int64 if fits else object)
     c = shell_ratio(d, exact)
     arrays = (
-        np.array(list(map(math.log, primes))),
         c.astype(float),
         (c - shell_count(d, exact)).astype(float),
         np.array([(exact**j).astype(float) for j in range(d)]),
     )
     for arr in arrays:
         arr.flags.writeable = False
-    return (tuple(primes), *arrays)
+    return (primes, logs, *arrays)
 
 
 # CPython's complex arithmetic on (real, imag) pairs of float64 arrays, one
@@ -435,8 +427,9 @@ def _pow(a, n: int):
 
 def _exp(a):
     """cmath.exp: numpy's complex exp is libm's cexp, which forms exp(x) cos(y)
-    and exp(x) sin(y) as cmath does; numpy's float64 exp has vectorised
-    code of its own that can differ in the last bit."""
+    and exp(x) sin(y) as cmath does, so at y = 0 and x <= 709 the real part
+    is math.exp(x) bit for bit; numpy's float64 exp has vectorised code of
+    its own that can differ in the last bit."""
     z = np.empty(a[0].shape, dtype=complex)
     z.real, z.imag = a
     z = np.exp(z)
@@ -450,10 +443,9 @@ def L_euler(d: int, s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     prod_{j<d} zeta(s-j)^(d-1) (D(p) = (d-1) sum_{j<d} p^j), so the
     truncation error carries only k >= 2 prime-power tails.  The reported
     truncation_bound covers that tail rigorously plus an allowance for
-    double rounding across the O(pi(cutoff)) factor multiplications (the
-    mathematical tail alone can sit far below float noise).
+    double rounding across the O(pi(cutoff)) factor multiplications.
 
-    The per-prime data is cached per (d, prime_cutoff).  Every factor
+    The per-prime data is cached, and every factor
 
         (1 - [c(p) - D(p)] p^(-s)) / (1 - c(p) p^(-s)) * prod_{j<d} (1 - p^(j-s))^(d-1)
 
@@ -507,7 +499,7 @@ def L_euler_sl2(s: complex, prime_cutoff: int = 10**5) -> LSeriesValue:
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
     value = zeta_em(2 * s - 2) * zeta_em(2 * s - 1)
-    primes = _euler_table(2, prime_cutoff)[0]
+    primes = _euler_primes(prime_cutoff)[0]
     for p in primes:
         value *= 1 - p ** (2 - 4 * s)
     a = 4 * s.real - 2  # tail terms are p^(-a), a > 4 on our domain
@@ -562,8 +554,7 @@ def pole_abscissas(d: int, p_max: int = 100) -> AbscissaTable:
 def partial_sum(d: int, B: float, x: float, max_sieve: int | None = None) -> float:
     """sum_{m <= x} D(m) / m^B (compensated; exact integer sum for B = 0).
 
-    The coefficients are read a segment at a time (`_segments`): the held
-    store is read, not grown, and no array as long as the sum is formed.
+    The coefficients are read a segment at a time, the store not grown.
     """
     if not (x >= 1):
         raise DomainError(f"need x >= 1, got {x}")

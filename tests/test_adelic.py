@@ -654,6 +654,26 @@ def test_measure_pair_constant_matches_scalar_sum():
     assert pair.C == math.fsum(mass * math.exp(-2.0 * loc) for loc, mass in masses)
 
 
+@pytest.mark.parametrize("T", [6.0, 10.0, 11.985, 12.0, 13.1])
+def test_measure_pair_constant_matches_term_by_term_fsum(T):
+    # the chunked vectorised exp gives fsum the very terms of math.exp
+    pair = pgl2_measure_pair(T)
+    locs, masses = pair.masses.T.tolist()
+    want = math.fsum(mass * math.exp(-pair.beta * loc) for loc, mass in zip(locs, masses))
+    assert pair.C.hex() == want.hex()
+
+
+def test_measure_pair_constant_at_non_finite_locations():
+    # e^(-beta inf) = 0 drops a mass at inf; a NaN location makes C NaN
+    grid = (0.0, 1.0)
+    rows = [(0.5, 2.0), (math.inf, 3.0), (1.5, 0.25)]
+    pair = MeasurePair(rows, grid, (1.0, 2.0), alpha=0.0, beta=2.0)
+    assert pair.C.hex() == math.fsum(m * math.exp(-2.0 * loc) for loc, m in rows).hex()
+    assert pair.C == 2.0 * math.exp(-1.0) + 0.25 * math.exp(-3.0)
+    pair = MeasurePair([*rows, (math.nan, 1.0)], grid, (1.0, 2.0), alpha=0.0, beta=2.0)
+    assert math.isnan(pair.C)
+
+
 # float.hex of (C, d(T), d(T) / dominant), recorded when the pair was held
 # as tuples of Python floats
 _PERSISTENCE_PINS = (

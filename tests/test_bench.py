@@ -36,9 +36,10 @@ def test_bench_record_schema(path):
                 assert metric["unit"] == unit
                 assert len(metric["values"]) == summary["runs"]
                 assert min(metric["values"]) <= metric["q1"] <= metric["median"] <= metric["q3"] <= max(metric["values"])
-            # the tracemalloc peak of one in-process run; older records lack it
-            if "traced_peak_mb" in summary:
-                assert 0 < summary["traced_peak_mb"] < math.inf
+            # the tracemalloc and VmHWM peaks of one child; older records lack them
+            for peak in ("traced_peak_mb", "own_peak_rss_mb"):
+                if peak in summary:
+                    assert 0 < summary[peak] < math.inf
         wins = workload["change_lower_in_pairs"]
         assert set(wins) == set(END_TO_END)
         assert all(0 <= n <= rec["pairs"] for n in wins.values())

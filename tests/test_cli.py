@@ -353,10 +353,8 @@ _SIEVE_PAST_FLOAT_RANGE = (
         ("ball-adelic --d 2 --B 0.1 --Tmax 800 --step 400", 2, _SIEVE_PAST_FLOAT_RANGE),
         ("ball-adelic --d 3 --B 0.1 --Tmax 720 --step 360", 2, _SIEVE_PAST_FLOAT_RANGE),
         ("persistence --T 5 --Tmax 800", 2, _SIEVE_PAST_FLOAT_RANGE),
-        # the table's domain is checked before the sieve budget
-        ("regularity --d 2 --B 1 --Tmin 8 --Tmax inf", 1, "heightcount: error: need 0 < R_max < inf, got R_max=inf\n"),
     ],
-    ids=["ball-adelic-d2", "ball-adelic-d3", "persistence", "regularity-inf"],
+    ids=["ball-adelic-d2", "ball-adelic-d3", "persistence"],
 )
 def test_sieve_length_past_float_range_is_refused(capsys, monkeypatch, argv, code, err):
     # e^T_max past float range has no finite sieve length: refused with
@@ -379,6 +377,7 @@ def test_sieve_length_past_float_range_is_refused(capsys, monkeypatch, argv, cod
         ("predict --d 3 --B 4.5 --T inf", "need a finite covolume and T, got 1.0, inf"),
         ("persistence --T 5 --B nan", "need 0 < B < inf, got B=nan"),
         ("ball-adelic --d 2 --B 1 --Tmax inf", "need a finite Tmax, got inf"),
+        ("regularity --d 2 --B 1 --Tmin 8 --Tmax inf", "need a finite Tmax, got inf"),
     ],
 )
 def test_non_finite_flag_is_refused(capsys, argv, err):
@@ -421,6 +420,7 @@ def test_regularity_refuses_too_few_points_before_sieving(capsys, monkeypatch, p
         ("--Tmin=nan --Tmax=5", "need a finite Tmin, got nan"),
         ("--Tmin=4 --Tmax=nan", "need T_max > 0, got T_max=nan"),
         ("--Tmin=4 --Tmax=-inf", "need T_max > 0, got T_max=-inf"),
+        ("--Tmin=4 --Tmax=inf", "need a finite Tmax, got inf"),
     ],
 )
 def test_regularity_refuses_a_non_finite_T_before_sampling(capsys, monkeypatch, flags, err):

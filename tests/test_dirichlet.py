@@ -280,6 +280,21 @@ def test_zeta_matches_mpmath(s):
     assert abs(ours - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("s", [25, 100, 1e6, 1e12, 30 + 30j, 5 + 40j])
+def test_zeta_matches_mpmath_past_the_twenty_terms(s):
+    # N follows |Im s| alone, so a large real part costs no more terms
+    ours = zeta_em(s)
+    ref = complex(mpmath.zeta(s))
+    assert abs(ours - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("s", [1e20, 1e300, 1e20 + 5j, 300.0])
+def test_zeta_is_finite_for_a_huge_real_part(s):
+    # the Bernoulli terms stop once N^(-s-2j+1) underflows, before the
+    # rising product overflows to inf * 0
+    assert zeta_em(s) == 1.0
+
+
 def test_closed_forms_are_zeta_quotients():
     for s in (2.5, 3.0, 4.0):
         want = zeta_em(s) * zeta_em(s - 1) / zeta_em(2 * s)
@@ -426,6 +441,31 @@ def test_euler_product_matches_scalar_product_bitwise(d, offset, imag, cutoff):
         return  # tail bound or pole line; the pins cover the messages
     want = euler_product_by_prime(d, s, cutoff)
     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_euler_tables_share_one_prime_list_per_cutoff():
+    tables = [dirichlet._euler_table(d, 10**3) for d in (2, 3, 4)]
+    assert all(t[0] is tables[0][0] and t[1] is tables[0][1] for t in tables)
+    assert tables[0][0] == tuple(primes_up_to(10**3))
+    assert tables[0][1].tolist() == [math.log(p) for p in tables[0][0]]
+
+
+def test_exp_of_a_real_argument_is_math_exp_bitwise():
+    # cexp(x + 0i) is exp(x) * 1.0 for x <= 709, subnormal results included
+    rng = np.random.default_rng(5)
+    x = np.concatenate(
+        (
+            np.linspace(-745.2, 709.0, 200_001),
+            rng.uniform(-745.2, 709.0, 100_000),
+            rng.uniform(-745.2, -708.0, 20_000),  # subnormal and near-underflow results
+            [0.0, -0.0, -math.inf, 709.0, -745.13, -744.44, -708.4],
+        )
+    )
+    real, imag = dirichlet._exp((x, np.zeros_like(x)))
+    want = np.array([math.exp(v) for v in x.tolist()])
+    assert np.array_equal(real.view(np.int64), want.view(np.int64))
+    assert not imag.any()
+    assert (real[-7:-4] == (1.0, 1.0, 0.0)).all() and 0 < real[-3] < np.finfo(float).tiny
 
 
 def test_euler_pole_line_names_first_prime():
