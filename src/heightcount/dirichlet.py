@@ -10,22 +10,14 @@ Re(s) = s_p = log c(p)/log p, and for d = 2 collapses to the closed form
 zeta(s) zeta(s-1)/zeta(2s).  The determinant-one (even-shell) variant at
 d = 2 has closed form zeta(2s-2) zeta(2s-1)/zeta(4s-2).
 
-The coefficients D(0..x) come from one numpy kernel, read through
-`coeff_array`, which feeds the `dcoeff` command, `verify` and the adelic
-weights, or a segment at a time by `partial_sum`: strided int64 products
-over the prime powers p^k <= x with p <= sqrt(x), then the factor D(q) of
-the single prime q above sqrt(x) that an index can have, both one
-segment of `_SEGMENT` indices at a time.
-
-One store of the exact coefficients is held per d (`_STORE`): D(0..n) in
-int64, with the values of 2^62 or more kept apart as Python ints.  The
-b(T) callables of `adelic` and `coeff_array` grow it: a request up to n
-reads a read-only prefix, a longer one copies the store into a longer
-array and runs the kernel on the new indices only.  A one-pass sum,
-`partial_sum`, only reads it: past its end the kernel runs one segment at
-a time into one buffer, and nothing is kept.  Every held value is exact,
-so the store, and every result read from it, depends on d and its length
-alone, never on the order of the requests.
+The coefficients D(0..x) come from one numpy kernel, one segment of
+`_SEGMENT` indices at a time: strided int64 products over the prime
+powers p^k <= x with p <= sqrt(x), then the factor D(q) of the single
+prime q above sqrt(x) that an index can have.  One exact store per d
+(`_STORE`) holds them: `coeff_array` (the `dcoeff` command, `verify`, the
+adelic weights) grows it, a one-pass sum (`partial_sum`) only reads it,
+so every result depends on d and the length alone, never on the order of
+the requests.
 
 D(m) < 2^62 for every m below `_safe_prefix(d)`, the largest 2^t with
 D(2)^t <= 2^62 (2^39 at d = 2, past any sieve the budget admits, and
@@ -62,6 +54,7 @@ _INT64_SAFE = 2.0**62 - 2.0**32
 # Indices per segment of the coefficient sieve: the int64 slice, its
 # smooth part and their temporaries (2 MB each) stay in cache.
 _SEGMENT = 2**18
+_WHEEL = 2520  # 2^3 3^2 5 7, whose strides are tiled from one period
 # Terms per list of Python floats in the weighted `partial_sum`
 _FLOAT_RUN = 2**12
 
@@ -115,7 +108,7 @@ def _safe_prefix(d: int) -> int:
 
 def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
     """Write D(first..x), x = first + vals.size - 1, into vals in int64
-    (D(0) = 1 here); return the indices whose float64 shadow reaches
+    (no value at index 0); return the indices whose float64 shadow reaches
     _INT64_SAFE and the large prime factor q of each of those (q = 1 when
     there is none).  primes are those up to sqrt(x).
 
@@ -124,13 +117,12 @@ def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
     D(p) c(p)^(k-1) for p^k || m.  What is left of m after its small
     primes is 1 or one prime q > sqrt(x), multiplied in as D(q).  The
     strides and D(q) run over one segment of _SEGMENT indices at a time,
-    from `first` on, with a segment-local smooth part.
+    with a segment-local smooth part.
 
     The int64 products are exact mod 2^64.  Below _safe_prefix(d) they are
     exact, as every value there is below 2^62; from the prefix on, a
     segment-local float64 shadow repeats the same products and flags the
-    entries whose shadow reaches _INT64_SAFE, the others being exact (at
-    d = 2 none is formed: the prefix is past any sieve the budget admits).
+    entries whose shadow reaches _INT64_SAFE, the others being exact.
     """
     x = first + vals.size - 1
     small = np.array(primes, dtype=np.int64)
@@ -147,34 +139,49 @@ def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
         for pk in _prime_powers(p, x)
     ]
     prefix = _safe_prefix(d)
-    vals[:] = 1
+    period = math.lcm(*(pk for pk, *_ in strides if _WHEEL % pk == 0))
+    wheel = np.ones((2, period), dtype=np.int64)
+    for pk, p, f, _ in strides:
+        if period % pk == 0:
+            wheel[:, ::pk] *= ((f,), (p,))
+    rest = [s for s in strides if period % s[0]]
     over, over_q = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo in range(first, x + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, x + 1)
         seg = vals[lo - first : hi - first]
-        smooth = np.ones(hi - lo, dtype=np.int64)
-        for pk, p, f, _ in strides:
+        smooth = np.empty(hi - lo, dtype=np.int64)
+        for out, pattern in zip((seg, smooth), np.roll(wheel, -lo, axis=1)):
+            out[:period] = pattern[: out.size]
+            n = period
+            while n < out.size:
+                out[n : 2 * n] = out[: min(n, out.size - n)]
+                n *= 2
+        for pk, p, f, _ in rest:
             start = -lo % pk
             seg[start::pk] *= f
             smooth[start::pk] *= p
         q = np.arange(lo, hi, dtype=np.int64)
         q //= smooth
         del smooth
-        large = q > 1
-        np.multiply(seg, shell_count(d, q), out=seg, where=large)
         if hi > prefix:
             tail = max(lo, prefix)  # the shadow covers [tail, hi)
             shadow = np.ones(hi - tail)
             for pk, _, _, f_float in strides:
                 shadow[-tail % pk :: pk] *= f_float
             q_tail = q[tail - lo :]
-            np.multiply(shadow, shell_count(d, q_tail.astype(float)), out=shadow, where=large[tail - lo :])
+            np.multiply(shadow, shell_count(d, q_tail.astype(float)), out=shadow, where=q_tail > 1)
             flagged = np.flatnonzero(shadow >= _INT64_SAFE)
             over.append(flagged + tail)
             over_q.append(q_tail[flagged])
             del shadow, q_tail
+        # D(q) where q > 1, else 1, with no mask: min(q - 1, 1) is 0 or 1
+        dq = shell_count(d, q)
+        dq -= 1
+        dq *= np.minimum(np.subtract(q, 1, out=q), 1, out=q)
+        dq += 1
+        seg *= dq
         # the next segment's strides run without this one's temporaries
-        del q, large
+        del q, dq
     return np.concatenate(over), np.concatenate(over_q)
 
 
@@ -304,8 +311,7 @@ def zeta_em(s: complex) -> complex:
 
     N - 1 terms, N = max(20, |Im s| + 1), and eight Bernoulli terms: the
     remainder is about N^(1 - Re s) prod_{i <= 16} |s + i| / (2 pi N), so N
-    need not grow with Re s.  About 1e-13 absolute accuracy where the
-    package uses it; cross-checked against mpmath in the test suite.
+    need not grow with Re s; cross-checked against mpmath in the tests.
     """
     s = complex(s)
     if not (s.real > 1 + _MARGIN):
@@ -344,7 +350,6 @@ def _tail_log_bound(d: int, sigma: float, cutoff: int) -> float:
         raise DomainError(f"cutoff {cutoff} too small for a tail bound at Re(s)={sigma}")
     const = 16 * (d - 1) ** 2 + 2 * d * (d - 1)
     decay = 2 * (sigma - d + 1) - 1  # integral exponent, > 0 for sigma > d - 1/2
-    # sum over integers n > cutoff of n^(-decay-1)-type terms <= integral from cutoff
     return const * cutoff ** (-decay) / decay
 
 
