@@ -162,7 +162,7 @@ def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
             smooth[start::pk] *= p
         q = np.arange(lo, hi, dtype=np.int64)
         q //= smooth
-        del smooth
+        del out, smooth
         if hi > prefix:
             tail = max(lo, prefix)  # the shadow covers [tail, hi)
             shadow = np.ones(hi - tail)
