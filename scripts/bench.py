@@ -22,6 +22,15 @@ child's own pages alone.  The accuracy column is the largest relative
 error of the d = 2 adelic ball volume b(T) against the term-by-term
 oracle `tests/oracles.adelic_volume_d2`, for each side.
 
+The `layers` entry times in-process cases of single layers, each in one
+child per side that imports only public names of the package, so that the
+parent tree runs the same code.  Each case runs once to warm up, then
+LAYER_REPEATS times under `time.process_time`; the median and quartiles
+are recorded in ms.  The one case so far is the BFS of the `queries`
+workload: `enumerate_classes` and one pass over its table at each of that
+workload's five sizes, with the `enumerate_classes` share of the same
+repeats beside it.
+
 Usage (from the repository root):
     python scripts/bench.py --parent HEAD --label d2_prefix
 """
@@ -77,6 +86,33 @@ with open("/proc/self/status") as status:
     print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
 """
 
+# repeats of each layer case after its warm-up run
+LAYER_REPEATS = 21
+
+# the BFS layer case at the (d, p, k) of the `queries` BFS jobs of
+# perfbench/jobs.py, with the package on PYTHONPATH: prints the ms of each
+# repeat, of the whole case and of its `enumerate_classes` calls
+_BFS_LAYER = """
+import json, sys, time
+from heightcount import BuildingParams, enumerate_classes
+def case():
+    spent = 0.0
+    for d, p, k in ((2, 3, 8), (3, 2, 3), (3, 3, 3), (4, 2, 2), (4, 3, 2)):
+        start = time.process_time()
+        table = enumerate_classes(BuildingParams(d, p), k)
+        spent += time.process_time() - start
+        for _ in table:
+            pass
+    return spent
+case()
+runs = []
+for _ in range(int(sys.argv[1])):
+    start = time.process_time()
+    spent = case()
+    runs.append((1e3 * (time.process_time() - start), 1e3 * spent))
+print(json.dumps(runs))
+"""
+
 # evaluates b(T) at each point with the package on PYTHONPATH
 _EVALUATE = """
 import json, sys
@@ -128,6 +164,26 @@ def _peak(tree: Path, script: str, workload: str, seed: int) -> float:
     return float(proc.stdout)
 
 
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def _bfs_layer(tree: Path) -> dict:
+    """The BFS layer case, timed in one child of `tree`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BFS_LAYER, str(LAYER_REPEATS)],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    total, enumerate_ms = zip(*json.loads(proc.stdout))
+    return {"case_ms": _quartiles(list(total)), "enumerate_classes_ms": _quartiles(list(enumerate_ms))}
+
+
 def _summary(runs: list[dict]) -> dict:
     out = {
         "runs": len(runs),
@@ -138,14 +194,7 @@ def _summary(runs: list[dict]) -> dict:
     }
     for name in END_TO_END:
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-        out["metrics"][name] = {
-            "unit": runs[0]["metrics"][name]["unit"],
-            "median": median,
-            "q1": q1,
-            "q3": q3,
-            "values": values,
-        }
+        out["metrics"][name] = {"unit": runs[0]["metrics"][name]["unit"], **_quartiles(values)}
     return out
 
 
@@ -208,6 +257,15 @@ def main() -> None:
                 summary["traced_peak_mb"] = _peak(tree, _TRACED_PEAK, workload, args.seed)
                 summary["own_peak_rss_mb"] = _peak(tree, _OWN_PEAK, workload, args.seed)
             workloads[workload]["change_lower_in_pairs"] = wins
+        layers = {
+            "bfs": {
+                "case": "enumerate_classes and one pass over its table at (d, p, k) = "
+                "(2, 3, 8), (3, 2, 3), (3, 3, 3), (4, 2, 2), (4, 3, 2)",
+                "timer": "time.process_time",
+                "repeats": LAYER_REPEATS,
+                **{side: _bfs_layer(tree) for side, tree in trees.items()},
+            }
+        }
         oracle = [adelic_volume_d2(B, T) for B, T in ACCURACY_POINTS]
         accuracy = {
             "quantity": "d = 2 adelic ball volume b(T) against tests/oracles.adelic_volume_d2",
@@ -224,6 +282,7 @@ def main() -> None:
         "change": change,
         "pairs": PAIRS,
         "workloads": workloads,
+        "layers": layers,
         "accuracy": accuracy,
     }
     path = ROOT / f"BENCH_{args.label}.json"

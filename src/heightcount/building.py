@@ -31,23 +31,15 @@ is defined over the closed form throughout.  The class budget of
 `enumerate_classes` is therefore checked against `_class_bound`, which
 counts neighbours and bounds the ball from above at every d.
 
-Neighbours come from one batched numpy kernel, `hermite.neighbour_forms`.
-For each of the N1 proper nonzero subspaces W of F_p^d a fixed basis S_W
-of pZ^d + span(B_W) is built once per (d, p), so the neighbour of
-rowspan(h) through W is rowspan(S_W h) and one matrix product covers a
-whole block of classes.  Every such lattice contains q Z^d for q = p^n
-(n = k in shell k of the search), so its primitive Hermite form is
-computed modulo q.  The search expands its frontier in blocks of `_BLOCK`
-products and deduplicates integer keys of the forms.  It returns the
-sorted keys of each shell in a `ClassTable`, which builds `LatticeClass`
-objects a block at a time, only when it is iterated; its shell sizes are
-read from the key arrays.  The elimination runs in the narrowest of
-int16, int32 and int64 that holds d q^2 with two bits to spare, the keys
-are int64 while they fit in 62 bits, and beyond 62 bits both are object
-arrays of Python ints, with the same code.  `LatticeClass.from_matrix`
-runs the same modular elimination (`hermite.hermite_forms`) on a single
-matrix.  The per-neighbour integer Hermite form both replaced is kept as
-a test oracle.
+Neighbours come from one batched numpy kernel, `hermite.neighbour_forms`:
+the neighbour of rowspan(h) through a subspace W of F_p^d is the rowspan
+of a product S_W h that is already triangular, so its primitive Hermite
+form needs no elimination.  The search expands its frontier in blocks of
+`_BLOCK` products, deduplicates integer keys of the forms, and returns
+the sorted keys of each shell in a `ClassTable`, which builds
+`LatticeClass` objects only when it is iterated.  `LatticeClass.from_matrix`
+runs the modular elimination `hermite.hermite_forms` on one matrix.  The
+per-neighbour integer Hermite form both replaced is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -251,14 +243,21 @@ def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
     Intermediate lattices pL < M < L correspond to proper nonzero subspaces
     W of L/pL over F_p; M is spanned by pL and lifts of a basis of W.  This
     is `hermite.neighbour_forms` on a block of one class, with q = p^(e + 1)
-    for p^e the determinant, since p^e Z^d lies in L.
+    for p^e the determinant, since p^e Z^d lies in L.  That kernel needs a
+    Hermite form with powers of p on its diagonal; any other hnf is refused.
     """
     from . import hermite  # here, so `import heightcount` skips compiling it
 
-    if len(cls.hnf) != d:
-        raise DomainError(f"class has rank {len(cls.hnf)}, not d={d}")
-    hnf = np.array([cls.hnf], dtype=object)
-    return list(_classes(hermite.neighbour_forms(hnf, cls.p, cls.det_exponent() + 1), cls.p))
+    p, hnf = cls
+    if len(hnf) != d:
+        raise DomainError(f"class has rank {len(hnf)}, not d={d}")
+    if not all(
+        (0 < v == p ** valuation(v, p)) if r == c else (0 <= v < hnf[c][c]) if r < c else v == 0
+        for r, row in enumerate(hnf)
+        for c, v in enumerate(row)
+    ):
+        raise DomainError(f"hnf {hnf} is not a Hermite form over powers of {p}; use LatticeClass.from_matrix")
+    return list(_classes(hermite.neighbour_forms(np.array([hnf], dtype=object), p, cls.det_exponent() + 1), p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +268,7 @@ class ClassTable:
     distance k, at key width `bits`.  Iterating yields (class, distance)
     pairs sorted by distance then representative, because the keys order
     like the hnf tuples; each `LatticeClass` is built on access, one block
-    of `_BLOCK` keys at a time: `hermite.key_forms` unpacks the block and
-    `_classes`, the converter `neighbors` and `LatticeClass.from_matrix`
-    also use, builds its classes with hnf tuples of Python ints.
+    of `_BLOCK` keys at a time, by `hermite.key_forms` and `_classes`.
     """
 
     params: BuildingParams
@@ -318,15 +315,12 @@ def enumerate_classes(
 ) -> ClassTable:
     """Breadth-first enumeration of all classes within distance k_max.
 
-    Returns a `ClassTable`: the sorted keys of each shell, whose iteration
-    gives (class, distance) pairs sorted by distance then representative,
-    so output order is deterministic.  No `LatticeClass` is built until
-    the table is iterated, and `shell_sizes` builds none.  The
+    Returns a `ClassTable` of the sorted keys of each shell; it builds no
+    `LatticeClass` until it is iterated, by distance then representative.  The
     neighbour-count bound `_class_bound` is checked against the budget
     before any work happens.  It equals the true count at d = 2 and is
     above it elsewhere (4226 against 1916 classes at d = 4, p = 2, k = 2),
-    unlike the closed-form `ball_size`, which falls below the true count
-    at d >= 4.
+    where the closed-form `ball_size` may fall below it.
 
     Shell k is found from shell k - 1 by `hermite.neighbour_forms` with
     q = p^k: the classes of shell k - 1 are primitive with largest
@@ -336,9 +330,7 @@ def enumerate_classes(
     form is packed into one integer key (`hermite.form_keys`; every entry
     is at most p^k_max), and keys are deduplicated by sorting; a neighbour
     of shell k - 1 lies in shell k - 2, k - 1 or k, so only those two
-    shells are checked.  The elimination runs in int16, int32 or int64 as
-    d q^2 is below 2^14, 2^30 or 2^62, the keys in int64 while they stay
-    below 2^62, and both in object arrays of Python ints beyond that.
+    shells are checked.
     """
     from . import hermite  # here, so `import heightcount` skips compiling it
 

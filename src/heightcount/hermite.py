@@ -1,36 +1,31 @@
 """Batched Hermite normal forms of lattice classes and their neighbours.
 
-The lattice-class search of `heightcount.building` calls this module on
-whole blocks of classes at once.  A class is rowspan(h) for its primitive
-Hermite normal form h (HNF), a d x d integer matrix.  Its neighbours
-pL < M < L correspond to the N1 proper nonzero subspaces W of F_p^d.  For
-each W a fixed basis S_W of pZ^d + span(B_W) is built once per (d, p)
-(`subspace_products`), so the neighbour through W is rowspan(S_W h), and
-one matrix product gives every (class, subspace) pair of a block.
-
-Every such lattice contains q Z^d for some q = p^n that the caller knows,
-so its Hermite form can be computed modulo q (Domich, Kannan and Trotter,
+A class is rowspan(h) for its primitive Hermite normal form h (HNF), a
+d x d integer matrix.  Its neighbours pL < M < L correspond to the N1
+proper nonzero subspaces W of F_p^d.  For each W a fixed upper triangular
+basis S_W of pZ^d + span(B_W) is built once per (d, p)
+(`subspace_products`), so the neighbour through W is rowspan(S_W h).
+Each such lattice contains q Z^d for a q = p^n that the caller knows, so
+its Hermite form can be computed modulo q (Domich, Kannan and Trotter,
 *Hermite normal form computation using modulo determinant arithmetic*,
-1987).  Over the local ring Z/q this is a fixed-shape elimination
-(`hermite_forms`), which `neighbour_forms` runs on the products.  The
-elimination holds a block as (row, column, matrix), so that each entry
-position of the whole block is one contiguous vector, and it skips each
-pivot column once spent; callers see (B, d, d) arrays throughout.  It is
-also the package's only Hermite form of an arbitrary matrix:
-`LatticeClass.from_matrix` runs it on one matrix of determinant p^e u,
-u prime to p, with q = p^(e + 1).  `form_keys` packs each form into one
-integer whose order is the order of the hnf tuples, so that a block is
-deduplicated by sorting, and `key_forms` unpacks the keys.
+1987).  S_W h is triangular with a positive diagonal, the diagonal of its
+Hermite form, so `neighbour_forms`, which the lattice-class search of
+`heightcount.building` runs on whole blocks of classes, eliminates
+nothing: `_reduce` reduces the entries above the diagonal and divides out
+the content.  An arbitrary matrix is first made triangular by the
+fixed-shape elimination over Z/q of `hermite_forms`, which
+`LatticeClass.from_matrix` runs.  Blocks are held as (row, column,
+matrix), so that each entry position is one contiguous vector; callers
+see (B, d, d) arrays.  `form_keys` packs each form into one integer that
+orders like the hnf tuples, for deduplication by sorting; `key_forms`
+unpacks it.
 
-The elimination runs in the narrowest of int16, int32 and int64 that
-holds d q^2 with two bits to spare (d q^2 < 2^14, 2^30 or 2^62): every
-intermediate, the products S_W h of `neighbour_forms` included, is below
-d q^2 in magnitude.  The keys are int64 while the packed entries fit in
-62 bits.  Beyond 62 bits both are object arrays of Python ints and the
-same code runs on them, as in `dirichlet.coeff_array`.
-
-`building` imports this module inside the functions that use it, so that
-`import heightcount` does not compile it.
+The arithmetic runs in the narrowest of int16, int32 and int64 that holds
+d q^2 with two bits to spare (d q^2 < 2^14, 2^30 or 2^62), a bound on
+every intermediate; keys are int64 while they fit in 62 bits.  Beyond
+that both are object arrays of Python ints, with the same code.
+`building` imports this module on first use, so that `import heightcount`
+does not compile it.
 """
 
 from __future__ import annotations
@@ -77,16 +72,18 @@ def _dtype(bits: int):
 def subspace_products(d: int, p: int) -> np.ndarray:
     """Bases S_W of pZ^d + span(B_W), one per proper nonzero subspace W.
 
-    Shape (N1, d, d), in `subspace_bases` order by dimension: the rows of
-    the reduced echelon basis B_W, then p e_c for every non-pivot column c.
-    The neighbour of rowspan(h) through W is rowspan(S_W h).
+    Shape (N1, d, d), in `subspace_bases` order by dimension.  The rows of
+    S_W, those of the reduced echelon basis B_W and p e_c for every
+    non-pivot column c, are nonnegative with distinct leading columns, so
+    in descending order they make S_W upper triangular, with 1 or p on its
+    diagonal.  The neighbour of rowspan(h) through W is rowspan(S_W h).
     """
     out = []
     for j in range(1, d):
         for basis in subspace_bases(d, j, p):
             pivots = {row.index(1) for row in basis}
             pad = [[p * (i == c) for i in range(d)] for c in range(d) if c not in pivots]
-            out.append(basis + pad)
+            out.append(sorted(basis + pad, reverse=True))
     arr = np.array(out, dtype=np.int64)
     arr.flags.writeable = False
     return arr
@@ -105,17 +102,26 @@ def _power_mod(u: np.ndarray, e: int, q: int) -> np.ndarray:
 def neighbour_forms(hnfs: np.ndarray, p: int, n: int) -> np.ndarray:
     """Primitive HNFs of all neighbours of a block of classes.
 
-    hnfs has shape (B, d, d), and p^(n-1) Z^d must lie in each of its
-    lattices, so that q Z^d lies in every neighbour, q = p^n.  Returns
+    hnfs has shape (B, d, d).  Each hnfs[i] must be a Hermite form (upper
+    triangular, a positive diagonal, each entry above it below the
+    diagonal entry of its column) with p^(n-1) Z^d in its rowspan, so that
+    q Z^d lies in every neighbour, q = p^n; this is not checked.  Returns
     shape (B N1, d, d): the neighbours of hnfs[0] in subspace order, then
-    those of hnfs[1], and so on.  Each product S_W h goes through
-    `hermite_forms`.
+    those of hnfs[1], and so on.  Entry (r, c) of S_W h is the sum of the
+    c - r + 1 terms that triangular factors leave, at most d q; it is
+    taken modulo q above the diagonal, and kept on it, where it may be q.
     """
     d = hnfs.shape[1]
     q = p**n
     dt = _dtype((d * q * q).bit_length())
-    s = subspace_products(d, p).astype(dt, copy=False)
-    return hermite_forms((s[None] @ hnfs.astype(dt)[:, None]).reshape(-1, d, d), p, n)
+    s = subspace_products(d, p).astype(dt).transpose(1, 2, 0)
+    h = hnfs.astype(dt).transpose(1, 2, 0)[..., None]
+    x = np.zeros((d, d, len(hnfs), s.shape[2]), dtype=dt)
+    for r in range(d):
+        for c in range(r, d):
+            x[r, c] = sum(h[m, c] * s[r, m] for m in range(r, c + 1))
+        x[r, r + 1 :] %= q
+    return _reduce(x.reshape(d, d, -1), q)
 
 
 def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -125,22 +131,15 @@ def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
     the primitive HNF of the class of rowspan(x[i]).  x may be any integer
     array, of Python ints too; it is reduced modulo q first.
 
-    Each matrix is put in Hermite form modulo q (Domich, Kannan and
-    Trotter 1987).  Z/q is a local ring, so each column pivots on a row of
-    least p-valuation v; its unit part becomes 1 through u^(phi(q) - 1),
-    the other rows are cleared, and the pivot slot keeps the annihilator
-    row p^(n - v) * pivot.  A column that is 0 mod q takes q e_c plus the
-    row as its pivot and keeps the row.  The entries above each pivot are
-    then reduced, and p^(least valuation) is divided out.
-
-    The elimination runs on the block transposed to (row, column, matrix),
-    so that entry (r, c) of every matrix is one contiguous vector; the
-    pivot rows are gathered, and the annihilator rows scattered back, along
-    the row axis.  The pivot column is spent once its pivot is taken: every
-    entry is a multiple of p^v, so clearing leaves it 0 and no later column
-    reads it.  The clear and the annihilator therefore touch only the
-    columns after it, and the last column needs neither.  The result is
-    the (B, d, d) view of that layout.
+    Each matrix is made triangular modulo q (Domich, Kannan and Trotter
+    1987), then `_reduce`d.  Z/q is a local ring, so each column pivots on
+    a row of least p-valuation v; its unit part becomes 1 through
+    u^(phi(q) - 1), the other rows are cleared, and the pivot slot keeps
+    the annihilator row p^(n - v) * pivot.  A column that is 0 mod q takes
+    q e_c plus the row as its pivot and keeps the row.  Every entry of a
+    pivot column is a multiple of p^v, so clearing leaves it 0 and no
+    later column reads it: the clear and the annihilator touch only the
+    columns after it, and the last column needs neither.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")  # u^(phi(1) - 1) never ends
@@ -172,6 +171,15 @@ def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
         f = (col // pv)[:, None] * r
         np.remainder(np.subtract(rest, f, out=f), q, out=rest)
         np.put_along_axis(rest, i[None], ((q // pv) * r % q)[None], axis=0)
+    return _reduce(h, q)
+
+
+def _reduce(h: np.ndarray, q: int) -> np.ndarray:
+    """Primitive HNFs of the triangular bases h[..., i], in place: each
+    with a positive diagonal, q Z^d in its rowspan and its other entries in
+    [0, q).  The entries above each diagonal entry are reduced by it, those
+    right of it modulo q, and the content is divided out."""
+    d = len(h)
     for j in range(1, d):
         t = h[:j, j] // h[j, j]
         h[:j, j:] -= t[:, None] * h[j, j:]

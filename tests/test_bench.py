@@ -43,6 +43,14 @@ def test_bench_record_schema(path):
         wins = workload["change_lower_in_pairs"]
         assert set(wins) == set(END_TO_END)
         assert all(0 <= n <= rec["pairs"] for n in wins.values())
+    # in-process layer cases, in ms per repeat; older records lack them
+    for case in rec.get("layers", {}).values():
+        assert case["case"] and case["timer"] == "time.process_time" and case["repeats"] >= 15
+        for side in ("parent", "change"):
+            assert case[side]
+            for timing in case[side].values():
+                assert len(timing["values"]) == case["repeats"]
+                assert 0 < min(timing["values"]) <= timing["q1"] <= timing["median"] <= timing["q3"] <= max(timing["values"])
     accuracy = rec["accuracy"]
     assert accuracy["points"] > 0
     for side in ("parent", "change"):

@@ -219,7 +219,7 @@ def test_bfs_shell_counts_pinned(d, p, shells):
 
 
 def test_bfs_memory_is_bounded():
-    # 55,615 classes, held as key arrays: this search peaks at 10.8 MB,
+    # 55,615 classes, held as key arrays: this search peaks at 2.8 MB,
     # without frontier blocks at 127 MB, and with a LatticeClass built for
     # every class at 41.1 MB
     tracemalloc.start()
@@ -228,7 +228,7 @@ def test_bfs_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
     assert table.shell_sizes == (1, 372, 55242)
 
 
@@ -355,6 +355,50 @@ def test_neighbors_match_oracle_in_subspace_order():
         assert neighbors(cls, 2) == neighbors_by_hnf(cls, 2)
 
 
+def test_neighbors_refuse_an_hnf_that_is_not_a_hermite_form():
+    # the kernel takes S_W h as already triangular, so it needs the forms
+    # that LatticeClass.from_matrix makes: triangular, powers of p on the
+    # diagonal, and each entry above it reduced by it
+    cls = LatticeClass.from_matrix([[1, 1], [0, 2]], 2)
+    assert cls.hnf == ((1, 1), (0, 2))
+    assert neighbors(cls, 2) == neighbors_by_hnf(cls, 2)
+    for hnf in [((1, 0), (1, 2)), ((2, 0), (0, 0)), ((1, 0), (0, -2)), ((3, 0), (0, 1)), ((1, 2), (0, 2)), ((1, -1), (0, 2))]:
+        with pytest.raises(DomainError, match="use LatticeClass.from_matrix"):
+            neighbors(LatticeClass(2, hnf), 2)
+
+
+@pytest.mark.parametrize(
+    "d, p, n, dtype",
+    [(3, 2, 6, np.int16), (5, 2, 5, np.int16), (4, 3, 5, np.int32), (3, 2, 14, np.int32), (3, 2, 30, np.int64), (3, 3, 4, object)],
+)
+def test_neighbour_forms_match_the_elimination(monkeypatch, d, p, n, dtype):
+    # the elimination of `hermite_forms` is the labelled oracle of the
+    # kernel's short path, on the same products S_W h of a block of
+    # primitive HNFs with p^(n - 1) Z^d inside; d q^2 is just below 2^14,
+    # 2^30 or 2^62 in all but the third and last cases
+    if dtype is object:
+        monkeypatch.setattr(hermite, "_INT64_BITS", 0)
+    rng = np.random.default_rng(n)
+    block = rng.integers(-50, 50, size=(60, d, d)) * p ** rng.integers(0, n, size=(60, 1, d))
+    hnfs = hermite.hermite_forms(block, p, n - 1)
+    assert len({tuple(h.ravel().tolist()) for h in hnfs}) > 15
+    forms = hermite.neighbour_forms(hnfs, p, n)
+    assert forms.dtype == dtype
+    products = (hermite.subspace_products(d, p)[None] @ hnfs.astype(object)[:, None]).reshape(-1, d, d)
+    assert forms.tolist() == hermite.hermite_forms(products, p, n).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_subspace_products_are_upper_triangular(d, p):
+    # every S_W has strictly increasing leading columns, so S_W h is
+    # triangular for every triangular h
+    s = hermite.subspace_products(d, p)
+    lead = (s != 0).argmax(axis=2)
+    assert np.all(lead[:, 1:] > lead[:, :-1])
+    assert set(np.diagonal(s, axis1=1, axis2=2).ravel().tolist()) == {1, p}
+
+
 @pytest.mark.parametrize(
     "d, p, e, dtype",
     [
@@ -380,6 +424,11 @@ def test_kernel_at_the_narrow_dtype_limits(monkeypatch, d, p, e, dtype):
     assert cls == _class_by_euclid(rows, p)
     nbs = neighbors(cls, d)
     assert nbs == neighbors_by_hnf(cls, d)
+    # p on the diagonal of S_W times p^e on the hnf's makes q, which the
+    # kernel keeps, where reducing every entry modulo q would give 0
+    products = hermite.subspace_products(d, p) @ np.array(cls.hnf, dtype=object)
+    assert q in np.diagonal(products, axis1=1, axis2=2)
+    assert q in {nb.hnf[-1][-1] for nb in nbs}
     block = np.random.default_rng(e).integers(-q, q, size=(40, d, d))
     forms = hermite.hermite_forms(block, p, e + 1)
     assert forms.dtype == dtype
