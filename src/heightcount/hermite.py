@@ -72,11 +72,11 @@ def _dtype(bits: int):
 def subspace_products(d: int, p: int) -> np.ndarray:
     """Bases S_W of pZ^d + span(B_W), one per proper nonzero subspace W.
 
-    Shape (N1, d, d), in `subspace_bases` order by dimension.  The rows of
-    S_W, those of the reduced echelon basis B_W and p e_c for every
-    non-pivot column c, are nonnegative with distinct leading columns, so
-    in descending order they make S_W upper triangular, with 1 or p on its
-    diagonal.  The neighbour of rowspan(h) through W is rowspan(S_W h).
+    Shape (N1, d, d), unsigned, in `subspace_bases` order by dimension.
+    The rows of S_W (those of the reduced echelon basis B_W, and p e_c for
+    each non-pivot column c) have distinct leading columns, so descending
+    order makes S_W upper triangular, with 1 or p on its diagonal.  The
+    neighbour of rowspan(h) through W is rowspan(S_W h).
     """
     out = []
     for j in range(1, d):
@@ -84,7 +84,7 @@ def subspace_products(d: int, p: int) -> np.ndarray:
             pivots = {row.index(1) for row in basis}
             pad = [[p * (i == c) for i in range(d)] for c in range(d) if c not in pivots]
             out.append(sorted(basis + pad, reverse=True))
-    arr = np.array(out, dtype=np.int64)
+    arr = np.array(out, dtype=np.min_scalar_type(p))
     arr.flags.writeable = False
     return arr
 
