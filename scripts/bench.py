@@ -2,9 +2,10 @@
 """Benchmark the working tree against a parent revision with perfbench.
 
 For each workload, runs `python3 perfbench/run.py --workload W --seed S
---seconds 6` as a subprocess on the working tree and on --parent REV,
-which is unpacked by `git archive` into a temporary directory.  The two
-sides alternate over 10 pairs, and the side that goes first alternates
+--seconds 6` as a subprocess on the working tree and on --parent REV.
+Both run from fresh copies side by side in one temporary directory:
+--parent unpacked by `git archive`, and the working tree's tracked and
+untracked files, without those .gitignore names.  The two sides alternate over 10 pairs, and the side that goes first alternates
 from pair to pair, so drift in the host's speed hits both alike.  Each run's final
 JSON line gives its medians, `correct`, `failed` and `attempted`.
 
@@ -41,6 +42,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -126,6 +128,18 @@ def _unpack(rev: str, target: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(target, filter="data")
+
+
+def _copy_worktree(target: Path) -> None:
+    """Copies the working tree's tracked and untracked files, leaving out
+    what .gitignore names, such as bytecode caches."""
+    listing = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT, check=True, capture_output=True
+    )
+    for name in filter(None, os.fsdecode(listing.stdout).split("\0")):
+        if (ROOT / name).is_file():  # a tracked file may be deleted
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, target / name)
 
 
 def _perfbench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -233,9 +247,12 @@ def main() -> None:
     if git("status", "--porcelain"):
         change += " with uncommitted changes"
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        _unpack(parent_rev, parent)
-        trees = {"parent": parent, "change": ROOT}
+        # two fresh copies at paths of equal length: neither side reads a
+        # stale bytecode cache, and the directory name sets the same heap
+        # layout on both
+        trees = {side: Path(tmp, side) for side in ("parent", "change")}
+        _unpack(parent_rev, trees["parent"])
+        _copy_worktree(trees["change"])
         machine, workloads = None, {}
         for workload in args.workloads.split(","):
             runs = {"parent": [], "change": []}
@@ -270,8 +287,8 @@ def main() -> None:
         accuracy = {
             "quantity": "d = 2 adelic ball volume b(T) against tests/oracles.adelic_volume_d2",
             "points": len(ACCURACY_POINTS),
-            "parent": _worst_error(parent, oracle),
-            "change": _worst_error(ROOT, oracle),
+            "parent": _worst_error(trees["parent"], oracle),
+            "change": _worst_error(trees["change"], oracle),
         }
     report = {
         "schema": "heightcount/bench/v1",
