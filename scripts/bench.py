@@ -5,9 +5,10 @@ For each workload, runs `python3 perfbench/run.py --workload W --seed S
 --seconds 6` as a subprocess on the working tree and on --parent REV.
 Both run from fresh copies side by side in one temporary directory:
 --parent unpacked by `git archive`, and the working tree's tracked and
-untracked files, without those .gitignore names.  The two sides alternate over 10 pairs, and the side that goes first alternates
-from pair to pair, so drift in the host's speed hits both alike.  Each run's final
-JSON line gives its medians, `correct`, `failed` and `attempted`.
+untracked files, without those .gitignore names.  The two sides
+alternate over 10 pairs, and the side that goes first alternates from
+pair to pair, so drift in the host's speed hits both alike.  Each run's
+final JSON line gives its medians, `correct`, `failed` and `attempted`.
 
 Writes BENCH_<label>.json at the repository root with the machine record,
 the median and quartiles over the runs of each end-to-end metric for each
