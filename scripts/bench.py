@@ -2,7 +2,8 @@
 """Benchmark the working tree against a parent revision with perfbench.
 
 For each workload, runs `python3 perfbench/run.py --workload W --seed S
---seconds 6` as a subprocess on the working tree and on --parent REV.
+--seconds N` as a subprocess on the working tree and on --parent REV,
+with N the `run_seconds` of BENCHMARK.json, the length of a benchmark run.
 Both run from fresh copies side by side in one temporary directory:
 --parent unpacked by `git archive`, and the working tree's tracked and
 untracked files, without those .gitignore names.  The two sides
@@ -55,7 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 # parent/change pairs per workload, and the length of each perfbench run
 PAIRS = 10
-SECONDS = 6
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 # (B, T) points of the accuracy column: 2B an integer up to T = 13.1, where
 # the oracle sums in integers, and B = 0.02, 1.98 up to T = 7

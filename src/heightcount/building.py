@@ -38,8 +38,9 @@ form needs no elimination.  The search expands its frontier in blocks of
 `_BLOCK` products, deduplicates integer keys of the forms, and returns
 the sorted keys of each shell in a `ClassTable`, which builds
 `LatticeClass` objects only when it is iterated.  `LatticeClass.from_matrix`
-runs the modular elimination `hermite.hermite_forms` on one matrix.  The
-per-neighbour integer Hermite form both replaced is kept as a test oracle.
+runs the package's one general Hermite elimination, `hermite.hermite_form`,
+on one matrix.  An integer Hermite form per neighbour is kept as a test
+oracle of both.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class LatticeClass(NamedTuple):
 
         With det = p^e u, u prime to p, that span contains p^e Z_p^d, so
         prime-to-p structure is discarded by adjoining q Z^d for q =
-        p^(e + 1): `hermite.hermite_forms` gives the primitive HNF of
+        p^(e + 1): `hermite.hermite_form` gives the primitive HNF of
         rowspan(mat) + q Z^d, computed modulo q.
         """
         from . import hermite  # here, so `import heightcount` skips compiling it
@@ -208,8 +209,8 @@ class LatticeClass(NamedTuple):
             raise DomainError("need a nonsingular matrix")
         if not is_prime(p):
             raise DomainError(f"p must be prime, got p={p}")
-        form = hermite.hermite_forms(np.array([m], dtype=object), p, valuation(det, p) + 1)
-        return next(_classes(form, p))
+        form = hermite.hermite_form(m, p, valuation(det, p) + 1)
+        return LatticeClass(p, tuple(map(tuple, form.tolist())))
 
     def det_exponent(self) -> int:
         return valuation(det_int(self.hnf), self.p)
@@ -251,7 +252,7 @@ def neighbors(cls: LatticeClass, d: int) -> list[LatticeClass]:
     p, hnf = cls
     if len(hnf) != d:
         raise DomainError(f"class has rank {len(hnf)}, not d={d}")
-    if not all(
+    if not all(len(row) == d for row in hnf) or not all(
         (0 < v == p ** valuation(v, p)) if r == c else (0 <= v < hnf[c][c]) if r < c else v == 0
         for r, row in enumerate(hnf)
         for c, v in enumerate(row)

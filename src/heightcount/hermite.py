@@ -1,4 +1,4 @@
-"""Batched Hermite normal forms of lattice classes and their neighbours.
+"""Hermite normal forms of lattice classes and their neighbours.
 
 A class is rowspan(h) for its primitive Hermite normal form h (HNF), a
 d x d integer matrix.  Its neighbours pL < M < L correspond to the N1
@@ -12,30 +12,29 @@ its Hermite form can be computed modulo q (Domich, Kannan and Trotter,
 Hermite form, so `neighbour_forms`, which the lattice-class search of
 `heightcount.building` runs on whole blocks of classes, eliminates
 nothing: `_reduce` reduces the entries above the diagonal and divides out
-the content.  An arbitrary matrix is first made triangular by the
-fixed-shape elimination over Z/q of `hermite_forms`, which
-`LatticeClass.from_matrix` runs.  Blocks are held as (row, column,
-matrix), so that each entry position is one contiguous vector; callers
-see (B, d, d) arrays.  `form_keys` packs each form into one integer that
-orders like the hnf tuples, for deduplication by sorting; `key_forms`
-unpacks it.
+the content.  `hermite_form`, which `LatticeClass.from_matrix` runs,
+takes one arbitrary matrix: it makes it triangular by an elimination
+over Z/q on Python ints, then hands it to the same `_reduce`.  Blocks
+are held as (row, column, matrix), so that each entry position is one
+contiguous vector; callers see (B, d, d) arrays.  `form_keys` packs each
+form into one integer that orders like the hnf tuples, for deduplication
+by sorting; `key_forms` unpacks it.
 
-The arithmetic runs in the narrowest of int16, int32 and int64 that holds
-d q^2 with two bits to spare (d q^2 < 2^14, 2^30 or 2^62), a bound on
-every intermediate; keys are int64 while they fit in 62 bits.  Beyond
-that both are object arrays of Python ints, with the same code.
-`building` imports this module on first use, so that `import heightcount`
-does not compile it.
+The arithmetic of `neighbour_forms` runs in the narrowest of int16,
+int32 and int64 that holds d q^2 with two bits to spare (d q^2 < 2^14,
+2^30 or 2^62), a bound on every intermediate; keys are int64 while they
+fit in 62 bits.  Beyond that both are object arrays of Python ints, with
+the same code.  `building` imports this module on first use, so that
+`import heightcount` does not compile it.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
-
-from .errors import DomainError
 
 # the fixed-width dtypes, narrowest first, each with the bits its values may
 # use: two are spare, for the sign and for a sum of two values
@@ -89,16 +88,6 @@ def subspace_products(d: int, p: int) -> np.ndarray:
     return arr
 
 
-def _power_mod(u: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = np.ones_like(u)
-    while e:
-        if e & 1:
-            out = out * u % q
-        u = u * u % q
-        e >>= 1
-    return out
-
-
 def neighbour_forms(hnfs: np.ndarray, p: int, n: int) -> np.ndarray:
     """Primitive HNFs of all neighbours of a block of classes.
 
@@ -124,54 +113,34 @@ def neighbour_forms(hnfs: np.ndarray, p: int, n: int) -> np.ndarray:
     return _reduce(x.reshape(d, d, -1), q)
 
 
-def hermite_forms(x: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Primitive HNFs of rowspan(x[i]) + q Z^d, q = p^n, for x of shape (B, d, d).
+def hermite_form(rows, p: int, n: int) -> np.ndarray:
+    """Primitive HNF of rowspan(rows) + q Z^d, q = p^n, for a d x d integer
+    matrix, as a (d, d) object array of Python ints.
 
-    n must be at least 1.  When q Z^d already lies in rowspan(x[i]), this is
-    the primitive HNF of the class of rowspan(x[i]).  x may be any integer
-    array, of Python ints too; it is reduced modulo q first.
-
-    Each matrix is made triangular modulo q (Domich, Kannan and Trotter
-    1987), then `_reduce`d.  Z/q is a local ring, so each column pivots on
-    a row of least p-valuation v; its unit part becomes 1 through
-    u^(phi(q) - 1), the other rows are cleared, and the pivot slot keeps
+    When q Z^d already lies in rowspan(rows), this is the primitive HNF of
+    its class.  The matrix is made triangular modulo q (Domich, Kannan and
+    Trotter 1987), then `_reduce`d.  Z/q is a local ring, so each column
+    pivots on the first row of least p-valuation v; the pivot's unit part
+    is inverted, the other rows are cleared, and the pivot row's slot keeps
     the annihilator row p^(n - v) * pivot.  A column that is 0 mod q takes
     q e_c plus the row as its pivot and keeps the row.  Every entry of a
-    pivot column is a multiple of p^v, so clearing leaves it 0 and no
-    later column reads it: the clear and the annihilator touch only the
-    columns after it, and the last column needs neither.
+    pivot column is a multiple of p^v, so clearing leaves it 0 and no later
+    column reads it.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")  # u^(phi(1) - 1) never ends
-    d = x.shape[1]
     q = p**n
-    inverse = q // p * (p - 1) - 1  # u^inverse = 1/u for units u mod q
-    x = np.remainder(x.transpose(1, 2, 0), q, order="C").astype(_dtype((d * q * q).bit_length()), copy=False)
-    h = np.zeros_like(x)
+    x = [[v % q for v in row] for row in rows]
+    d = len(x)
+    h = [[0] * d for _ in range(d)]
     for c in range(d):
-        col = x[:, c]
-        g = np.gcd(col, q)
-        # the first row of least gcd, by a running minimum over the rows
-        # (argmin over axis 0 would copy the block to make that axis last)
-        pv, i = g[0], np.zeros(g.shape[1], dtype=np.intp)
-        for k in range(1, d):
-            lower = g[k] < pv
-            pv, i = np.where(lower, g[k], pv), np.where(lower, k, i)
-        i = i[None]
-        h[c, c] = pv
-        if c == d - 1:
-            break
-        piv = np.take_along_axis(x[:, c:], i[None], axis=0)[0]
-        u = piv[0] // pv
-        u[u == 0] = 1
-        r = piv[1:] * _power_mod(u, inverse, q) % q
-        h[c, c + 1 :] = r
-        rest = x[:, c + 1 :]
-        # in place, sparing a (d, d - c - 1, B) temporary and its copy into x
-        f = (col // pv)[:, None] * r
-        np.remainder(np.subtract(rest, f, out=f), q, out=rest)
-        np.put_along_axis(rest, i[None], ((q // pv) * r % q)[None], axis=0)
-    return _reduce(h, q)
+        g, i = min((math.gcd(row[c], q), i) for i, row in enumerate(x))
+        unit = pow(x[i][c] // g or 1, -1, q)
+        r = [v * unit % q for v in x[i][c + 1 :]]
+        h[c][c:] = [g, *r]
+        for row in x:
+            f = row[c] // g
+            row[c + 1 :] = [(v - f * w) % q for v, w in zip(row[c + 1 :], r)]
+        x[i][c + 1 :] = [q // g * w % q for w in r]
+    return _reduce(np.array(h, dtype=object)[..., None], q)[0]
 
 
 def _reduce(h: np.ndarray, q: int) -> np.ndarray:
@@ -193,20 +162,21 @@ def form_keys(forms: np.ndarray, bits: int) -> np.ndarray:
 
     Every entry must be below 2^bits.  Keys order like the hnf tuples.
     """
-    iu = np.triu_indices(forms.shape[1])
+    d = forms.shape[1]
     # int64 at least: narrower keys sort no measurably faster
-    dt = np.promote_types(_dtype(len(iu[0]) * bits), np.int64)
+    dt = np.promote_types(_dtype(d * (d + 1) // 2 * bits), np.int64)
     key = np.zeros(len(forms), dtype=dt)
-    for entry in forms.transpose(1, 2, 0)[iu].astype(dt, copy=False):
-        key = key << bits | entry
+    for r in range(d):
+        for c in range(r, d):
+            key = key << bits | forms[:, r, c].astype(dt, copy=False)
     return key
 
 
 def key_forms(keys: np.ndarray, d: int, bits: int) -> np.ndarray:
     """Inverse of `form_keys`."""
-    iu = np.triu_indices(d)
     out = np.zeros((len(keys), d, d), dtype=keys.dtype)
-    for i, j in zip(iu[0][::-1], iu[1][::-1]):
-        out[:, i, j] = keys & ((1 << bits) - 1)
-        keys = keys >> bits
+    for r in reversed(range(d)):
+        for c in reversed(range(r, d)):
+            out[:, r, c] = keys & ((1 << bits) - 1)
+            keys = keys >> bits
     return out

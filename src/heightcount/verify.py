@@ -390,35 +390,28 @@ def _check_pi_saturation():
 
 @_check("counting/snf-vs-bfs-distance", "full")
 def _check_snf_vs_bfs():
-    """Each matrix's class at p, from one `hermite.hermite_forms` block per
-    prime, lies at BFS distance d_p from the base."""
-    from . import hermite  # here, so the CLI's import of verify skips compiling it
-
+    """Each matrix's class at p, from `LatticeClass.from_matrix`, lies at
+    BFS distance d_p from the base."""
     checked = 0
-    cases: dict[int, list] = {}  # p -> [(matrix, v_p(det), d_p)]
+    cases: dict[int, list] = {}  # p -> [(matrix, d_p)]
     # canonical representatives in [-2, 2]^4, in lexicographic order:
     # nonsingular, primitive, first nonzero entry positive
     for a, b, c, d in product(range(-2, 3), repeat=4):
         det = abs(a * d - b * c)
         if det == 0 or math.gcd(a, b, c, d) != 1 or next(v for v in (a, b, c, d) if v) < 0:
             continue
-        factors = dict(factorize(det))
-        if not set(factors) <= {2, 3, 5}:
+        if not {q for q, _ in factorize(det)} <= {2, 3, 5}:
             continue
         mat = [[a, b], [c, d]]
         for p, d_p in adelic.global_height(mat, 1.0).finite_exponents:
-            cases.setdefault(p, []).append((mat, factors[p], d_p))
+            cases.setdefault(p, []).append((mat, d_p))
         checked += 1
         if checked >= 60:
             break
     ok = True
     for p, block in cases.items():
-        mats, exps, want = zip(*block)
-        # each lattice contains p^e Z_p^d for p^e the largest p-part of a
-        # determinant in the block, so q = p^(e + 1) serves them all
-        forms = hermite.hermite_forms(np.array(mats), p, max(exps) + 1)
-        distances = dict(building.enumerate_classes(building.BuildingParams(2, p), max(want)))
-        ok &= all(distances.get(cls) == d_p for cls, d_p in zip(building._classes(forms, p), want))
+        distances = dict(building.enumerate_classes(building.BuildingParams(2, p), max(d_p for _, d_p in block)))
+        ok &= all(distances.get(building.LatticeClass.from_matrix(mat, p)) == d_p for mat, d_p in block)
     return ok, f"checked={checked} classes"
 
 

@@ -11,11 +11,13 @@ shipped package carries only what it uses.
 - `hnf_universe`: all primitive HNF class representatives of one
   determinant, against the breadth-first shells.
 - `hnf_rows`, `_primitive_rescale`: the row Hermite form by integer
-  Euclid and its division by the p-part of the content, against the
-  modular elimination behind `LatticeClass.from_matrix`.
+  Euclid and its division by the p-part of the content, against
+  `hermite.hermite_form`, the modular elimination behind
+  `LatticeClass.from_matrix`.
 - `neighbors_by_hnf`, `enumerate_by_hnf`: neighbours by one integer
   Hermite form per subspace, and breadth-first search over them, against
-  the batched modular kernel behind `neighbors` and `enumerate_classes`.
+  the triangular kernel `hermite.neighbour_forms` behind `neighbors` and
+  `enumerate_classes`.
 - `primes_by_scan`: the byte sieve read out one index at a time, against
   `primes_up_to`.
 - `euler_product_by_prime`: the Euler product of L(s) one scalar complex

@@ -362,7 +362,16 @@ def test_neighbors_refuse_an_hnf_that_is_not_a_hermite_form():
     cls = LatticeClass.from_matrix([[1, 1], [0, 2]], 2)
     assert cls.hnf == ((1, 1), (0, 2))
     assert neighbors(cls, 2) == neighbors_by_hnf(cls, 2)
-    for hnf in [((1, 0), (1, 2)), ((2, 0), (0, 0)), ((1, 0), (0, -2)), ((3, 0), (0, 1)), ((1, 2), (0, 2)), ((1, -1), (0, 2))]:
+    for hnf in [
+        ((1, 0), (1, 2)),
+        ((2, 0), (0, 0)),
+        ((1, 0), (0, -2)),
+        ((3, 0), (0, 1)),
+        ((1, 2), (0, 2)),
+        ((1, -1), (0, 2)),
+        ((1, 0, 0), (0, 1)),
+        ((1, 0), (0,)),
+    ]:
         with pytest.raises(DomainError, match="use LatticeClass.from_matrix"):
             neighbors(LatticeClass(2, hnf), 2)
 
@@ -372,20 +381,20 @@ def test_neighbors_refuse_an_hnf_that_is_not_a_hermite_form():
     [(3, 2, 6, np.int16), (5, 2, 5, np.int16), (4, 3, 5, np.int32), (3, 2, 14, np.int32), (3, 2, 30, np.int64), (3, 3, 4, object)],
 )
 def test_neighbour_forms_match_the_elimination(monkeypatch, d, p, n, dtype):
-    # the elimination of `hermite_forms` is the labelled oracle of the
-    # kernel's short path, on the same products S_W h of a block of
-    # primitive HNFs with p^(n - 1) Z^d inside; d q^2 is just below 2^14,
-    # 2^30 or 2^62 in all but the third and last cases
+    # the elimination of `hermite_form`, one matrix at a time, is the
+    # labelled oracle of the kernel's short path, on the same products S_W h
+    # of a block of primitive HNFs with p^(n - 1) Z^d inside; d q^2 is just
+    # below 2^14, 2^30 or 2^62 in all but the third and last cases
     if dtype is object:
         monkeypatch.setattr(hermite, "_INT64_BITS", 0)
     rng = np.random.default_rng(n)
     block = rng.integers(-50, 50, size=(60, d, d)) * p ** rng.integers(0, n, size=(60, 1, d))
-    hnfs = hermite.hermite_forms(block, p, n - 1)
+    hnfs = np.array([hermite.hermite_form(x.tolist(), p, n - 1) for x in block])
     assert len({tuple(h.ravel().tolist()) for h in hnfs}) > 15
     forms = hermite.neighbour_forms(hnfs, p, n)
     assert forms.dtype == dtype
-    products = (hermite.subspace_products(d, p)[None] @ hnfs.astype(object)[:, None]).reshape(-1, d, d)
-    assert forms.tolist() == hermite.hermite_forms(products, p, n).tolist()
+    products = (hermite.subspace_products(d, p)[None] @ hnfs[:, None]).reshape(-1, d, d)
+    assert forms.tolist() == [hermite.hermite_form(x.tolist(), p, n).tolist() for x in products]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -415,7 +424,7 @@ def test_subspace_products_are_upper_triangular(d, p):
 def test_kernel_at_the_narrow_dtype_limits(monkeypatch, d, p, e, dtype):
     # q = p^(e + 1) on both sides of d q^2 < 2^14 (int16 or int32) and of
     # d q^2 < 2^30 (int32 or int64), against the integer oracles and the
-    # object path
+    # kernel's object path
     q = p ** (e + 1)
     assert hermite._dtype((d * q * q).bit_length()) is dtype
     rows = [[int(i == j) for j in range(d - 1)] + [p**e - 1 - i] for i in range(d - 1)]
@@ -429,11 +438,8 @@ def test_kernel_at_the_narrow_dtype_limits(monkeypatch, d, p, e, dtype):
     products = hermite.subspace_products(d, p) @ np.array(cls.hnf, dtype=object)
     assert q in np.diagonal(products, axis1=1, axis2=2)
     assert q in {nb.hnf[-1][-1] for nb in nbs}
-    block = np.random.default_rng(e).integers(-q, q, size=(40, d, d))
-    forms = hermite.hermite_forms(block, p, e + 1)
-    assert forms.dtype == dtype
+    assert hermite.neighbour_forms(np.array([cls.hnf]), p, e + 1).dtype == dtype
     monkeypatch.setattr(hermite, "_INT64_BITS", 0)
-    assert hermite.hermite_forms(block, p, e + 1).tolist() == forms.tolist()
     assert neighbors(cls, d) == nbs
 
 
@@ -551,12 +557,16 @@ def test_kernel_form_matches_integer_hnf(rows, p, pick, extra):
     assert tuple(map(tuple, forms[w].tolist())) == expected[w].hnf
 
 
+def _form_by_euclid(rows, p, q):
+    """The primitive HNF of rowspan(rows) + q Z^d by integer Euclid."""
+    m = tuple(map(tuple, rows))
+    ident = tuple(tuple(q if i == j else 0 for j in range(len(m))) for i in range(len(m)))
+    return _primitive_rescale(hnf_rows(m + ident), p)
+
+
 def _class_by_euclid(rows, p):
     """The class through the integer Hermite form of rowspan(rows) + p^e Z^d."""
-    m = tuple(map(tuple, rows))
-    q = p ** valuation(det_int(m), p)
-    ident = tuple(tuple(q if i == j else 0 for j in range(len(m))) for i in range(len(m)))
-    return LatticeClass(p, _primitive_rescale(hnf_rows(m + ident), p))
+    return LatticeClass(p, _form_by_euclid(rows, p, p ** valuation(det_int(rows), p)))
 
 
 def _scaled_matrices(d):
@@ -572,34 +582,40 @@ def _scaled_matrices(d):
 @example(([[-(2**70), 1], [5, 2**69 + 1]], [30, 30]), 5)
 def test_from_matrix_matches_integer_hnf(case, p):
     # column k scaled by p^(powers[k]) lifts v_p(det) up to 120, so
-    # q = p^(v_p(det) + 1) puts the elimination on int64 and on object
-    # arrays (the second and third examples)
+    # q = p^(v_p(det) + 1) runs far past 64 bits (the second and third
+    # examples)
     rows, powers = case
     rows = [[v * p**k for v, k in zip(row, powers)] for row in rows]
     assert LatticeClass.from_matrix(rows, p) == _class_by_euclid(rows, p)
 
 
-@pytest.mark.parametrize("object_arrays", [False, True])
-def test_hermite_forms_is_per_matrix(monkeypatch, object_arrays):
-    # pivots on different rows, a column that is 0 mod q and a non-primitive
-    # span in one block: each form is the form of its matrix alone
-    if object_arrays:
-        monkeypatch.setattr(hermite, "_INT64_BITS", 0)
+def _pivot_cases():
+    """3 x 3 matrices with pivots on later rows, a column of 27, a
+    non-primitive span and diag(1, 3, 9) reversed."""
     rng = np.random.default_rng(18)
     block = rng.integers(-40, 40, size=(60, 3, 3)) * 3 ** rng.integers(0, 4, size=(60, 3, 1))
     block[0, :, 1] = 27
     block[1] *= 3
     block[2] = np.diag([1, 3, 9])[::-1]
-    forms = hermite.hermite_forms(block, 3, 3)
-    assert (forms.dtype == object) == object_arrays
-    for x, form in zip(block, forms):
-        assert hermite.hermite_forms(x[None], 3, 3)[0].tolist() == form.tolist()
+    return block.tolist()
 
 
-def test_hermite_forms_needs_a_positive_power():
-    # q = p^0 = 1 would make the unit inverse u^(phi(q) - 1) loop forever
-    with pytest.raises(DomainError, match="n >= 1"):
-        hermite.hermite_forms(np.eye(2, dtype=np.int64)[None], 2, 0)
+def test_hermite_form_matches_integer_hnf_at_q_27():
+    # at q = 27 the column of 27 is 0 mod q and keeps its row
+    for x in _pivot_cases():
+        assert hermite.hermite_form(x, 3, 3).tolist() == list(map(list, _form_by_euclid(x, 3, 27)))
+
+
+def test_from_matrix_matches_integer_hnf_on_pivot_cases():
+    # every case is nonsingular, so q = 3^(v_3(det) + 1)
+    for x in _pivot_cases():
+        assert LatticeClass.from_matrix(x, 3) == _class_by_euclid(x, 3)
+
+
+def test_hermite_form_at_q_one_is_the_identity():
+    # q = p^0 = 1: every row span plus Z^d is Z^d
+    for rows in ([[0, 0], [0, 0]], [[2, 4], [6, 3]], [[1, 0, 3], [0, 2, 1], [0, 0, 8]]):
+        assert hermite.hermite_form(rows, 2, 0).tolist() == np.eye(len(rows), dtype=int).tolist()
 
 
 @settings(max_examples=30)
