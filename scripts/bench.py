@@ -29,10 +29,13 @@ The `layers` entry times in-process cases of single layers, each in one
 child per side that imports only public names of the package, so that the
 parent tree runs the same code.  Each case runs once to warm up, then
 LAYER_REPEATS times under `time.process_time`; the median and quartiles
-are recorded in ms.  The one case so far is the BFS of the `queries`
-workload: `enumerate_classes` and one pass over its table at each of that
-workload's five sizes, with the `enumerate_classes` share of the same
-repeats beside it.
+are recorded in ms.  There are two cases, both of the `queries` workload:
+`bfs` runs `enumerate_classes` and one pass over its table at each of
+that workload's five sizes, with the `enumerate_classes` share of the
+same repeats beside it; `series` runs `ball_volume_numeric` at the radii
+of its three `numeric` jobs (at input variant 1, so most radii are not
+dyadic) and `ball_volume_table(3, 1, 11.41)`, the table of its largest
+d = 3 one-shot b(T).
 
 Usage (from the repository root):
     python scripts/bench.py --parent HEAD --label d2_prefix
@@ -117,6 +120,29 @@ for _ in range(int(sys.argv[1])):
 print(json.dumps(runs))
 """
 
+# the series layer case at the radii of the `queries` numeric jobs of
+# perfbench/jobs.py at variant 1, with the package on PYTHONPATH: prints
+# the ms of each repeat
+_SERIES_LAYER = """
+import json, sys, time
+from heightcount import ball_volume_numeric, ball_volume_table
+def radii(d):
+    fixed = {3: 2.0, 4: 1.5}.get(d, 1.0)
+    return sorted(r if r == fixed else r + 0.01 if r < 4.0 else r - 0.01 for r in (0.5 * i for i in range(1, 9)))
+def case():
+    for d in (2, 3, 4):
+        for R in radii(d):
+            ball_volume_numeric(d, 1.0, R)
+    ball_volume_table(3, 1.0, 11.41)
+case()
+runs = []
+for _ in range(int(sys.argv[1])):
+    start = time.process_time()
+    case()
+    runs.append([1e3 * (time.process_time() - start)])
+print(json.dumps(runs))
+"""
+
 # evaluates b(T) at each point with the package on PYTHONPATH
 _EVALUATE = """
 import json, sys
@@ -185,19 +211,19 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def _bfs_layer(tree: Path) -> dict:
-    """The BFS layer case, timed in one child of `tree`."""
+def _layer(tree: Path, script: str, names: tuple[str, ...]) -> dict:
+    """A layer case, timed in one child of `tree`: the quartiles of each of
+    the timings `script` prints per repeat, under `names`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _BFS_LAYER, str(LAYER_REPEATS)],
+        [sys.executable, "-c", script, str(LAYER_REPEATS)],
         cwd=tree,
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    total, enumerate_ms = zip(*json.loads(proc.stdout))
-    return {"case_ms": _quartiles(list(total)), "enumerate_classes_ms": _quartiles(list(enumerate_ms))}
+    return {name: _quartiles(list(ms)) for name, ms in zip(names, zip(*json.loads(proc.stdout)))}
 
 
 def _summary(runs: list[dict]) -> dict:
@@ -282,8 +308,15 @@ def main() -> None:
                 "(2, 3, 8), (3, 2, 3), (3, 3, 3), (4, 2, 2), (4, 3, 2)",
                 "timer": "time.process_time",
                 "repeats": LAYER_REPEATS,
-                **{side: _bfs_layer(tree) for side, tree in trees.items()},
-            }
+                **{side: _layer(tree, _BFS_LAYER, ("case_ms", "enumerate_classes_ms")) for side, tree in trees.items()},
+            },
+            "series": {
+                "case": "ball_volume_numeric at d = 2, 3, 4 and the 8 radii of each queries numeric job "
+                "at variant 1, and ball_volume_table(3, 1, 11.41)",
+                "timer": "time.process_time",
+                "repeats": LAYER_REPEATS,
+                **{side: _layer(tree, _SERIES_LAYER, ("case_ms",)) for side, tree in trees.items()},
+            },
         }
         oracle = [adelic_volume_d2(B, T) for B, T in ACCURACY_POINTS]
         accuracy = {

@@ -41,6 +41,8 @@ from .errors import BudgetError, DomainError
 _TRACE_TOL = 1e-12
 # largest B * R of the volume series, where b_inf is below 2^1024 for d <= 6
 _MAX_BR = 350.0
+# log 2, for the float test that decides most stops of `_series`
+_LN2 = math.log(2)
 # ball_volume_table: radius spacing of its grid, and the most nodes it
 # builds (R_max <= 1000, about 32 MB of temporaries)
 _TABLE_STEP = 1e-3
@@ -210,8 +212,25 @@ def _series(d: int, B: float, R: float) -> tuple[list[float], float]:
     alpha_j s^(j + r) <= beta_j = (2s)^j s^r / (j! (r - 1)! (j + r)) and
     beta_(j+1) / beta_j <= 2s / (j + 1).  Once J + 2 > 2s the terms past J
     sum to at most beta_(J+1) / (1 - 2s / (J + 2)); the sum stops at the
-    first such J where that is at most 2^-60 of the partial sum, an exact
-    integer comparison.
+    first such J where that is at most 2^-60 of the partial sum.  With
+    denominators cleared this is an integer comparison lhs <= rhs of
+    products of several thousand bits.  It is decided first on the floats
+    x = log lhs and y = log rhs, each a sum of at most six nonnegative
+    terms: stop when x < y - delta, go on when x > y + delta, with
+    delta = 1e-9 y + 1e-9.  The integers are compared only inside that
+    band, or when P or the partial sum is 0 and a log is undefined.
+
+    No decision can flip.  Each term is a small integer times a log, the
+    `math.log` of an int (rounded to 53 bits first, and split as
+    log m + e log 2 by CPython when it overflows a double) or CPython's
+    `math.lgamma` at an integer, each within a few units in the last place
+    of its value: within 16u of it plus 2u, u = 2^-53.  The five
+    additions add at most 5u of the sum, so each computed side is within
+    2^-40 (x + 1), resp. 2^-40 (y + 1), of the exact log.  The computed
+    gap D = x - y is then off from the exact one by at most
+    2^-40 (x + y + 3) <= 2^-40 (2 y + |D| + 3), which is below |D|
+    whenever |D| > delta >= 2^-29 (y + 1): such a D has the sign of the
+    exact gap, and the decision is the integer comparison's.
     """
     _check_series_domain(d, B, R)
     r, (L, groups) = d - 1, _weyl_rates(d)
@@ -227,10 +246,22 @@ def _series(d: int, B: float, R: float) -> tuple[list[float], float]:
         total += a_j * power
         if (j + 2) * Q > 2 * P:
             # beta_(j+1) 2^60 <= (total / denom) (1 - 2s / (j + 2)), denominators cleared
-            beta_den = Q ** (j + 1 + r) * math.factorial(j + 1) * math.factorial(r - 1) * (j + 1 + r)
-            bound = 2 ** (j + 61) * P * power * denom * (j + 2) * Q
-            if bound <= total * ((j + 2) * Q - 2 * P) * beta_den:
+            gap = (j + 2) * Q - 2 * P
+            diff = delta = 0.0  # the logs of both sides, where defined, decide outside the band
+            if P and total:
+                log_lhs = (j + 61) * _LN2 + math.log(P) + math.log(power) + math.log(denom) + math.log((j + 2) * Q)
+                log_rhs = (
+                    math.log(total) + math.log(gap) + (j + 1 + r) * math.log(Q)
+                    + math.lgamma(j + 2) + math.lgamma(r) + math.log(j + 1 + r)
+                )
+                diff, delta = log_lhs - log_rhs, 1e-9 * log_rhs + 1e-9
+            if diff < -delta:
                 break
+            if diff <= delta:
+                beta_den = Q ** (j + 1 + r) * math.factorial(j + 1) * math.factorial(r - 1) * (j + 1 + r)
+                bound = 2 ** (j + 61) * P * power * denom * (j + 2) * Q
+                if bound <= total * gap * beta_den:
+                    break
         step = L * (j + 1 + r) * Q
         power, denom, total = power * P, denom * step, total * step
         for (rates, _), row in zip(groups, rows):

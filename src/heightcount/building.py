@@ -230,11 +230,12 @@ def _classes(forms: np.ndarray, p: int) -> Iterator[LatticeClass]:
     """The classes of a (B, d, d) block of primitive HNFs, in block order.
 
     Each hnf is a tuple of row tuples of Python ints, zipped at C speed from
-    one `tolist` per entry position (r, c), and each class is made by
-    `tuple.__new__` from its zipped (p, hnf) pair, so no Python code runs
-    per form."""
+    one `tolist` per entry position (r, c) on or above the diagonal and
+    `repeat(0)` below it, and each class is made by `tuple.__new__` from
+    its zipped (p, hnf) pair, so no Python code runs per form."""
     d = forms.shape[1]
-    rows = [zip(*(forms[:, r, c].tolist() for c in range(d))) for r in range(d)]
+    zeros = repeat(0)
+    rows = [zip(*[zeros] * r, *(forms[:, r, c].tolist() for c in range(r, d))) for r in range(d)]
     return map(tuple.__new__, repeat(LatticeClass), zip(repeat(p), zip(*rows)))
 
 

@@ -147,13 +147,18 @@ def _reduce(h: np.ndarray, q: int) -> np.ndarray:
     """Primitive HNFs of the triangular bases h[..., i], in place: each
     with a positive diagonal, q Z^d in its rowspan and its other entries in
     [0, q).  The entries above each diagonal entry are reduced by it, those
-    right of it modulo q, and the content is divided out."""
+    right of it modulo q, and the content is divided out.  The content
+    divides every diagonal entry, so it is 1 wherever one of them is 1;
+    the gcd and the division run only on the other bases."""
     d = len(h)
     for j in range(1, d):
         t = h[:j, j] // h[j, j]
         h[:j, j:] -= t[:, None] * h[j, j:]
         h[:j, j + 1 :] %= q
-    h //= np.gcd.reduce(h.reshape(d * d, -1), axis=0)
+    scaled = np.flatnonzero((h.diagonal() > 1).all(axis=1))
+    if scaled.size:
+        part = h[..., scaled]
+        h[..., scaled] = part // np.gcd.reduce(part.reshape(d * d, -1), axis=0)
     return h.transpose(2, 0, 1)
 
 

@@ -14,6 +14,9 @@ shipped package carries only what it uses.
   Euclid and its division by the p-part of the content, against
   `hermite.hermite_form`, the modular elimination behind
   `LatticeClass.from_matrix`.
+- `reduce_by_full_gcd`: the reduction of a block of triangular bases
+  with the gcd taken over every basis, against `hermite._reduce`, which
+  takes it only where no diagonal entry is 1.
 - `neighbors_by_hnf`, `enumerate_by_hnf`: neighbours by one integer
   Hermite form per subspace, and breadth-first search over them, against
   the triangular kernel `hermite.neighbour_forms` behind `neighbors` and
@@ -25,6 +28,9 @@ shipped package carries only what it uses.
 - `volume_by_brion`: the radial ball volume as the signed Weyl sum of
   exponential integrals over the simplex, each a divided difference of
   exp in mpmath, against the power series of `ball_volume_numeric`.
+- `series_by_exact_stop`: that power series stopped by the exact integer
+  comparison at every term, against `archimedean._series`, whose float
+  logs decide all but the close calls, term for term.
 - `psi_by_sieve`, `adelic_volume_d2`: Dedekind psi by its own sieve, and
   the exact d = 2 adelic ball volume as a term-by-term sum of
   psi(m) sinh^2(B (T - log m)) in mpmath, against the prefix-sum b(T) of
@@ -50,11 +56,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 import numpy as np
 
 from heightcount import BuildingParams, DomainError, LatticeClass, base_class, zeta_em
+from heightcount.archimedean import _weyl_rates
 from heightcount.building import shell_count, shell_ratio
 from heightcount.errors import check_budget
 from heightcount.hermite import subspace_bases
@@ -222,6 +229,18 @@ def _primitive_rescale(h: Mat, p: int) -> Mat:
     return tuple(tuple(x // q for x in row) for row in h)
 
 
+def reduce_by_full_gcd(h: np.ndarray, q: int) -> np.ndarray:
+    """`hermite._reduce` with the content divided out of every basis of the
+    block, over all d^2 entries, whatever its diagonal."""
+    d = len(h)
+    for j in range(1, d):
+        t = h[:j, j] // h[j, j]
+        h[:j, j:] -= t[:, None] * h[j, j:]
+        h[:j, j + 1 :] %= q
+    h //= np.gcd.reduce(h.reshape(d * d, -1), axis=0)
+    return h.transpose(2, 0, 1)
+
+
 def neighbors_by_hnf(cls: LatticeClass, d: int) -> list[LatticeClass]:
     """All classes adjacent to cls.
 
@@ -346,6 +365,38 @@ def volume_by_brion(d: int, B: float, R: float) -> float:
         det = mpmath.det(mpmath.matrix([[_mp(x) for x in row] for row in gram]))
         jac = mpmath.sqrt(_mp(lam)) ** r * mpmath.sqrt(det)
         return float(jac * _mp(s) ** r * total / 2**n_pairs)
+
+
+def series_by_exact_stop(d: int, B: float, R: float) -> tuple[list[float], float]:
+    """The ball-volume series of `archimedean._series`, stopped by the exact
+    integer comparison alone, at every term past 2s - 2.
+
+    Same terms and the same stopping rule: stop at the first J with
+    J + 2 > 2s where beta_(J+1) / (1 - 2s / (J + 2)) is at most 2^-60 of
+    the partial sum, with every denominator cleared.
+    """
+    r, (L, groups) = d - 1, _weyl_rates(d)
+    (pb, qb), (pr, qr) = float(B).as_integer_ratio(), float(R).as_integer_ratio()
+    P, Q = pb * pr, qb * qr
+    rows = [[1] * d for _ in groups]
+    power, denom = P**r, 2 ** (d * r // 2) * math.factorial(r) * Q**r
+    terms, total = [], 0
+    for j in count():
+        a_j = sum(sign * row[r] for (_, sign), row in zip(groups, rows))
+        terms.append(a_j * power / denom)
+        total += a_j * power
+        if (j + 2) * Q > 2 * P:
+            beta_den = Q ** (j + 1 + r) * math.factorial(j + 1) * math.factorial(r - 1) * (j + 1 + r)
+            bound = 2 ** (j + 61) * P * power * denom * (j + 2) * Q
+            if bound <= total * ((j + 2) * Q - 2 * P) * beta_den:
+                break
+        step = L * (j + 1 + r) * Q
+        power, denom, total = power * P, denom * step, total * step
+        for (rates, _), row in zip(groups, rows):
+            row[0] = 0
+            for k in range(1, d):
+                row[k] = row[k - 1] + rates[k - 1] * row[k]
+    return terms, total / denom
 
 
 def psi_by_sieve(n: int) -> np.ndarray:

@@ -3,10 +3,13 @@
 The d = 2 closed form (cosh(2BR) - 1)/2 anchors the volumes; higher rank
 values were frozen after Monte Carlo validation and are re-checked here
 with a small fixed-seed sampler, and `ball_volume_numeric` is pinned
-against the mpmath oracle `volume_by_brion` for d = 2..6.
+against the mpmath oracle `volume_by_brion` for d = 2..6.  The series
+behind it stops where the oracle `series_by_exact_stop`, which decides
+every stop by the exact integer comparison, does.
 """
 
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -29,7 +32,8 @@ from heightcount import (
     rho_value,
     simplex_area,
 )
-from oracles import volume_by_brion
+from heightcount.archimedean import _series
+from oracles import series_by_exact_stop, volume_by_brion
 
 
 def _d2_closed(B, R):
@@ -209,6 +213,24 @@ def test_table_matches_pointwise_quadrature():
 )
 def test_numeric_volume_matches_brion_oracle(d, B, R):
     assert ball_volume_numeric(d, B, R) == pytest.approx(volume_by_brion(d, B, R), rel=1e-13)
+
+
+def _series_grid():
+    """(d, B, R) for d = 2..6: R = 0, dyadic B and R, random B and R, and
+    B R = 350, the cap, at B = 1 and at B = 0.7 (d = 6 at B = 0.7 only)."""
+    rng = random.Random(31)
+    for d in range(2, 7):
+        yield from ((d, B, 0.0) for B in (1.0, 0.37))
+        yield from ((d, rng.choice((0.5, 1.0, 1.5, 2.0)), rng.randint(1, 96) / 8) for _ in range(4))
+        yield from ((d, rng.uniform(0.02, 4.0), rng.uniform(0.001, 25.0)) for _ in range(8))
+        yield from ((d, B, 350.0 / B) for B in ((1.0, 0.7) if d < 6 else (0.7,)))
+
+
+@pytest.mark.parametrize("d, B, R", list(_series_grid()))
+def test_series_stops_where_the_exact_comparison_does(d, B, R):
+    # the float logs decide every stop outside a band that no rounding
+    # error reaches, so each term and the rounded sum are the oracle's
+    assert _series(d, B, R) == series_by_exact_stop(d, B, R)
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+# the timings of each layer case of `scripts/bench.py`
+LAYER_TIMINGS = {"bfs": {"case_ms", "enumerate_classes_ms"}, "series": {"case_ms"}}
 
 
 def test_the_d2_prefix_record_covers_every_workload():
     rec = json.loads((ROOT / "BENCH_d2_prefix.json").read_text())
     assert set(rec["workloads"]) == {"scan", "census", "queries"}
+
+
+@pytest.mark.parametrize("name", ["BENCH_log_band.json", "BENCH_log_band_seed7919.json"])
+def test_the_log_band_records_time_both_layer_cases(name):
+    rec = json.loads((ROOT / name).read_text())
+    assert set(rec["layers"]) == set(LAYER_TIMINGS)
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -43,11 +51,12 @@ def test_bench_record_schema(path):
         wins = workload["change_lower_in_pairs"]
         assert set(wins) == set(END_TO_END)
         assert all(0 <= n <= rec["pairs"] for n in wins.values())
-    # in-process layer cases, in ms per repeat; older records lack them
-    for case in rec.get("layers", {}).values():
+    # in-process layer cases, in ms per repeat; older records lack them or
+    # hold `bfs` alone
+    for name, case in rec.get("layers", {}).items():
         assert case["case"] and case["timer"] == "time.process_time" and case["repeats"] >= 15
         for side in ("parent", "change"):
-            assert case[side]
+            assert set(case[side]) == LAYER_TIMINGS[name]
             for timing in case[side].values():
                 assert len(timing["values"]) == case["repeats"]
                 assert 0 < min(timing["values"]) <= timing["q1"] <= timing["median"] <= timing["q3"] <= max(timing["values"])

@@ -42,6 +42,7 @@ from oracles import (
     hnf_universe,
     is_adjacent,
     neighbors_by_hnf,
+    reduce_by_full_gcd,
     sl2_sphere_size,
 )
 
@@ -616,6 +617,37 @@ def test_hermite_form_at_q_one_is_the_identity():
     # q = p^0 = 1: every row span plus Z^d is Z^d
     for rows in ([[0, 0], [0, 0]], [[2, 4], [6, 3]], [[1, 0, 3], [0, 2, 1], [0, 0, 8]]):
         assert hermite.hermite_form(rows, 2, 0).tolist() == np.eye(len(rows), dtype=int).tolist()
+
+
+def _mixed_content_block(d, p, n, seed):
+    """(d, d, 300) triangular bases with powers of p up to q = p^n on the
+    diagonal and entries in [0, q) above it: a third as drawn, most with a
+    unit on the diagonal, a third times p and a third times p^2."""
+    rng = np.random.default_rng(seed)
+    h = np.triu(rng.integers(0, p**n, size=(300, d, d)), 1)
+    h += np.eye(d, dtype=h.dtype) * p ** rng.integers(0, n + 1, size=(300, 1, d))
+    h[100:200] *= p
+    h[200:] *= p * p
+    return h.transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("d, p, n", [(2, 2, 3), (3, 3, 2), (4, 2, 3), (4, 5, 1)])
+def test_reduce_matches_the_full_gcd(d, p, n, dtype):
+    # the content is divided out only where no diagonal entry is 1
+    h = _mixed_content_block(d, p, n, 7 * d + p).astype(dtype)
+    got = hermite._reduce(h.copy(), p**n)
+    want = reduce_by_full_gcd(h.copy(), p**n)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    contents = np.gcd.reduce(want.reshape(len(want), -1).astype(np.int64), axis=1)
+    assert set(contents) == {1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hermite_form_divides_out_a_content_of_p_squared(d, p):
+    # rowspan(p^2 I) + p^3 Z^d = p^2 Z^d: the triangle is p^2 I, the form I
+    assert hermite.hermite_form((p * p * np.eye(d, dtype=int)).tolist(), p, 3).tolist() == np.eye(d, dtype=int).tolist()
 
 
 @settings(max_examples=30)
