@@ -338,7 +338,7 @@ def enumerate_classes(
 
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
-    check_budget("lattice class", _class_bound(params, k_max), max_classes, "max_classes")
+    check_budget("max_classes", _class_bound(params, k_max), max_classes)
     d, p = params.d, params.p
     bits = (p**k_max).bit_length()
     shells = [hermite.form_keys(np.array([base_class(params).hnf]), bits)]

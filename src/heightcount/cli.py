@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -24,14 +24,19 @@ from .errors import BudgetError, DomainError, HeightCountError, check_budget
 from .verify import _FMT, format_report, run_checks
 
 
-def _f12(value: float) -> float:
-    """Round-trip through 12 significant digits so JSON prints exactly that."""
-    return float(_FMT % value)
+def _f12(value):
+    """Every float, also inside lists and tuples, round-tripped through 12
+    significant digits, so that JSON prints exactly those."""
+    if isinstance(value, float):
+        return float(_FMT % value)
+    if isinstance(value, (list, tuple)):
+        return [_f12(v) for v in value]
+    return value
 
 
 def _emit_json(name: str, payload: dict, stream) -> None:
     body = {"schema": f"heightcount/{name}/v1"}
-    body.update(payload)
+    body.update({key: _f12(value) for key, value in payload.items()})
     json.dump(body, stream, indent=2)
     stream.write("\n")
 
@@ -70,25 +75,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies; each returns the payload it printed
+# subcommand bodies; each writes its output to `out`
 
 
-def _cmd_sphere(args, out):
-    params = building.BuildingParams(args.d, args.p)
-    _emit_json(
-        "sphere",
-        {"d": args.d, "p": args.p, "k": args.k, "sphere": building.sphere_size(params, args.k)},
-        out,
-    )
-
-
-def _cmd_ball(args, out):
-    params = building.BuildingParams(args.d, args.p)
-    _emit_json(
-        "ball",
-        {"d": args.d, "p": args.p, "k": args.k, "ball": building.ball_size(params, args.k)},
-        out,
-    )
+def _cmd_sphere_or_ball(args, out):
+    size = {"sphere": building.sphere_size, "ball": building.ball_size}[args.command]
+    value = size(building.BuildingParams(args.d, args.p), args.k)
+    _emit_json(args.command, {"d": args.d, "p": args.p, "k": args.k, args.command: value}, out)
 
 
 def _cmd_classes(args, out):
@@ -119,10 +112,10 @@ def _cmd_lseries(args, out):
         {
             "d": args.d,
             "variant": args.variant,
-            "s": _f12(args.s),
-            "value_re": _f12(result.value.real),
-            "value_im": _f12(result.value.imag),
-            "truncation_bound": _f12(result.truncation_bound),
+            "s": args.s,
+            "value_re": result.value.real,
+            "value_im": result.value.imag,
+            "truncation_bound": result.truncation_bound,
         },
         out,
     )
@@ -137,26 +130,14 @@ def _cmd_poles_table(args, out):
 
 
 def _cmd_residue(args, out):
-    report = dirichlet.residue_estimate(args.variant)
-    _emit_json(
-        "residue",
-        {
-            "variant": report.variant,
-            "pole": _f12(report.pole),
-            "direct": _f12(report.direct),
-            "extrapolated": _f12(report.extrapolated),
-            "difference": _f12(report.difference),
-            "note": report.note,
-        },
-        out,
-    )
+    _emit_json("residue", dataclasses.asdict(dirichlet.residue_estimate(args.variant)), out)
 
 
 def _cmd_ball_volume(args, out):
     volume = archimedean.ball_volume_numeric(args.d, args.B, args.R)
     _emit_json(
         "ball-volume",
-        {"d": args.d, "B": _f12(args.B), "R": _f12(args.R), "volume": _f12(volume)},
+        {"d": args.d, "B": args.B, "R": args.R, "volume": volume},
         out,
     )
 
@@ -179,8 +160,8 @@ def _cmd_height(args, out):
         {
             "finite_exponents": [[p, e] for p, e in profile.finite_exponents],
             "h_fin": profile.h_fin,
-            "h_inf": _f12(profile.h_inf),
-            "h": _f12(profile.h),
+            "h_inf": profile.h_inf,
+            "h": profile.h,
         },
         out,
     )
@@ -192,16 +173,16 @@ def _cmd_predict(args, out):
         "predict",
         {
             "d": report.d,
-            "B": _f12(report.B),
-            "T": _f12(report.T),
-            "covolume": _f12(report.covolume),
-            "simplex_factor": _f12(report.simplex_factor),
-            "series_constant": _f12(report.series_constant),
+            "B": report.B,
+            "T": report.T,
+            "covolume": report.covolume,
+            "simplex_factor": report.simplex_factor,
+            "series_constant": report.series_constant,
             "rank": report.rank,
-            "measured_exponent": _f12(report.measured_exponent),
-            "value_measured_exponent": _f12(report.value_measured),
-            "value_exponent_B": _f12(report.value_exponent_B),
-            "value_exponent_2B": _f12(report.value_exponent_2B),
+            "measured_exponent": report.measured_exponent,
+            "value_measured_exponent": report.value_measured,
+            "value_exponent_B": report.value_exponent_B,
+            "value_exponent_2B": report.value_exponent_2B,
         },
         out,
     )
@@ -217,7 +198,7 @@ def _cmd_count(args, out):
         # compare_report's first two refusals, asked at x = top before the
         # grid holds `top` floats: its sandwich sieve runs past top, and the
         # census of top has an O(1) lower bound on its cells
-        check_budget("sieve", top, args.max_sieve, "max_sieve")
+        check_budget("max_sieve", top, args.max_sieve)
         counting._check_cell_floor(float(top), args.B, args.max_cells)
     x_grid = [float(x) for x in range(1, top + 1)]
     report = counting.compare_report(
@@ -262,13 +243,13 @@ def _cmd_regularity(args, out):
         "regularity",
         {
             "d": args.d,
-            "B": _f12(args.B),
-            "eps": [_f12(e) for e in report.eps_list],
-            "lower_ratios": [_f12(v) for v in report.lower_ratios],
-            "upper_ratios": [_f12(v) for v in report.upper_ratios],
-            "lower_trend": _f12(report.lower_trend),
-            "upper_trend": _f12(report.upper_trend),
-            "gap": _f12(report.gap),
+            "B": args.B,
+            "eps": report.eps_list,
+            "lower_ratios": report.lower_ratios,
+            "upper_ratios": report.upper_ratios,
+            "lower_trend": report.lower_trend,
+            "upper_trend": report.upper_trend,
+            "gap": report.gap,
             "verdict": report.verdict,
         },
         out,
@@ -281,13 +262,13 @@ def _cmd_persistence(args, out):
     _emit_json(
         "persistence",
         {
-            "B": _f12(args.B),
-            "T": _f12(args.T),
-            "C": _f12(pair.C),
-            "alpha": _f12(pair.alpha),
-            "beta": _f12(pair.beta),
-            "d_T": _f12(d_T),
-            "ratio": _f12(ratio),
+            "B": args.B,
+            "T": args.T,
+            "C": pair.C,
+            "alpha": pair.alpha,
+            "beta": pair.beta,
+            "d_T": d_T,
+            "ratio": ratio,
         },
         out,
     )
@@ -317,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     int_req = {"type": int, "required": True}
     float_req = {"type": float, "required": True}
 
-    add("sphere", _cmd_sphere, d=int_req, p=int_req, k=int_req)
-    add("ball", _cmd_ball, d=int_req, p=int_req, k=int_req)
+    add("sphere", _cmd_sphere_or_ball, d=int_req, p=int_req, k=int_req)
+    add("ball", _cmd_sphere_or_ball, d=int_req, p=int_req, k=int_req)
     add(
         "classes",
         _cmd_classes,

@@ -272,7 +272,7 @@ def _check_cell_floor(x: float, B: float, max_cells: int | None) -> None:
     against _FCAP_LIMIT, then the lower bound floor(x_hi) + F_cap(1) - 2 on
     its cells against max_cells (module docstring, "Work limits")."""
     x_hi = _x_hi(x)
-    check_budget("census cell", math.floor(x_hi) + int(shell_caps(x_hi, B, 1)[0]) - 2, max_cells, "max_cells")
+    check_budget("max_cells", math.floor(x_hi) + int(shell_caps(x_hi, B, 1)[0]) - 2, max_cells)
 
 
 def _census(grid: list[float], B: float, max_cells: int | None) -> tuple[list[int], list[int], int]:
@@ -302,7 +302,7 @@ def _census(grid: list[float], B: float, max_cells: int | None) -> tuple[list[in
     # than 2^31 rows, as 2 floor(x_hi) <= F_cap(floor(x_hi)) < 2^31
     end = np.cumsum(size)
     cells, g1_cells = int(end[-1]), int(end[n - 1])
-    check_budget("census cell", cells, max_cells, "max_cells")
+    check_budget("max_cells", cells, max_cells)
     r2 = _r2_table(int((fcap + 2 * e[:n]).max()))
     start = end - size
     shift = 2 * e - start  # F' = flat index + shift[row]

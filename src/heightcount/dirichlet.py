@@ -10,21 +10,18 @@ Re(s) = s_p = log c(p)/log p, and for d = 2 collapses to the closed form
 zeta(s) zeta(s-1)/zeta(2s).  The determinant-one (even-shell) variant at
 d = 2 has closed form zeta(2s-2) zeta(2s-1)/zeta(4s-2).
 
-The coefficients D(0..x) come from one numpy kernel, one segment of
-`_SEGMENT` indices at a time: strided int64 products over the prime
-powers p^k <= x with p <= sqrt(x), then the factor D(q) of the single
-prime q above sqrt(x) that an index can have.  One exact store per d
-(`_STORE`) holds them: `coeff_array` (the `dcoeff` command, `verify`, the
-adelic weights) grows it, a one-pass sum (`partial_sum`) only reads it,
-so every result depends on d and the length alone, never on the order of
-the requests.
+The coefficients D(0..x) come from one numpy kernel, `_segment`, run on
+one segment of `_SEGMENT` indices at a time; its docstring describes it.
+One exact store per d (`_STORE`) holds them: `coeff_array` (the `dcoeff`
+command, `verify`, the adelic weights) grows it, a one-pass sum
+(`partial_sum`) only reads it, so every result depends on d and the
+length alone, never on the order of the requests.
 
 D(m) < 2^62 for every m below `_safe_prefix(d)`, the largest 2^t with
 D(2)^t <= 2^62 (2^39 at d = 2, past any sieve the budget admits, and
-2^16 at d = 3).  Past the prefix a segment-local float64 shadow of the
-same products flags the values that may not fit; only those are
-recomputed on Python ints, so the result is always exact.  `coeff_D`
-(factorization) is its test oracle.
+2^16 at d = 3).  Past the prefix the kernel flags the values that may
+not fit in int64 and returns them as Python ints, so the result is
+always exact.  `coeff_D` (factorization) is its test oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .building import BuildingParams, shell_count, shell_ratio, sphere_size
-from .errors import DomainError, check_budget
+from .errors import BudgetError, DomainError, check_budget
 from .primes import factorize, primes_up_to
 
 _MARGIN = 1e-6
@@ -57,6 +54,9 @@ _SEGMENT = 2**18
 _WHEEL = 2520  # 2^3 3^2 5 7, whose strides are tiled from one period
 # Terms per list of Python floats in the weighted `partial_sum`
 _FLOAT_RUN = 2**12
+
+# The most terms zeta_em may sum, a few seconds of work; no variable raises it
+_ZETA_MAX_TERMS = 10**7
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
@@ -106,25 +106,30 @@ def _safe_prefix(d: int) -> int:
     return 2 ** max(t for t in range(63) if shell_count(d, 2) ** t <= 2**62)
 
 
-def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
-    """Write D(first..x), x = first + vals.size - 1, into vals in int64
-    (no value at index 0); return the indices whose float64 shadow reaches
-    _INT64_SAFE and the large prime factor q of each of those (q = 1 when
-    there is none).  primes are those up to sqrt(x).
+def _segment(d: int, lo: int, seg: np.ndarray, primes: list[int]):
+    """Write D(lo..hi - 1), hi = lo + seg.size, into seg in int64 (no value
+    at index 0); return the offsets `at` in seg whose values may reach
+    2^62, increasing, and those values exactly as Python ints.  primes
+    hold at least those up to sqrt(hi - 1).
 
-    Each p <= sqrt(x) multiplies its multiples by D(p) and the multiples
-    of each higher power p^k <= x by c(p), so index m collects
-    D(p) c(p)^(k-1) for p^k || m.  What is left of m after its small
-    primes is 1 or one prime q > sqrt(x), multiplied in as D(q).  The
-    strides and D(q) run over one segment of _SEGMENT indices at a time,
-    with a segment-local smooth part.
+    Each prime p multiplies its multiples by D(p) and the multiples of
+    each higher power p^k < hi by c(p), so index m collects
+    D(p) c(p)^(k-1) for p^k || m.  The strides of the prime powers
+    dividing _WHEEL come from one period of their products, tiled by
+    doubling copies.  What is left of m after its small primes, m over
+    its smooth part, is 1 or one prime q > sqrt(hi - 1), multiplied in as
+    D(q).
 
     The int64 products are exact mod 2^64.  Below _safe_prefix(d) they are
     exact, as every value there is below 2^62; from the prefix on, a
-    segment-local float64 shadow repeats the same products and flags the
-    entries whose shadow reaches _INT64_SAFE, the others being exact.
+    float64 shadow repeats the same products and flags the entries whose
+    shadow reaches _INT64_SAFE, the others being exact.  A flagged index
+    without a large prime factor is rebuilt on Python ints from the same
+    strides, each multiplying only the flagged indices it meets; any other
+    m = s q has s < sqrt(hi - 1) and takes D(s) D(q), D(s) from the same
+    strides run over 0..isqrt(hi - 1).
     """
-    x = first + vals.size - 1
+    hi = lo + seg.size
     small = np.array(primes, dtype=np.int64)
     factors = zip(
         primes,
@@ -136,83 +141,61 @@ def _coeff_int64(d: int, first: int, vals: np.ndarray, primes: list[int]):
     strides = [
         (pk, p, Dp, Dp_f) if pk == p else (pk, p, cp, cp_f)
         for p, Dp, cp, Dp_f, cp_f in factors
-        for pk in _prime_powers(p, x)
+        for pk in _prime_powers(p, hi - 1)
     ]
-    prefix = _safe_prefix(d)
     period = math.lcm(*(pk for pk, *_ in strides if _WHEEL % pk == 0))
     wheel = np.ones((2, period), dtype=np.int64)
     for pk, p, f, _ in strides:
         if period % pk == 0:
             wheel[:, ::pk] *= ((f,), (p,))
-    rest = [s for s in strides if period % s[0]]
-    over, over_q = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(first, x + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, x + 1)
-        seg = vals[lo - first : hi - first]
-        smooth = np.empty(hi - lo, dtype=np.int64)
-        for out, pattern in zip((seg, smooth), np.roll(wheel, -lo, axis=1)):
-            out[:period] = pattern[: out.size]
-            n = period
-            while n < out.size:
-                out[n : 2 * n] = out[: min(n, out.size - n)]
-                n *= 2
-        for pk, p, f, _ in rest:
-            start = -lo % pk
-            seg[start::pk] *= f
-            smooth[start::pk] *= p
-        q = np.arange(lo, hi, dtype=np.int64)
-        q //= smooth
-        del out, smooth
-        if hi > prefix:
-            tail = max(lo, prefix)  # the shadow covers [tail, hi)
-            shadow = np.ones(hi - tail)
-            for pk, _, _, f_float in strides:
-                shadow[-tail % pk :: pk] *= f_float
-            q_tail = q[tail - lo :]
-            np.multiply(shadow, shell_count(d, q_tail.astype(float)), out=shadow, where=q_tail > 1)
-            flagged = np.flatnonzero(shadow >= _INT64_SAFE)
-            over.append(flagged + tail)
-            over_q.append(q_tail[flagged])
-            del shadow, q_tail
-        # D(q) where q > 1, else 1, with no mask: min(q - 1, 1) is 0 or 1
-        dq = shell_count(d, q)
-        dq -= 1
-        dq *= np.minimum(np.subtract(q, 1, out=q), 1, out=q)
-        dq += 1
-        seg *= dq
-        # the next segment's strides run without this one's temporaries
-        del q, dq
-    return np.concatenate(over), np.concatenate(over_q)
-
-
-def _coeff_exact(d: int, first: int, x: int, primes: list[int], over, q) -> np.ndarray:
-    """D at the indices `over`, all in [first, x], as Python ints.
-
-    q holds the large prime factor of each index in `over` (1 when there
-    is none).  An index without a large prime factor is rebuilt from the
-    same prime-power strides as _coeff_int64, each stride multiplying only
-    the indices of `over` it meets.  Any other index m = s q has
-    s < sqrt(x) and takes D(s) D(q), D(s) from the same strides run over
-    0..isqrt(x) on Python ints.
-    """
-    rough = q > 1
-    smooth = over[~rough]
-    slot = np.full(x + 1 - first, -1, dtype=np.int64)
-    slot[smooth - first] = np.arange(smooth.size)
-    exact = np.ones(smooth.size, dtype=object)
-    root = np.ones(math.isqrt(x) + 1, dtype=object)  # D(s) for s <= sqrt(x)
-    for p in primes:
-        Dp, cp = shell_count(d, p), shell_ratio(d, p)
-        for pk in _prime_powers(p, x):
-            f = Dp if pk == p else cp
-            hit = slot[-first % pk :: pk]
-            exact[hit[hit >= 0]] *= f
-            root[pk::pk] *= f
-    out = np.empty(over.size, dtype=object)
-    out[~rough] = exact
-    primes_q, at = np.unique(q[rough], return_inverse=True)
-    out[rough] = root[over[rough] // q[rough]] * shell_count(d, primes_q.astype(object))[at]
-    return out
+    smooth = np.empty(seg.size, dtype=np.int64)
+    for out, pattern in zip((seg, smooth), np.roll(wheel, -lo, axis=1)):
+        out[:period] = pattern[: out.size]
+        n = period
+        while n < out.size:
+            out[n : 2 * n] = out[: min(n, out.size - n)]
+            n *= 2
+    for pk, p, f, _ in strides:
+        if period % pk:
+            seg[-lo % pk :: pk] *= f
+            smooth[-lo % pk :: pk] *= p
+    q = np.arange(lo, hi, dtype=np.int64)
+    q //= smooth
+    del out, smooth
+    at = q_at = np.zeros(0, dtype=np.int64)
+    tail = max(lo, _safe_prefix(d))  # the shadow covers [tail, hi)
+    if hi > tail:
+        shadow = np.ones(hi - tail)
+        for pk, _, _, f_float in strides:
+            shadow[-tail % pk :: pk] *= f_float
+        q_tail = q[tail - lo :]
+        np.multiply(shadow, shell_count(d, q_tail.astype(float)), out=shadow, where=q_tail > 1)
+        at = np.flatnonzero(shadow >= _INT64_SAFE) + (tail - lo)
+        q_at = q[at]
+        del shadow, q_tail
+    # D(q) where q > 1, else 1, with no mask: min(q - 1, 1) is 0 or 1
+    dq = shell_count(d, q)
+    dq -= 1
+    dq *= np.minimum(np.subtract(q, 1, out=q), 1, out=q)
+    dq += 1
+    seg *= dq
+    del q, dq
+    exact = np.empty(at.size, dtype=object)
+    if not at.size:
+        return at, exact
+    rough = q_at > 1
+    rebuilt = np.ones(at.size - np.count_nonzero(rough), dtype=object)  # D at at[~rough]
+    slot = np.full(seg.size, -1, dtype=np.int64)  # the place of each offset in `rebuilt`
+    slot[at[~rough]] = np.arange(rebuilt.size)
+    root = np.ones(math.isqrt(hi - 1) + 1, dtype=object)  # D(s) for s <= sqrt(hi - 1)
+    for pk, _, f, _ in strides:
+        hit = slot[-lo % pk :: pk]
+        rebuilt[hit[hit >= 0]] *= int(f)
+        root[pk::pk] *= int(f)
+    exact[~rough] = rebuilt
+    primes_q, which = np.unique(q_at[rough], return_inverse=True)
+    exact[rough] = root[(at[rough] + lo) // q_at[rough]] * shell_count(d, primes_q.astype(object))[which]
+    return at, exact
 
 
 # The held coefficients of each d, (vals, over, exact), all read-only:
@@ -230,7 +213,17 @@ def _check_sieve(d: int, x_max: int, max_sieve: int | None) -> None:
         raise DomainError(f"need d >= 2, got {d}")
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
-    check_budget("sieve", x_max, max_sieve, "max_sieve")
+    check_budget("max_sieve", x_max, max_sieve)
+
+
+def _sieve(d: int, first: int, x: int, view):
+    """Run _segment over first..x one segment at a time, each into the
+    int64 slice view(lo, hi) for its indices lo..hi - 1, and yield
+    (lo, slice, at, exact) as _segment returns them."""
+    primes = primes_up_to(math.isqrt(x))
+    for lo in range(first, x + 1, _SEGMENT):
+        seg = view(lo, min(lo + _SEGMENT, x + 1))
+        yield lo, seg, *_segment(d, lo, seg, primes)
 
 
 def _segments(d: int, x: int):
@@ -248,20 +241,16 @@ def _segments(d: int, x: int):
         hi = min(lo + _SEGMENT, held + 1)
         a, b = np.searchsorted(over, (lo, hi))
         yield lo, vals[lo:hi], over[a:b] - lo, exact[a:b]
-    buf = np.empty(min(_SEGMENT, x - held), dtype=np.int64)
-    for lo in range(max(held + 1, 1), x + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, x + 1)
-        seg = buf[: hi - lo]
-        primes = primes_up_to(math.isqrt(hi - 1))
-        new, q = _coeff_int64(d, lo, seg, primes)
-        yield lo, seg, new - lo, _coeff_exact(d, lo, hi - 1, primes, new, q) if new.size else new
+    if held < x:
+        buf = np.empty(min(_SEGMENT, x - held), dtype=np.int64)
+        yield from _sieve(d, max(held + 1, 1), x, lambda lo, hi: buf[: hi - lo])
 
 
 def _held(d: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The store of d, sieved on to x first when it is shorter.
 
-    The held values are copied into the longer array and the kernel runs
-    on the new indices only, which hold the values of a fresh sieve: each
+    The held values are copied into the longer array and the kernel writes
+    the new indices in place, with the values of a fresh sieve: each
     index is exact whatever the sieve length, so the store depends on
     d and its length alone.
     """
@@ -269,20 +258,17 @@ def _held(d: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = vals.size
     if x < first:
         return held
-    primes = primes_up_to(math.isqrt(x))
     grown = np.empty(x + 1, dtype=np.int64)
     grown[:first] = vals
-    new, q = _coeff_int64(d, first, grown[first:], primes)
-    if new.size:
-        new_exact = _coeff_exact(d, first, x, primes, new, q)
-        fits = new_exact < 2**62
-        grown[new[fits]] = new_exact[fits]
-        grown[new[~fits]] = _OVER
-        over = np.concatenate((over, new[~fits]))
-        exact = np.concatenate((exact, new_exact[~fits]))
+    overs, exacts = [over], [exact]
+    for lo, seg, at, values in _sieve(d, first, x, lambda lo, hi: grown[lo:hi]):
+        big = values >= 2**62
+        seg[at] = np.where(big, _OVER, values)
+        overs.append(at[big] + lo)
+        exacts.append(values[big])
     grown[0] = 0
     grown.flags.writeable = False
-    held = _STORE[d] = (grown, over, exact)
+    held = _STORE[d] = (grown, np.concatenate(overs), np.concatenate(exacts))
     return held
 
 
@@ -312,6 +298,7 @@ def zeta_em(s: complex) -> complex:
     N - 1 terms, N = max(20, |Im s| + 1), and eight Bernoulli terms: the
     remainder is about N^(1 - Re s) prod_{i <= 16} |s + i| / (2 pi N), so N
     need not grow with Re s; cross-checked against mpmath in the tests.
+    An N above _ZETA_MAX_TERMS raises BudgetError before any term is summed.
     """
     s = complex(s)
     if not (s.real > 1 + _MARGIN):
@@ -319,6 +306,8 @@ def zeta_em(s: complex) -> complex:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"zeta_em needs a finite s, got {s}")
     n_cut = max(20, int(abs(s.imag)) + 1)
+    if n_cut > _ZETA_MAX_TERMS:
+        raise BudgetError(f"zeta_em sum of {n_cut} terms exceeds the limit {_ZETA_MAX_TERMS} (|Im s| < 10^7)")
     total = 0.0 + 0.0j
     for n in range(n_cut - 1, 0, -1):  # small terms first
         total += n ** (-s) if s.imag else n ** (-s.real)

@@ -29,36 +29,30 @@ class BudgetError(HeightCountError, RuntimeError):
     """Estimated cost of an operation exceeds the configured budget."""
 
 
-# the environment variable and default behind each budget field
+# the label, environment variable and default behind each budget field
 _BUDGETS = {
-    "max_classes": ("HEIGHTCOUNT_MAX_CLASSES", 10**7),
-    "max_sieve": ("HEIGHTCOUNT_MAX_SIEVE", 10**6),
-    "max_cells": ("HEIGHTCOUNT_MAX_CELLS", 10**9),
+    "max_classes": ("lattice class", "HEIGHTCOUNT_MAX_CLASSES", 10**7),
+    "max_sieve": ("sieve", "HEIGHTCOUNT_MAX_SIEVE", 10**6),
+    "max_cells": ("census cell", "HEIGHTCOUNT_MAX_CELLS", 10**9),
 }
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{name} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise DomainError(f"{name} must be positive, got {value}")
-    return value
+def check_budget(field: str, estimate: int, limit: int | None) -> None:
+    """Raise BudgetError, naming the label of `field`, when estimate exceeds limit.
 
-
-def check_budget(kind: str, estimate: int, limit: int | None, field: str) -> None:
-    """Raise BudgetError when estimate exceeds limit.
-
-    limit is a per-call override; None reads the one environment variable
-    behind `field` ("max_classes", "max_sieve" or "max_cells"), or its
-    default when the variable is unset.
+    field is "max_classes", "max_sieve" or "max_cells".  limit is a
+    per-call override; None reads the one environment variable behind
+    field, or its default when the variable is unset.
     """
+    kind, name, default = _BUDGETS[field]
     if limit is None:
-        limit = _env_int(*_BUDGETS[field])
+        raw = os.environ.get(name, str(default))
+        try:
+            limit = int(raw)
+        except ValueError as exc:
+            raise DomainError(f"{name} must be an integer, got {raw!r}") from exc
+        if limit <= 0:
+            raise DomainError(f"{name} must be positive, got {limit}")
     if estimate > limit:
         raise BudgetError(
             f"estimated {kind} count {estimate} exceeds budget {limit}; "

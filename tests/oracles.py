@@ -558,7 +558,7 @@ def _enumerate_elements(bound: int, max_cells: int | None = None):
     the tests."""
     if bound < 1:
         raise DomainError(f"need bound >= 1, got {bound}")
-    check_budget("enumeration cells", (2 * bound + 1) ** 4, max_cells, "max_cells")
+    check_budget("max_cells", (2 * bound + 1) ** 4, max_cells)
     rng = range(-bound, bound + 1)
     for a in rng:
         for b in rng:

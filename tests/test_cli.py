@@ -465,17 +465,32 @@ def test_budget_reads_only_its_own_variable(capsys, monkeypatch):
 
 
 def test_all_outputs_carry_schema_tag(capsys):
+    # every JSON command, each float of its payload (also inside lists)
+    # printed with 12 significant digits
     runs = [
         ["sphere", "--d", "2", "--p", "2", "--k", "1"],
         ["ball", "--d", "2", "--p", "2", "--k", "1"],
-        ["height", "--matrix", "1,0;0,1", "--B", "1"],
+        ["lseries", "--d", "2", "--s", "3.3"],
         ["residue", "--variant", "sl2"],
-        ["ball-volume", "--d", "2", "--B", "1", "--R", "1"],
+        ["ball-volume", "--d", "2", "--B", "1", "--R", "1.3"],
+        ["height", "--matrix", "2,1;0,3", "--B", "1.7"],
+        ["predict", "--d", "3", "--B", "4", "--T", "5", "--covolume", "0.3"],
+        ["regularity", "--d", "2", "--B", "1", "--Tmin", "2", "--Tmax", "6", "--points", "6"],
+        ["persistence", "--T", "5", "--Tmax", "6", "--B", "1.7"],
     ]
+
+    def floats(value):
+        if isinstance(value, float):
+            yield value
+        elif isinstance(value, (list, dict)):
+            for v in value.values() if isinstance(value, dict) else value:
+                yield from floats(v)
+
     for argv in runs:
-        code, out = run(capsys, *argv)
-        assert code == 0
-        assert '"schema": "heightcount/' in out
+        doc = run_json(capsys, *argv)
+        assert doc["schema"] == f"heightcount/{argv[0]}/v1"
+        for v in floats(doc):
+            assert v == float("%.12g" % v)
 
 
 # ---------------------------------------------------------------------------

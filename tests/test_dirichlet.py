@@ -30,7 +30,7 @@ from heightcount import dirichlet
 from heightcount.adelic import _sieve
 from heightcount.building import shell_count, shell_ratio
 from heightcount.dirichlet import _SEGMENT, _safe_prefix, coeff_array
-from heightcount.primes import primes_up_to
+from heightcount.primes import factorize, primes_up_to
 from oracles import euler_product_by_prime, primes_by_scan
 
 mpmath = pytest.importorskip("mpmath")
@@ -170,16 +170,23 @@ def test_coeff_growth_is_polynomially_bounded():
             assert math.log(table[m], m) <= cap + 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 6])
 def test_coeff_sieve_segment_and_prefix_edges(d):
     # every index within 3 of a segment edge, of the int64-safe prefix or
     # of the end, plus a seeded sample; at d = 3 the table passes 2^19, so
-    # its flagged (object) entries span segments
+    # its flagged (object) entries span segments, and at d = 6 values of
+    # 2^62 or more with and without a prime factor above sqrt(x_max) sit
+    # on both sides of each segment edge
     x_max = 2 * _SEGMENT + 7
     array = coeff_array(d, x_max)
-    assert array.dtype == {2: np.int64, 3: object}[d]
+    assert array.dtype == {2: np.int64, 3: object, 6: object}[d]
     values = array.tolist()
     edges = [_SEGMENT, 2 * _SEGMENT, _safe_prefix(d), x_max]
+    if d == 6:
+        for e in edges[:2]:
+            for side in (range(e - 3, e), range(e, e + 4)):
+                rough = {factorize(m)[-1][0] > math.isqrt(x_max) for m in side if values[m] >= 2**62}
+                assert rough == {False, True}
     near = [m for e in edges for m in range(e - 3, e + 4) if 1 <= m <= x_max]
     sample = random.Random(f"coeff-segments/{d}").sample(range(1, x_max + 1), 2000)
     for m in near + sample:
@@ -234,19 +241,26 @@ def test_store_growth_sieves_only_the_new_range(monkeypatch, d, lengths):
         fresh[n] = coeff_array(d, n)
     monkeypatch.setattr(dirichlet, "_STORE", {})
     ranges = []
-    kernel = dirichlet._coeff_int64
+    kernel = dirichlet._segment
 
-    def counted(d, first, vals, primes):
-        ranges.append((first, first + vals.size - 1))
-        return kernel(d, first, vals, primes)
+    def counted(d, lo, seg, primes):
+        ranges.append((lo, lo + seg.size - 1))
+        return kernel(d, lo, seg, primes)
 
-    monkeypatch.setattr(dirichlet, "_coeff_int64", counted)
+    monkeypatch.setattr(dirichlet, "_segment", counted)
     for n in lengths:
         got = coeff_array(d, n)
         assert got.dtype == fresh[n].dtype
         assert got.tolist() == fresh[n].tolist()
+    # the segments of each growth tile its new indices in order
     ends = [n for i, n in enumerate(lengths) if n > max(lengths[:i], default=-1)]
-    assert ranges == [(a + 1, b) for a, b in zip([-1] + ends, ends)]
+    tiles = iter(ranges)
+    for first, last in zip([0] + [n + 1 for n in ends], ends):
+        while first <= last:
+            lo, hi = next(tiles)
+            assert lo == first and lo <= hi <= last and hi - lo < _SEGMENT
+            first = hi + 1
+    assert next(tiles, None) is None
 
 
 def test_coeff_array_results_are_read_only():
@@ -293,6 +307,20 @@ def test_zeta_is_finite_for_a_huge_real_part(s):
     # the Bernoulli terms stop once N^(-s-2j+1) underflows, before the
     # rising product overflows to inf * 0
     assert zeta_em(s) == 1.0
+
+
+def test_zeta_refuses_more_terms_than_its_cap(monkeypatch):
+    # N = |Im s| + 1 terms; at 10^12 the sum would run for days
+    for call in (lambda: zeta_em(3 + 1e12j), lambda: L_euler(2, 3 + 1e12j)):
+        with pytest.raises(BudgetError, match="zeta_em sum of 1000000000001 terms exceeds the limit 10000000"):
+            call()
+    with pytest.raises(BudgetError, match="sum of 10000001 terms"):
+        zeta_em(2 + 1e7j)
+    # the cap admits N itself and refuses N + 1
+    monkeypatch.setattr(dirichlet, "_ZETA_MAX_TERMS", 100)
+    assert zeta_em(3 + 99.5j) == pytest.approx(complex(mpmath.zeta(3 + 99.5j)), rel=1e-12)
+    with pytest.raises(BudgetError, match="sum of 101 terms exceeds the limit 100"):
+        zeta_em(3 + 100j)
 
 
 def test_closed_forms_are_zeta_quotients():
@@ -553,7 +581,7 @@ def test_partial_sum_weighted_matches_term_by_term():
 @pytest.mark.parametrize("held", [0, 1000, 2 * _SEGMENT + 100], ids=["empty", "short", "long"])
 def test_partial_sum_reads_the_store_without_growing_it(monkeypatch, d, x, B, held):
     # past the end of the store the kernel streams one segment at a time;
-    # at d = 3 and 6 the flagged values past 2^62 come from _coeff_exact
+    # at d = 3 and 6 the flagged values past 2^62 come from its exact rebuild
     monkeypatch.setattr(dirichlet, "_STORE", {})
     values = coeff_array(d, x).tolist()
     assert (max(values) >= 2**62) == (d > 2)
