@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -78,8 +79,7 @@ class _Parser(argparse.ArgumentParser):
 # subcommand bodies; each writes its output to `out`
 
 
-def _cmd_sphere_or_ball(args, out):
-    size = {"sphere": building.sphere_size, "ball": building.ball_size}[args.command]
+def _cmd_size(size, args, out):
     value = size(building.BuildingParams(args.d, args.p), args.k)
     _emit_json(args.command, {"d": args.d, "p": args.p, "k": args.k, args.command: value}, out)
 
@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     int_req = {"type": int, "required": True}
     float_req = {"type": float, "required": True}
 
-    add("sphere", _cmd_sphere_or_ball, d=int_req, p=int_req, k=int_req)
-    add("ball", _cmd_sphere_or_ball, d=int_req, p=int_req, k=int_req)
+    add("sphere", partial(_cmd_size, building.sphere_size), d=int_req, p=int_req, k=int_req)
+    add("ball", partial(_cmd_size, building.ball_size), d=int_req, p=int_req, k=int_req)
     add(
         "classes",
         _cmd_classes,

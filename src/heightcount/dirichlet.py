@@ -124,8 +124,9 @@ def _segment(d: int, lo: int, seg: np.ndarray, primes: list[int]):
     exact, as every value there is below 2^62; from the prefix on, a
     float64 shadow repeats the same products and flags the entries whose
     shadow reaches _INT64_SAFE, the others being exact.  A flagged index
-    without a large prime factor is rebuilt on Python ints from the same
-    strides, each multiplying only the flagged indices it meets; any other
+    without a large prime factor is rebuilt from the same strides with
+    their factors on Python ints (the int64 ones may wrap), each
+    multiplying only the flagged indices it meets; any other
     m = s q has s < sqrt(hi - 1) and takes D(s) D(q), D(s) from the same
     strides run over 0..isqrt(hi - 1).
     """
@@ -188,10 +189,11 @@ def _segment(d: int, lo: int, seg: np.ndarray, primes: list[int]):
     slot = np.full(seg.size, -1, dtype=np.int64)  # the place of each offset in `rebuilt`
     slot[at[~rough]] = np.arange(rebuilt.size)
     root = np.ones(math.isqrt(hi - 1) + 1, dtype=object)  # D(s) for s <= sqrt(hi - 1)
-    for pk, _, f, _ in strides:
+    for pk, p, _, _ in strides:
+        f = shell_count(d, p) if pk == p else shell_ratio(d, p)
         hit = slot[-lo % pk :: pk]
-        rebuilt[hit[hit >= 0]] *= int(f)
-        root[pk::pk] *= int(f)
+        rebuilt[hit[hit >= 0]] *= f
+        root[pk::pk] *= f
     exact[~rough] = rebuilt
     primes_q, which = np.unique(q_at[rough], return_inverse=True)
     exact[rough] = root[(at[rough] + lo) // q_at[rough]] * shell_count(d, primes_q.astype(object))[which]
@@ -307,7 +309,7 @@ def zeta_em(s: complex) -> complex:
         raise DomainError(f"zeta_em needs a finite s, got {s}")
     n_cut = max(20, int(abs(s.imag)) + 1)
     if n_cut > _ZETA_MAX_TERMS:
-        raise BudgetError(f"zeta_em sum of {n_cut} terms exceeds the limit {_ZETA_MAX_TERMS} (|Im s| < 10^7)")
+        raise BudgetError(f"zeta_em sum of {n_cut} terms exceeds the limit {_ZETA_MAX_TERMS}")
     total = 0.0 + 0.0j
     for n in range(n_cut - 1, 0, -1):  # small terms first
         total += n ** (-s) if s.imag else n ** (-s.real)

@@ -193,6 +193,25 @@ def test_coeff_sieve_segment_and_prefix_edges(d):
         assert values[m] == coeff_D(d, m)
 
 
+def test_coeff_sieve_exact_past_int64_shell_factors(monkeypatch):
+    # at d = 8, D(p) passes 2^63 from p = 389 on, so the int64 factor of
+    # such a stride wraps; the flagged multiples of 389 and 397 (rebuilt
+    # from the strides) and 389 * 401, 397 * 401 (D(s) D(q) with s from
+    # the root table) must still be exact, in the store and in the sums
+    assert shell_count(8, 383) < 2**63 <= shell_count(8, 389)
+    x_max = 160_000
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    values = coeff_array(8, x_max).tolist()
+    for p in (383, 389, 397):
+        for m in range(p, x_max + 1, p):
+            assert values[m] == coeff_D(8, m)
+    for m in (389 * 401, 397 * 401):
+        assert values[m] == coeff_D(8, m)
+    monkeypatch.setattr(dirichlet, "_STORE", {})
+    want = sum(coeff_D(8, m) for m in range(1, x_max + 1))
+    assert partial_sum(8, 0, x_max) == pytest.approx(float(want), rel=1e-12)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_safe_prefix_bound_holds(d):
     # the prefix is 2^t with D(2)^t <= 2^62 < D(2)^(t+1), and
