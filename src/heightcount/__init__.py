@@ -45,7 +45,6 @@ from .building import (
     ball_size,
     base_class,
     building_distance,
-    class_records,
     elementary_divisors,
     enumerate_classes,
     neighbors,

@@ -37,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .archimedean import (
+    _LOG_FLOAT_MAX,
     _table_domain,
     archimedean_height,
     ball_volume_table,
@@ -51,8 +52,6 @@ from .primes import factorize
 _N_CHUNKS = 64
 # rows of a MeasurePair per chunk of the sum C
 _C_CHUNK = 1 << 12
-# the largest T with a finite e^T
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -395,6 +394,9 @@ def prediction_N(d: int, B: float, T: float, covolume: float = 1.0) -> Predictio
     table = ball_volume_table(d, B, float(radii[-1]))
     vols = [table(float(r)) for r in radii]
     measured = growth_exponent_fit(radii, vols).slope
+    top = max(measured, 2 * B)  # the largest E of the three values
+    if top * T > _LOG_FLOAT_MAX:
+        raise DomainError(f"e^(E T) passes float range at T={T}, E={top:.6g}")
 
     def value(E: float) -> float:
         return a * C * (B * T) ** (rank - 1) * math.exp(E * T) / covolume

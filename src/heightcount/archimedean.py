@@ -47,6 +47,8 @@ _LN2 = math.log(2)
 # builds (R_max <= 1000, about 32 MB of temporaries)
 _TABLE_STEP = 1e-3
 _TABLE_MAX_NODES = 10**6 + 1
+# the largest t with a finite e^t
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def as_chamber_vector(x) -> np.ndarray:
@@ -152,7 +154,10 @@ def archimedean_height(g, B: float) -> float:
             stacklevel=2,
         )
     logs = np.log(sigma)
-    return math.exp(norm_b(logs - logs.mean(), B))
+    exponent = norm_b(logs - logs.mean(), B)
+    if exponent > _LOG_FLOAT_MAX:
+        raise DomainError(f"the archimedean height e^{exponent:.6g} passes float range")
+    return math.exp(exponent)
 
 
 def _sector_jacobian(system: RootSystemA) -> float:

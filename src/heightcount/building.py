@@ -352,13 +352,3 @@ def enumerate_classes(
         found = _distinct(np.concatenate(found))
         shells.append(_absent(found, np.sort(np.concatenate(shells[-2:]))))
     return ClassTable(params, bits, tuple(shells))
-
-
-def class_records(params: BuildingParams, k_max: int, max_classes: int | None = None):
-    """JSON-ready dicts for every class within distance k_max."""
-    for cls, dist in enumerate_classes(params, k_max, max_classes):
-        yield {
-            "hnf": [list(row) for row in cls.hnf],
-            "distance": dist,
-            "divisor_exponents": list(cls.divisor_exponents()),
-        }

@@ -42,6 +42,17 @@ def _emit_json(name: str, payload: dict, stream) -> None:
     stream.write("\n")
 
 
+# report fields printed under another schema key (the field names are public)
+_SCHEMA_KEYS = {"value_measured": "value_measured_exponent", "eps_list": "eps"}
+
+
+def _emit_report(name: str, report, stream, **lead) -> None:
+    """A report dataclass as JSON: the `lead` keys, then its fields in
+    declaration order."""
+    fields = dataclasses.asdict(report)
+    _emit_json(name, lead | {_SCHEMA_KEYS.get(k, k): v for k, v in fields.items()}, stream)
+
+
 def _emit_csv(name: str, header: list[str], rows, stream) -> None:
     stream.write(f"# schema: heightcount/{name}/v1\n")
     writer = csv.writer(stream, lineterminator="\n")
@@ -86,11 +97,11 @@ def _cmd_size(size, args, out):
 
 def _cmd_classes(args, out):
     params = building.BuildingParams(args.d, args.p)
-    rows = []
-    for record in building.class_records(params, args.kmax, max_classes=args.max_classes):
-        hnf = "; ".join(" ".join(str(v) for v in row) for row in record["hnf"])
-        exps = " ".join(str(v) for v in record["divisor_exponents"])
-        rows.append([record["distance"], hnf, exps])
+    table = building.enumerate_classes(params, args.kmax, max_classes=args.max_classes)
+    rows = (
+        [dist, "; ".join(" ".join(map(str, row)) for row in cls.hnf), " ".join(map(str, cls.divisor_exponents()))]
+        for cls, dist in table
+    )
     _emit_csv("classes", ["distance", "hnf", "divisor_exponents"], rows, out)
 
 
@@ -130,7 +141,7 @@ def _cmd_poles_table(args, out):
 
 
 def _cmd_residue(args, out):
-    _emit_json("residue", dataclasses.asdict(dirichlet.residue_estimate(args.variant)), out)
+    _emit_report("residue", dirichlet.residue_estimate(args.variant), out)
 
 
 def _cmd_ball_volume(args, out):
@@ -149,43 +160,15 @@ def _cmd_ball_adelic(args, out):
         raise DomainError(f"need a finite Tmax, got {args.Tmax}")
     grid = np.arange(args.step, args.Tmax + args.step / 2, args.step)
     series = adelic.adelic_ball_series(args.d, args.B, grid, max_sieve=args.max_sieve)
-    rows = list(zip((float(t) for t in series.T_grid), series.values))
-    _emit_csv("ball-adelic", ["T", "b"], rows, out)
+    _emit_csv("ball-adelic", ["T", "b"], zip(series.T_grid, series.values), out)
 
 
 def _cmd_height(args, out):
-    profile = adelic.global_height(_parse_matrix(args.matrix), args.B)
-    _emit_json(
-        "height",
-        {
-            "finite_exponents": [[p, e] for p, e in profile.finite_exponents],
-            "h_fin": profile.h_fin,
-            "h_inf": profile.h_inf,
-            "h": profile.h,
-        },
-        out,
-    )
+    _emit_report("height", adelic.global_height(_parse_matrix(args.matrix), args.B), out)
 
 
 def _cmd_predict(args, out):
-    report = adelic.prediction_N(args.d, args.B, args.T, covolume=args.covolume)
-    _emit_json(
-        "predict",
-        {
-            "d": report.d,
-            "B": report.B,
-            "T": report.T,
-            "covolume": report.covolume,
-            "simplex_factor": report.simplex_factor,
-            "series_constant": report.series_constant,
-            "rank": report.rank,
-            "measured_exponent": report.measured_exponent,
-            "value_measured_exponent": report.value_measured,
-            "value_exponent_B": report.value_exponent_B,
-            "value_exponent_2B": report.value_exponent_2B,
-        },
-        out,
-    )
+    _emit_report("predict", adelic.prediction_N(args.d, args.B, args.T, covolume=args.covolume), out)
 
 
 def _cmd_count(args, out):
@@ -208,23 +191,16 @@ def _cmd_count(args, out):
         max_cells=args.max_cells,
         max_sieve=args.max_sieve,
     )
-    rows = [
-        [x, pi, lo, hi, sl, su]
-        for x, pi, lo, hi, sl, su in zip(
-            report.x_grid,
-            report.pi_values,
-            report.predicted_low_exponent,
-            report.predicted_high_exponent,
-            report.lower_sandwich,
-            report.upper_sandwich,
-        )
-    ]
-    _emit_csv(
-        "count",
-        ["x", "pi", "predicted_convA", "predicted_convB", "lower_sandwich", "upper_sandwich"],
-        rows,
-        out,
+    columns = (
+        report.x_grid,
+        report.pi_values,
+        report.predicted_low_exponent,
+        report.predicted_high_exponent,
+        report.lower_sandwich,
+        report.upper_sandwich,
     )
+    header = ["x", "pi", "predicted_convA", "predicted_convB", "lower_sandwich", "upper_sandwich"]
+    _emit_csv("count", header, zip(*columns), out)
 
 
 def _cmd_regularity(args, out):
@@ -239,21 +215,7 @@ def _cmd_regularity(args, out):
         raise DomainError(f"need a finite Tmax, got {args.Tmax}")
     b = adelic.adelic_volume_callable(args.d, args.B, args.Tmax + max(eps) + 0.01, max_sieve=args.max_sieve)
     report = adelic.regularity_report(b, eps, np.linspace(args.Tmin, args.Tmax, args.points))
-    _emit_json(
-        "regularity",
-        {
-            "d": args.d,
-            "B": args.B,
-            "eps": report.eps_list,
-            "lower_ratios": report.lower_ratios,
-            "upper_ratios": report.upper_ratios,
-            "lower_trend": report.lower_trend,
-            "upper_trend": report.upper_trend,
-            "gap": report.gap,
-            "verdict": report.verdict,
-        },
-        out,
-    )
+    _emit_report("regularity", report, out, d=args.d, B=args.B)
 
 
 def _cmd_persistence(args, out):
@@ -287,34 +249,25 @@ def _cmd_verify(args, out):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="heightcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags several commands share, each declared once
+    csv_flag = argparse.ArgumentParser(add_help=False)
+    csv_flag.add_argument("--csv", help="write CSV/JSON to this path")
+    sieve = argparse.ArgumentParser(add_help=False)
+    sieve.add_argument("--max-sieve", type=int)
 
-    def add(name, fn, **flags):
-        p = sub.add_parser(name)
+    def add(name, fn, *parents, **flags):
+        p = sub.add_parser(name, parents=[csv_flag, *parents])
         for flag, spec in flags.items():
             p.add_argument(f"--{flag}", **spec)
         p.set_defaults(func=fn)
-        return p
 
     int_req = {"type": int, "required": True}
     float_req = {"type": float, "required": True}
 
     add("sphere", partial(_cmd_size, building.sphere_size), d=int_req, p=int_req, k=int_req)
     add("ball", partial(_cmd_size, building.ball_size), d=int_req, p=int_req, k=int_req)
-    add(
-        "classes",
-        _cmd_classes,
-        d=int_req,
-        p=int_req,
-        kmax=int_req,
-        **{"max-classes": {"type": int, "default": None, "dest": "max_classes"}},
-    )
-    add(
-        "dcoeff",
-        _cmd_dcoeff,
-        d=int_req,
-        xmax=int_req,
-        **{"max-sieve": {"type": int, "default": None, "dest": "max_sieve"}},
-    )
+    add("classes", _cmd_classes, d=int_req, p=int_req, kmax=int_req, **{"max-classes": {"type": int}})
+    add("dcoeff", _cmd_dcoeff, sieve, d=int_req, xmax=int_req)
     add(
         "lseries",
         _cmd_lseries,
@@ -329,11 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "ball-adelic",
         _cmd_ball_adelic,
+        sieve,
         d=int_req,
         B=float_req,
         Tmax=float_req,
         step={"type": float, "default": 0.25},
-        **{"max-sieve": {"type": int, "default": None, "dest": "max_sieve"}},
     )
     add("height", _cmd_height, matrix={"type": str, "required": True}, B=float_req)
     add(
@@ -347,41 +300,36 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "count",
         _cmd_count,
+        sieve,
         xmax=float_req,
         B=float_req,
         covolume={"type": float, "default": 1.0},
-        **{
-            "max-cells": {"type": int, "default": None, "dest": "max_cells"},
-            "max-sieve": {"type": int, "default": None, "dest": "max_sieve"},
-        },
+        **{"max-cells": {"type": int}},
     )
     add(
         "regularity",
         _cmd_regularity,
+        sieve,
         d=int_req,
         B=float_req,
         Tmin=float_req,
         Tmax=float_req,
         points={"type": int, "default": 25},
         eps={"default": "0.02,0.01,0.005"},
-        **{"max-sieve": {"type": int, "default": None, "dest": "max_sieve"}},
     )
     add(
         "persistence",
         _cmd_persistence,
+        sieve,
         T=float_req,
         Tmax={"type": float, "default": 12.0},
         B={"type": float, "default": 1.0},
-        **{"max-sieve": {"type": int, "default": None, "dest": "max_sieve"}},
     )
     verify_p = sub.add_parser("verify")
     tier = verify_p.add_mutually_exclusive_group()
     tier.add_argument("--quick", action="store_true", default=True)
     tier.add_argument("--full", action="store_true", default=False)
     verify_p.set_defaults(func=_cmd_verify)
-    for name, p in sub.choices.items():
-        if name not in ("verify",):
-            p.add_argument("--csv", type=str, default=None, help="write CSV/JSON to this path")
     return parser
 
 

@@ -6,15 +6,20 @@ import numpy as np
 
 from .errors import DomainError
 
-# Witnesses proving primality for every n < 3.3 * 10^24
-# (Sorenson-Webster); far beyond anything this package enumerates.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as witnesses prove primality for every n below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the first 12 stop at
+# psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test for n < psi_13 ~ 3.3e24."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise DomainError(f"is_prime is proven only below {_MR_LIMIT}, got {n}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from . import adelic, archimedean, building, counting, dirichlet
-from .primes import factorize
 
 # the package's one 12-significant-digit number format (the CLI uses it too)
 _FMT = "%.12g"
@@ -397,10 +396,7 @@ def _check_snf_vs_bfs():
     # canonical representatives in [-2, 2]^4, in lexicographic order:
     # nonsingular, primitive, first nonzero entry positive
     for a, b, c, d in product(range(-2, 3), repeat=4):
-        det = abs(a * d - b * c)
-        if det == 0 or math.gcd(a, b, c, d) != 1 or next(v for v in (a, b, c, d) if v) < 0:
-            continue
-        if not {q for q, _ in factorize(det)} <= {2, 3, 5}:
+        if a * d == b * c or math.gcd(a, b, c, d) != 1 or next(v for v in (a, b, c, d) if v) < 0:
             continue
         mat = [[a, b], [c, d]]
         for p, d_p in adelic.global_height(mat, 1.0).finite_exponents:

@@ -455,6 +455,12 @@ def test_regularity_report_shape():
     assert rep.verdict in {"regular", "non-regular", "inconclusive"}
 
 
+def test_regularity_report_with_one_shift_trends_are_its_ratios():
+    rep = regularity_report(lambda x: x * math.exp(2 * x), [0.01], np.linspace(6.0, 12.0, 10))
+    assert rep.eps_list == (0.01,)
+    assert (rep.lower_trend, rep.upper_trend) == (rep.lower_ratios[0], rep.upper_ratios[0])
+
+
 def test_regularity_validation():
     with pytest.raises(DomainError):
         regularity_report(lambda x: math.exp(x), [], [5.0, 6.0])

@@ -24,7 +24,6 @@ from heightcount import (
     ball_size,
     base_class,
     building_distance,
-    class_records,
     enumerate_classes,
     neighbors,
     shell_count,
@@ -205,7 +204,7 @@ def test_class_table_contract(monkeypatch, d, p, k_max, object_keys):
     # every hnf is a tuple of tuples of Python ints, never numpy ints
     assert {type(cls.hnf) for cls, _ in pairs} | {type(row) for cls, _ in pairs for row in cls.hnf} == {tuple}
     assert {type(v) for cls, _ in pairs for row in cls.hnf for v in row} == {int}
-    json.dumps(list(class_records(BuildingParams(d, p), k_max)))
+    json.dumps([cls.hnf for cls, _ in pairs])
 
 
 @pytest.mark.parametrize(
@@ -309,14 +308,13 @@ def test_distance_matches_bfs_layers():
             assert building_distance(cls.hnf, params.p) == dist
 
 
-def test_class_records_schema():
-    records = list(class_records(BuildingParams(2, 2), 2))
-    assert len(records) == 1 + 3 + 6
-    for rec in records:
-        assert set(rec) == {"hnf", "distance", "divisor_exponents"}
-        exps = rec["divisor_exponents"]
-        assert exps == sorted(exps)
-        assert rec["distance"] == exps[-1] - exps[0]
+def test_class_distance_is_the_divisor_exponent_spread():
+    pairs = list(enumerate_classes(BuildingParams(2, 2), 2))
+    assert len(pairs) == 1 + 3 + 6
+    for cls, dist in pairs:
+        exps = cls.divisor_exponents()
+        assert list(exps) == sorted(exps)
+        assert dist == exps[-1] - exps[0]
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,8 @@ def test_sieve_length_past_float_range_is_refused(capsys, monkeypatch, argv, cod
         ("persistence --T 5 --B nan", "need 0 < B < inf, got B=nan"),
         ("ball-adelic --d 2 --B 1 --Tmax inf", "need a finite Tmax, got inf"),
         ("regularity --d 2 --B 1 --Tmin 8 --Tmax inf", "need a finite Tmax, got inf"),
+        ("predict --d 3 --B 4.5 --T 1000", "e^(E T) passes float range at T=1000.0, E=9"),
+        ("height --matrix 2,1;0,3 --B 1e-4", "the archimedean height e^2848.09 passes float range"),
     ],
 )
 def test_non_finite_flag_is_refused(capsys, argv, err):
@@ -464,20 +466,35 @@ def test_budget_reads_only_its_own_variable(capsys, monkeypatch):
     assert "HEIGHTCOUNT_MAX_SIEVE must be an integer, got 'abc'" in err
 
 
+# one run of every JSON command, and its keys in schema order
+_JSON_RUNS = {
+    "sphere --d 2 --p 2 --k 1": "d p k sphere",
+    "ball --d 2 --p 2 --k 1": "d p k ball",
+    "lseries --d 2 --s 3.3": "d variant s value_re value_im truncation_bound",
+    "residue --variant sl2": "variant pole direct extrapolated difference note",
+    "ball-volume --d 2 --B 1 --R 1.3": "d B R volume",
+    "height --matrix 2,1;0,3 --B 1.7": "finite_exponents h_fin h_inf h",
+    "predict --d 3 --B 4 --T 5 --covolume 0.3": (
+        "d B T covolume simplex_factor series_constant rank measured_exponent "
+        "value_measured_exponent value_exponent_B value_exponent_2B"
+    ),
+    "regularity --d 2 --B 1 --Tmin 2 --Tmax 6 --points 6": (
+        "d B eps lower_ratios upper_ratios lower_trend upper_trend gap verdict"
+    ),
+    "persistence --T 5 --Tmax 6 --B 1.7": "B T C alpha beta d_T ratio",
+}
+
+
+@pytest.mark.parametrize("argv, keys", _JSON_RUNS.items(), ids=[a.split()[0] for a in _JSON_RUNS])
+def test_json_key_order_is_pinned(capsys, argv, keys):
+    # a reordered or renamed report field changes the schema
+    assert list(run_json(capsys, *argv.split())) == ["schema", *keys.split()]
+
+
 def test_all_outputs_carry_schema_tag(capsys):
     # every JSON command, each float of its payload (also inside lists)
     # printed with 12 significant digits
-    runs = [
-        ["sphere", "--d", "2", "--p", "2", "--k", "1"],
-        ["ball", "--d", "2", "--p", "2", "--k", "1"],
-        ["lseries", "--d", "2", "--s", "3.3"],
-        ["residue", "--variant", "sl2"],
-        ["ball-volume", "--d", "2", "--B", "1", "--R", "1.3"],
-        ["height", "--matrix", "2,1;0,3", "--B", "1.7"],
-        ["predict", "--d", "3", "--B", "4", "--T", "5", "--covolume", "0.3"],
-        ["regularity", "--d", "2", "--B", "1", "--Tmin", "2", "--Tmax", "6", "--points", "6"],
-        ["persistence", "--T", "5", "--Tmax", "6", "--B", "1.7"],
-    ]
+    runs = [argv.split() for argv in _JSON_RUNS]
 
     def floats(value):
         if isinstance(value, float):

@@ -30,7 +30,7 @@ from heightcount import dirichlet
 from heightcount.adelic import _sieve
 from heightcount.building import shell_count, shell_ratio
 from heightcount.dirichlet import _SEGMENT, _safe_prefix, coeff_array
-from heightcount.primes import factorize, primes_up_to
+from heightcount.primes import factorize, is_prime, primes_up_to
 from oracles import euler_product_by_prime, primes_by_scan
 
 mpmath = pytest.importorskip("mpmath")
@@ -46,6 +46,29 @@ def test_primes_up_to_matches_comprehension():
         got = primes_up_to(n)
         assert got == primes_by_scan(n)
         assert all(type(p) is int for p in got[:3])
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        2152302898747,  # ... to the first 5 primes
+        3474749660383,  # ... to the first 6
+        341550071728321,  # ... to the first 8
+        3825123056546413051,  # ... to the first 11
+        318665857834031151167461,  # psi_12 = 399165290221 * 798330580441
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_range():
+    assert is_prime(2**61 - 1)
+    assert [n for n in range(50) if is_prime(n)] == primes_up_to(49)
+    # psi_13 passes all 13 bases, so it is refused rather than tested
+    with pytest.raises(DomainError, match="is_prime is proven only below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 # ---------------------------------------------------------------------------
