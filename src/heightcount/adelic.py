@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +47,7 @@ from .archimedean import (
 )
 from .dirichlet import L_euler, _exp, coeff_array, pole_abscissas
 from .errors import DomainError
-from .intmat import as_mat, content, det_int, elementary_divisors, valuation
+from .intmat import as_mat, content, det_int, elementary_divisors
 from .primes import factorize
 
 _N_CHUNKS = 64
@@ -68,30 +69,25 @@ class HeightProfile:
 def global_height(mat, B: float) -> HeightProfile:
     """Height profile of a primitive nonsingular integer matrix.
 
-    One Smith normal form gives every finite exponent: primitivity puts the
-    smallest elementary divisor at 1, so d_p is the p-valuation of the
-    largest divisor.
+    d_p is the spread v_p(e_d) - v_p(e_1) of the elementary divisors (the
+    building distance), and primitivity puts e_1 at 1: so h_fin is the
+    largest divisor e_d, and its factorization lists every d_p > 0.  A
+    height past float range is refused before e_d is factored.
     """
     m = as_mat(mat)
     if len(m) != len(m[0]):
         raise DomainError("global_height needs a square matrix")
-    det = det_int(m)
-    if det == 0:
+    if det_int(m) == 0:
         raise DomainError("matrix is singular")
-    if content(m) != 1:
-        raise DomainError(
-            f"matrix is not primitive (content {content(m)}); divide out the gcd first"
-        )
-    divisors = elementary_divisors(m)
-    exponents = []
-    h_fin = 1
-    for p, _ in factorize(abs(det)):
-        d_p = valuation(divisors[-1], p) - valuation(divisors[0], p)
-        if d_p > 0:
-            exponents.append((p, d_p))
-            h_fin *= p**d_p
+    g = content(m)
+    if g != 1:
+        raise DomainError(f"matrix is not primitive (content {g}); divide out the gcd first")
+    h_fin = elementary_divisors(m)[-1]
     h_inf = archimedean_height(m, B)
-    return HeightProfile(tuple(exponents), h_fin, h_inf, h_fin * h_inf)
+    h = h_fin * h_inf if h_fin <= sys.float_info.max else math.inf
+    if h == math.inf:
+        raise DomainError(f"the height e^{math.log(h_fin) + math.log(h_inf):.6g} passes float range")
+    return HeightProfile(tuple(factorize(h_fin)), h_fin, h_inf, h)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +394,9 @@ def prediction_N(d: int, B: float, T: float, covolume: float = 1.0) -> Predictio
     if top * T > _LOG_FLOAT_MAX:
         raise DomainError(f"e^(E T) passes float range at T={T}, E={top:.6g}")
 
-    def value(E: float) -> float:
-        return a * C * (B * T) ** (rank - 1) * math.exp(E * T) / covolume
-
+    values = [a * C * (B * T) ** (rank - 1) * math.exp(E * T) / covolume for E in (measured, B, 2 * B)]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"the predicted count passes float range at T={T}, covolume={covolume}")
     return PredictionReport(
         d=d,
         B=B,
@@ -410,9 +406,9 @@ def prediction_N(d: int, B: float, T: float, covolume: float = 1.0) -> Predictio
         series_constant=C,
         rank=rank,
         measured_exponent=measured,
-        value_measured=value(measured),
-        value_exponent_B=value(B),
-        value_exponent_2B=value(2 * B),
+        value_measured=values[0],
+        value_exponent_B=values[1],
+        value_exponent_2B=values[2],
     )
 
 

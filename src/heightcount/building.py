@@ -45,6 +45,7 @@ oracle of both.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
@@ -135,7 +136,7 @@ def ball_size(params: BuildingParams, k: int) -> int:
     return 1 + shell_count(d, p) * (c**k - 1) // (c - 1)
 
 
-def _class_bound(params: BuildingParams, k: int) -> int:
+def _class_bound(params: BuildingParams, k: int) -> int | float:
     """A-priori upper bound on the number of classes within distance k.
 
     Every vertex has N1 = sum_{j=1}^{d-1} [d choose j]_p neighbours, one
@@ -144,8 +145,14 @@ def _class_bound(params: BuildingParams, k: int) -> int:
     so it adds at most N1 - 1 vertices to shell k, and
     |S_k| <= N1 (N1 - 1)^(k-1).  Exact at d = 2, where the graph is the
     (p+1)-regular tree.
+
+    A bound past float range is inf, found before any large power is
+    formed: at k >= 1 it is at least N1 >= [d choose d//2]_p
+    >= p^((d//2)(d - d//2)), and at least (N1 - 1)^k.
     """
     d, p = params.d, params.p
+    if k and (d // 2) * (d - d // 2) * (p.bit_length() - 1) >= 1024:
+        return math.inf
     n1 = 0
     for j in range(1, d):
         num = den = 1
@@ -153,6 +160,8 @@ def _class_bound(params: BuildingParams, k: int) -> int:
             num *= p ** (d - i) - 1
             den *= p ** (i + 1) - 1
         n1 += num // den
+    if k * ((n1 - 1).bit_length() - 1) >= 1024:
+        return math.inf
     return 1 + sum(n1 * (n1 - 1) ** (j - 1) for j in range(1, k + 1))
 
 

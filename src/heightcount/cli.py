@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -90,8 +91,15 @@ class _Parser(argparse.ArgumentParser):
 # subcommand bodies; each writes its output to `out`
 
 
+# CPython's default limit on the digits of an int printed in decimal
+_MAX_DIGITS = 4300
+
+
 def _cmd_size(size, args, out):
-    value = size(building.BuildingParams(args.d, args.p), args.k)
+    params = building.BuildingParams(args.d, args.p)
+    # both sizes are at least p^((d - 1) k), so that is asked before the power is formed
+    if (args.d - 1) * args.k * math.log10(args.p) > _MAX_DIGITS or (value := size(params, args.k)) >= 10**_MAX_DIGITS:
+        raise DomainError(f"the {args.command} size at d={args.d}, k={args.k} has more than {_MAX_DIGITS} digits")
     _emit_json(args.command, {"d": args.d, "p": args.p, "k": args.k, args.command: value}, out)
 
 
@@ -338,15 +346,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     target = getattr(args, "csv", None)
     try:
-        if target:
-            with open(target, "w", encoding="utf-8", newline="") as handle:
-                args.func(args, handle)
-        else:
-            args.func(args, sys.stdout)
+        with open(target, "w", encoding="utf-8", newline="") if target else nullcontext(sys.stdout) as out:
+            args.func(args, out)
     except BudgetError as exc:
         print(f"heightcount: budget error: {exc}", file=sys.stderr)
         return 2
-    except HeightCountError as exc:
+    except (HeightCountError, OSError) as exc:
         print(f"heightcount: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 # The first 13 primes as witnesses prove primality for every n below
 # psi_13, the least strong pseudoprime to all of them (Sorenson and
@@ -12,6 +12,10 @@ from .errors import DomainError
 # psi_12 = 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981  # psi_13
+
+# The largest trial divisor of `factorize`, about a second of work; no
+# variable raises it
+_TRIAL_CAP = 10**7
 
 
 def is_prime(n: int) -> bool:
@@ -58,21 +62,34 @@ def primes_up_to(n: int) -> list[int]:
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as sorted (p, exponent) pairs.
 
-    Trial division; fine for the magnitudes this package handles (heights
-    and determinants of enumerated matrices, sieve indices).
+    Trial division, which stops as soon as the cofactor is 1 or passes
+    `is_prime` (tested at the start and after each prime divided out).
+    The divisors stop at _TRIAL_CAP, about a second of work: a cofactor
+    still left there is composite with every prime factor above the cap,
+    or at least psi_13 and so beyond the primality test, and raises
+    BudgetError.  Every m whose second-largest prime factor (counted with
+    multiplicity) is at most the cap, and whose largest is below psi_13,
+    factors in full.
     """
     if m < 1:
         raise DomainError(f"factorize needs m >= 1, got {m}")
     out: list[tuple[int, int]] = []
     rest = m
     p = 2
-    while p * p <= rest:
+    prime = rest < _MR_LIMIT and is_prime(rest)
+    while not prime and p * p <= rest:
+        if p > _TRIAL_CAP:
+            raise BudgetError(
+                f"factorize: a {rest.bit_length()}-bit cofactor has no prime factor up to "
+                f"{_TRIAL_CAP}, and trial division stops there"
+            )
         if rest % p == 0:
             k = 0
             while rest % p == 0:
                 rest //= p
                 k += 1
             out.append((p, k))
+            prime = rest < _MR_LIMIT and is_prime(rest)
         p += 1 if p == 2 else 2
     if rest > 1:
         out.append((rest, 1))

@@ -299,19 +299,14 @@ def _check_bfs_deep_d2():
 def _d3_census(p: int) -> tuple[tuple[int, int, int], int]:
     """Shell sizes out to distance 2 and the shell-2 -> shell-1 edge count.
 
-    Two checks read it for each p, so the BFS runs once per p.  A shell-2
-    class contains p^2 Z^3, so each of its neighbours contains p^3 Z^3:
-    one `hermite.neighbour_forms` call at q = p^3 gives the neighbours of
-    the whole shell, and their keys are matched against shell 1's, both
-    at the key width of p^3.
+    Two checks read it for each p, so the BFS runs once per p.  The graph
+    is undirected, so the edges are counted from shell 1's side, by
+    `building.neighbors` on each of its 14 (p = 2) or 26 (p = 3) classes.
     """
-    from . import hermite  # here, so the CLI's import of verify skips compiling it
-
     table = building.enumerate_classes(building.BuildingParams(3, p), 2)
-    shell1, shell2 = (hermite.key_forms(keys, 3, table.bits) for keys in table.shells[1:])
-    bits = (p**3).bit_length()
-    found = hermite.form_keys(hermite.neighbour_forms(shell2, p, 3), bits)
-    incidences = int(np.isin(found, hermite.form_keys(shell1, bits)).sum())
+    shell1 = [cls for cls, k in table if k == 1]
+    shell2 = {cls for cls, k in table if k == 2}
+    incidences = sum(nb in shell2 for cls in shell1 for nb in building.neighbors(cls, 3))
     return table.shell_sizes, incidences
 
 

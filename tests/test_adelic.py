@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heightcount import (
@@ -22,6 +22,7 @@ from heightcount import (
     adelic_ball_volume,
     adelic_volume_callable,
     archimedean_height,
+    building_distance,
     coeff_D,
     compare_report,
     covering_number_box,
@@ -38,6 +39,8 @@ from heightcount import (
 )
 from heightcount import adelic, dirichlet
 from heightcount.archimedean import ball_volume_numeric
+from heightcount.intmat import det_int
+from heightcount.primes import factorize
 from oracles import adelic_volume_d2, d2_volume_by_full_prefix_sums, prefix_sums_by_blocks, psi_by_sieve
 
 
@@ -114,6 +117,23 @@ def test_height_finite_part_is_largest_elementary_divisor():
     assert prof.h_fin == 2
     prof = global_height([[0, 1], [-7, 3]], 1.0)
     assert prof.h_fin == 7
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d)
+    )
+)
+def test_finite_exponents_are_the_building_distances(rows):
+    # at every d: the primes at positive building distance, each with it
+    det = det_int(rows)
+    assume(det != 0)
+    g = math.gcd(*(x for row in rows for x in row))
+    rows = [[x // g for x in row] for row in rows]
+    distances = [(p, building_distance(rows, p)) for p, _ in factorize(abs(det))]
+    prof = global_height(rows, 1.0)
+    assert prof.finite_exponents == tuple((p, dist) for p, dist in distances if dist > 0)
+    assert prof.h_fin == math.prod(p**dist for p, dist in distances)
 
 
 def test_height_rejects_singular_and_nonrational():

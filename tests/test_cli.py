@@ -32,10 +32,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def run_json(capsys, *argv):
+    # strict: Infinity, -Infinity and NaN, which json.loads accepts, fail
     code, out = run(capsys, *argv)
     assert code == 0
-    return json.loads(out)
+    return json.loads(out, parse_constant=_not_json)
 
 
 def run_csv(capsys, *argv):
@@ -179,6 +184,12 @@ def test_csv_flag_writes_file(tmp_path, capsys):
     assert "3,3.3219280949,2.7712437492" in text
 
 
+def test_csv_path_that_cannot_be_opened_is_refused(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["residue", "--variant", "sl2", "--csv", str(target)]) == 1
+    assert capsys.readouterr() == ("", f"heightcount: error: [Errno 2] No such file or directory: '{target}'\n")
+
+
 # ---------------------------------------------------------------------------
 # verify and exit codes
 
@@ -304,10 +315,53 @@ def test_usage_error_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("sphere --d 3 --p 2 --k 10000", "the sphere size at d=3, k=10000 has more than 4300 digits"),
+        ("ball --d 3 --p 2 --k 100000", "the ball size at d=3, k=100000 has more than 4300 digits"),
+        # formed, since p^((d - 1) k) has 2589 digits, then refused: 4301
+        ("ball --d 3 --p 2 --k 4300", "the ball size at d=3, k=4300 has more than 4300 digits"),
+    ],
+)
+def test_size_past_the_printable_digits_is_refused(capsys, argv, err):
+    # Python prints no int of more than 4300 digits; refused with one line
+    assert main(argv.split()) == 1
+    assert capsys.readouterr() == ("", f"heightcount: error: {err}\n")
+
+
+def test_size_of_4001_digits_prints(capsys):
+    doc = run_json(capsys, "sphere", "--d", "3", "--p", "2", "--k", "4000")
+    assert doc["sphere"] == 14 * 10**3999
+
+
+def test_height_factors_a_prime_cofactor_at_once():
+    # det = 2 * 3^4 * (10^18 + 3), and 10^18 + 3 is prime: is_prime finds it
+    # once 2 and 3 are divided out, where trial division would run to 10^9
+    argv = ["height", "--matrix", "1000000000,1;-486,162000000000", "--B", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "heightcount", *argv], env=_src_env(), capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["finite_exponents"] == [[2, 1], [3, 4], [10**18 + 3, 1]]
+
+
+def test_height_with_two_prime_factors_past_the_trial_cap_exits_two(capsys):
+    # det = 10000019 * 10000079: no prime factor up to the cap of 10^7
+    assert main(["height", "--matrix", "10000019,1;0,10000079", "--B", "1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "heightcount: budget error: factorize: a 47-bit cofactor has no prime factor up to 10000000, "
+        "and trial division stops there\n",
+    )
+
+
 def test_budget_error_exits_two(capsys):
     for argv in (
         ["classes", "--d", "2", "--p", "5", "--kmax", "12", "--max-classes", "100"],
         ["dcoeff", "--d", "2", "--xmax", "100", "--max-sieve", "10"],
+        # a class bound past float range is inf, told at once
+        ["classes", "--d", "2", "--p", "2", "--kmax", "100000"],
     ):
         code = main(argv)
         err = capsys.readouterr().err
@@ -380,6 +434,12 @@ def test_sieve_length_past_float_range_is_refused(capsys, monkeypatch, argv, cod
         ("regularity --d 2 --B 1 --Tmin 8 --Tmax inf", "need a finite Tmax, got inf"),
         ("predict --d 3 --B 4.5 --T 1000", "e^(E T) passes float range at T=1000.0, E=9"),
         ("height --matrix 2,1;0,3 --B 1e-4", "the archimedean height e^2848.09 passes float range"),
+        # h_inf and each exponent are in float range, the products are not
+        ("height --matrix 2,1;0,3 --B 4.02e-4", "the height e^710.272 passes float range"),
+        (
+            "predict --d 2 --B 2.5 --T 4 --covolume 1e-320",
+            "the predicted count passes float range at T=4.0, covolume=1e-320",
+        ),
     ],
 )
 def test_non_finite_flag_is_refused(capsys, argv, err):
